@@ -480,6 +480,20 @@ def _load_config_file(path: str) -> dict:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     if not isinstance(raw, dict) or not raw:
         raise ConfigError(f"config file {path} must be a nonempty JSON object")
+    for section, kinds, what in (
+        ("process", (str, dict), "a string or a JSON object"),
+        ("grid", dict, "a JSON object"),
+        ("experiment", (str, dict), "a string or a JSON object"),
+    ):
+        if section in raw and not isinstance(raw[section], kinds):
+            raise ConfigError(f"config file {path}: {section!r} must be {what}")
+    try:
+        return _config_fields(raw)
+    except (ValueError, TypeError, OverflowError) as exc:
+        raise ConfigError(f"config file {path}: bad value: {exc}") from exc
+
+
+def _config_fields(raw: dict) -> dict:
     merged: dict = {}
     process = raw.get("process")
     if isinstance(process, str):
@@ -628,6 +642,13 @@ def _merge_preset(base: ExperimentConfig, args: argparse.Namespace) -> Experimen
     if getattr(args, "config", None):
         changed.update(_load_config_file(args.config))
         changed.pop("experiment", None)
+    # no preset reads these, so accepting them would silently ignore them
+    if getattr(args, "raw_price", False):
+        raise ConfigError(f"preset {base.experiment!r} does not read --raw-price")
+    if getattr(args, "ladder", None):
+        raise ConfigError(f"preset {base.experiment!r} does not read --ladder")
+    if "ladder" in changed:
+        raise ConfigError(f"preset {base.experiment!r} does not read the config field 'ladder'")
     for flag, fieldname in _FLAG_FIELDS.items():
         value = getattr(args, flag, None)
         if value is not None:

@@ -63,12 +63,18 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class TimeGrid:
-    """A finite, strictly increasing sequence of times starting at 0."""
+    """A finite, strictly increasing sequence of times starting at 0.
+
+    ``times`` is a read-only copy of the array passed in (the caller's array
+    stays writeable). The spacings, their square roots and uniformity are
+    computed once here, since every path sampled on the grid reads them.
+    """
 
     times: Array
 
     def __post_init__(self):
-        times = np.asarray(self.times, dtype=np.float64)
+        times = np.array(self.times, dtype=np.float64)
+        times.setflags(write=False)
         object.__setattr__(self, "times", times)
         if times.ndim != 1 or times.size < 2:
             raise InvalidArgumentError("a grid needs at least two time points")
@@ -76,8 +82,19 @@ class TimeGrid:
             raise InvalidArgumentError("grid times must be finite")
         if times[0] != 0.0:
             raise InvalidArgumentError("grid must start at time 0")
-        if not np.all(np.diff(times) > 0.0):
+        dt = np.diff(times)
+        if not np.all(dt > 0.0):
             raise InvalidArgumentError("grid times must be strictly increasing")
+        sqrt_dt = np.sqrt(dt)
+        dt.setflags(write=False)
+        sqrt_dt.setflags(write=False)
+        object.__setattr__(self, "_spacings", dt)
+        object.__setattr__(self, "_sqrt_spacings", sqrt_dt)
+        # np.allclose(dt, dt[0], rtol=1e-9, atol=0) without temporaries: a - d0
+        # rounds monotonically in a, so max|dt - d0| is reached at an extreme
+        d0 = dt[0]
+        uniform = bool(max(dt.max() - d0, d0 - dt.min()) <= 1e-9 * d0)
+        object.__setattr__(self, "_is_uniform", uniform)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, TimeGrid) and np.array_equal(self.times, other.times)
@@ -99,18 +116,18 @@ class TimeGrid:
 
     @property
     def spacings(self) -> Array:
-        return np.diff(self.times)
+        """Read-only ``np.diff(times)``."""
+        return self._spacings
 
     @property
     def is_uniform(self) -> bool:
-        dt = self.spacings
-        return bool(np.allclose(dt, dt[0], rtol=1e-9, atol=0.0))
+        return self._is_uniform
 
     def uniform_spacing(self) -> float:
         """Common spacing, or raise if the grid is not uniform."""
-        if not self.is_uniform:
+        if not self._is_uniform:
             raise UnsupportedGridError("grid is not uniformly spaced")
-        return float(self.times[1] - self.times[0])
+        return float(self._spacings[0])
 
     def first_index_at_or_after(self, t: float) -> int:
         """Smallest index ``k`` with ``times[k] >= t``."""
@@ -174,7 +191,7 @@ class Path:
             raise InvalidArgumentError(
                 f"values length {values.size} does not match grid length {self.grid.n_points}"
             )
-        if not np.all(np.isfinite(values)):
+        if not np.isfinite(values).all():  # per path: the method skips np.all's dispatch
             raise InvalidArgumentError("path values must be finite")
 
     def value_at(self, t) -> Array | float:
@@ -274,16 +291,21 @@ def sample_brownian(grid: TimeGrid, seed: SeedSpec, volatility: float = 1.0) -> 
         raise InvalidArgumentError("volatility must be positive")
     rng = seed.generator()
     z = rng.standard_normal(grid.n_steps)
-    increments = volatility * np.sqrt(grid.spacings) * z
-    values = np.concatenate(([0.0], np.cumsum(increments)))
+    values = np.empty(grid.n_points)
+    values[0] = 0.0
+    np.cumsum((volatility * grid._sqrt_spacings) * z, out=values[1:])
     return Path(grid, values, label="bm")
 
 
 @lru_cache(maxsize=16)
 def _fgn_sqrt_spectrum(n_steps: int, hurst: float) -> Array | None:
-    """Square roots of the circulant-embedding eigenvalues for unit-spacing
-    fractional Gaussian noise, or None when the embedding is not
-    nonnegative-definite within tolerance."""
+    """Davies-Harte weights for unit-spacing fractional Gaussian noise, or None
+    when the circulant embedding is not nonnegative-definite within tolerance.
+
+    With ``m = 2 * n_steps`` eigenvalues ``lam``, entry ``k`` of the read-only
+    result is ``sqrt(1/m) * sqrt(lam[k])`` for ``k`` in ``{0, n_steps}`` and
+    ``sqrt(1/(2m)) * sqrt(lam[k])`` in between.
+    """
     h2 = 2.0 * hurst
     k = np.arange(n_steps + 1, dtype=np.float64)
     gamma = 0.5 * ((k + 1.0) ** h2 + np.abs(k - 1.0) ** h2 - 2.0 * k**h2)
@@ -291,7 +313,12 @@ def _fgn_sqrt_spectrum(n_steps: int, hurst: float) -> Array | None:
     eig = np.fft.fft(first_row).real
     if eig.min() < -EMBEDDING_TOLERANCE:
         return None
-    return np.sqrt(np.clip(eig, 0.0, None))
+    m = eig.size
+    sqrt_eig = np.sqrt(np.clip(eig[: n_steps + 1], 0.0, None))
+    weights = np.sqrt(1.0 / (2.0 * m)) * sqrt_eig
+    weights[[0, n_steps]] = np.sqrt(1.0 / m) * sqrt_eig[[0, n_steps]]
+    weights.setflags(write=False)
+    return weights
 
 
 @lru_cache(maxsize=8)
@@ -313,20 +340,16 @@ def _fbm_dense_factor(n_steps: int, dt: float, hurst: float) -> Array:
     )
 
 
-def _fgn_unit_sample(rng: np.random.Generator, sqrt_eig: Array, n_steps: int) -> Array:
+def _fgn_unit_sample(rng: np.random.Generator, weights: Array, n_steps: int) -> Array:
     # Davies-Harte synthesis: hermitian spectrum from 2n normals, one FFT.
-    m = sqrt_eig.size  # 2 * n_steps
-    half = m // 2
-    z = rng.standard_normal(m)
-    w = np.zeros(m, dtype=np.complex128)
-    w[0] = np.sqrt(1.0 / m) * sqrt_eig[0] * z[0]
-    w[half] = np.sqrt(1.0 / m) * sqrt_eig[half] * z[1]
-    if half > 1:
-        u = z[2 : half + 1]
-        v = z[half + 1 :]
-        interior = np.sqrt(1.0 / (2.0 * m)) * sqrt_eig[1:half] * (u + 1j * v)
-        w[1:half] = interior
-        w[half + 1 :] = np.conj(interior[::-1])
+    half = n_steps
+    z = rng.standard_normal(2 * half)
+    w = np.empty(2 * half, dtype=np.complex128)
+    w[0] = weights[0] * z[0]
+    w[half] = weights[half] * z[1]
+    interior = weights[1:half] * (z[2 : half + 1] + 1j * z[half + 1 :])
+    w[1:half] = interior
+    np.conj(interior[::-1], out=w[half + 1 :])
     return np.fft.fft(w).real[:n_steps]
 
 
@@ -341,13 +364,14 @@ def sample_fbm(grid: TimeGrid, seed: SeedSpec, hurst: float) -> Path:
     dt = grid.uniform_spacing()
     n = grid.n_steps
     rng = seed.generator()
-    sqrt_eig = _fgn_sqrt_spectrum(n, float(hurst))
-    if sqrt_eig is not None:
-        fgn = _fgn_unit_sample(rng, sqrt_eig, n) * dt**hurst
-        values = np.concatenate(([0.0], np.cumsum(fgn)))
+    weights = _fgn_sqrt_spectrum(n, float(hurst))
+    values = np.empty(n + 1)
+    values[0] = 0.0
+    if weights is not None:
+        np.cumsum(_fgn_unit_sample(rng, weights, n) * dt**hurst, out=values[1:])
     else:
         factor = _fbm_dense_factor(n, dt, float(hurst))
-        values = np.concatenate(([0.0], factor @ rng.standard_normal(n)))
+        values[1:] = factor @ rng.standard_normal(n)
     return Path(grid, values, label=f"fbm-H{hurst:g}")
 
 
@@ -363,14 +387,17 @@ def build_path(spec: ProcessSpec, grid: TimeGrid, seed: SeedSpec) -> Path:
 
 
 def _resolve_workers(workers: int | None) -> int:
+    # capped at the core count: pool threads beyond it only add overhead, and
+    # an unbounded value would start up to one thread per path
+    cap = os.cpu_count() or 1
     if workers is not None:
         if int(workers) < 1:
             raise InvalidArgumentError("workers must be at least 1")
-        return int(workers)
+        return min(int(workers), cap)
     env = os.environ.get("STICKYLAB_THREADS", "")
     if env:
         try:
-            return max(1, int(env))
+            return min(max(1, int(env)), cap)
         except ValueError as exc:
             raise InvalidArgumentError(
                 f"STICKYLAB_THREADS must be an integer, got {env!r}"
@@ -395,15 +422,18 @@ def sample_ensemble(
     n_paths = int(n_paths)
     workers = _resolve_workers(workers)
 
-    def one(i: int) -> Array:
-        return build_path(spec, grid, SeedSpec(master_seed, i)).values
+    values = np.empty((n_paths, grid.n_points))
+
+    def fill(i: int) -> None:
+        values[i] = build_path(spec, grid, SeedSpec(master_seed, i)).values
 
     if workers == 1 or n_paths == 1:
-        rows = [one(i) for i in range(n_paths)]
+        for i in range(n_paths):
+            fill(i)
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(one, range(n_paths)))
-    return Ensemble(grid, np.stack(rows), master_seed, process_label=process_label(spec))
+            list(pool.map(fill, range(n_paths)))  # re-raises any worker's error
+    return Ensemble(grid, values, master_seed, process_label=process_label(spec))
 
 
 # ------------------------------ discrete Ito ------------------------------ #

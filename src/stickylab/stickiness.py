@@ -185,8 +185,12 @@ def _verdict(successes: int, ci_low: float) -> str:
 
 
 def _window_sup(x: Array, start: int, end: int) -> float:
-    # max |x_t - x_start| over grid indices start..end inclusive
-    return float(np.max(np.abs(x[start : end + 1] - x[start])))
+    # max |x_t - x_start| over grid indices start..end inclusive, without
+    # temporaries: a - c rounds monotonically in a and c - a = -(a - c), so
+    # the sup sits at the segment's max or min, bit for bit
+    seg = x[start : end + 1]
+    x_s = x[start]
+    return float(max(seg.max() - x_s, x_s - seg.min()))
 
 
 def _capped_stop(query: StickinessQuery, path, end_index: int) -> StopResult:

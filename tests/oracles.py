@@ -7,6 +7,7 @@ formulas, brute-force sums, and a trade-by-trade cash ledger.
 from __future__ import annotations
 
 import math
+from statistics import NormalDist
 
 import numpy as np
 
@@ -23,6 +24,19 @@ def corridor_stay_probability(half_width: float, horizon: float = 1.0, terms: in
         sign = -1.0 if ((k - 1) // 2) % 2 else 1.0
         total += (4.0 / math.pi) * (sign / k) * math.exp(-(k * k) * math.pi**2 * horizon / (8.0 * a * a))
     return total
+
+
+def wilson_interval(successes: int, n: int, level: float = 0.95) -> tuple[float, float]:
+    """Two-sided Wilson score interval in its textbook closed form.
+
+    ``(s + z^2/2) / (n + z^2)  -/+  z sqrt(n) / (n + z^2) * sqrt(p (1 - p) + z^2 / (4n))``
+    with ``p = s / n`` and ``z`` the ``(1 + level) / 2`` normal quantile.
+    """
+    z = NormalDist().inv_cdf(0.5 + level / 2.0)
+    p = successes / n
+    center = (successes + z * z / 2.0) / (n + z * z)
+    half = z * math.sqrt(n) / (n + z * z) * math.sqrt(p * (1.0 - p) + z * z / (4.0 * n))
+    return center - half, center + half
 
 
 def fbm_covariance(s: float, t: float, hurst: float) -> float:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -167,6 +168,35 @@ def test_every_preset_runs_small(preset):
     assert len(table.rows) >= 1
 
 
+# SHA-256 of each preset's CSV at acceptance criterion 10's sizes and the
+# default seed; recorded before path generation was reworked, so any change in
+# output bytes shows here
+PINNED_PRESET_SHA256 = {
+    "abs-cuberoot": "8c554810700c9c8d89e3b5cbe9a4681d38a91324dda2c700fa2e9c59069c468b",
+    "cos-drift": "15db5912144aaf33e086ffa97022606e1a9373e886ac7113ce53d260038192bf",
+    "costs-fbm-momentum": "2a2aaef36cbe62e168f2713919eb6884bbc911dc08bdbc4f3aed4cc5f0522b22",
+    "dds-check": "c06543dc8da4584602c1ef74be5680a2a670117348e1be8bbc0b358c6e10ab1f",
+    "fbm-sticky": "308f5c0d9377db902c9653696172b3885773503f026315f409491ad1658a16d9",
+    "paper-nonsticky": "0905feba66cec8eee3622a1340436cfbf904e68912740bbc216475bda4c3d508",
+    "passage-counterexample": "6194a6036b6e9b2d51b43f17303e703b20e203a6a12c6ae9718631bc0e2f5f3f",
+    "timechange-cap": "af13b5d1b317e38be0298b198856519ca41b3ee8e3dc4cccc9e9133a401f1c87",
+}
+
+
+def test_preset_csv_bytes_pinned():
+    assert sorted(PINNED_PRESET_SHA256) == sorted(PRESETS)
+    sizes = {
+        "passage-counterexample": {"n_paths": 40, "steps": 2048},
+        "dds-check": {"n_paths": 10, "steps": 2048},
+    }
+    got = {}
+    for preset in sorted(PRESETS):
+        config = small(preset, **sizes.get(preset, {"n_paths": 48, "steps": 128}))
+        text = render_csv(run_experiment(config))
+        got[preset] = hashlib.sha256(text.encode("utf-8")).hexdigest()
+    assert got == PINNED_PRESET_SHA256
+
+
 # ---------------------------------------------------------------- CLI process
 
 
@@ -194,6 +224,43 @@ def test_cli_exit_code_2_on_malformed_config(tmp_path):
     config.write_text("not json at all")
     result = run_cli(["stickiness", "--config", str(config)])
     assert result.returncode == 2
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        {"experiment": "stickiness", "grid": {"steps": "abc"}},
+        {"experiment": "stickiness", "grid": 5},
+        {"paths": "many"},
+        {"process": {"name": "fbm", "hurst": "x"}},
+    ],
+)
+def test_cli_exit_code_2_on_config_type_errors(tmp_path, config):
+    cfg_path = tmp_path / "bad.json"
+    cfg_path.write_text(json.dumps(config))
+    result = run_cli(["stickiness", "--config", str(cfg_path), "--out", str(tmp_path / "x.csv")])
+    assert result.returncode == 2
+    assert "Traceback" not in result.stderr
+    assert "configuration error" in result.stderr
+
+
+@pytest.mark.parametrize(
+    "flags,named",
+    [
+        (["--raw-price"], "--raw-price"),
+        (["--ladder", "1,2"], "--ladder"),
+        (["--raw-price", "--ladder", "1,2"], "--raw-price"),
+        (["--config", "ladder.json"], "'ladder'"),
+    ],
+)
+def test_cli_preset_rejects_flags_it_does_not_read(tmp_path, monkeypatch, capsys, flags, named):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "ladder.json").write_text(json.dumps({"experiment": {"ladder": [0.5, 1.0]}}))
+    code = main(["experiment", "costs-fbm-momentum", "--paths", "4", "--steps", "8",
+                 "--out", "x.csv", *flags])
+    assert code == 2
+    assert named in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_cli_exit_code_2_on_bad_rule(tmp_path):

@@ -65,6 +65,41 @@ def test_nonuniform_grid_detected():
         grid.uniform_spacing()
 
 
+def test_grid_copies_times_and_is_read_only():
+    times = np.array([0.0, 0.5, 1.0])
+    grid = TimeGrid(times)
+    assert times.flags.writeable  # the caller's array is left alone
+    times[1] = 0.25
+    assert grid.times[1] == 0.5
+    assert not grid.times.flags.writeable
+    assert not grid.spacings.flags.writeable
+    assert np.array_equal(grid.spacings, [0.5, 0.5])
+    assert grid.is_uniform and grid.uniform_spacing() == 0.5
+
+
+def test_grid_uniformity_tolerance_matches_allclose():
+    for jitter in (0.0, 1e-12, 5e-10, 2e-9, 1e-6):
+        times = np.cumsum([0.0, 0.1, 0.1 * (1.0 + jitter), 0.1, 0.1 * (1.0 - jitter)])
+        dt = np.diff(times)
+        want = bool(np.allclose(dt, dt[0], rtol=1e-9, atol=0.0))
+        assert TimeGrid(times).is_uniform == want
+
+
+@pytest.mark.parametrize("value", ["1000000000", None])
+def test_worker_count_capped_at_cores(monkeypatch, value):
+    import stickylab.pathgen as pg
+
+    monkeypatch.setattr(pg.os, "cpu_count", lambda: 3)
+    if value is None:
+        assert pg._resolve_workers(10**9) == 3
+        assert pg._resolve_workers(2) == 2
+    else:
+        monkeypatch.setenv("STICKYLAB_THREADS", value)
+        assert pg._resolve_workers(None) == 3
+    monkeypatch.setattr(pg.os, "cpu_count", lambda: None)  # unknown core count
+    assert pg._resolve_workers(10**9) == 1
+
+
 # ---------------------------------------------------------------- brownian
 
 
@@ -220,6 +255,73 @@ def test_derived_process_dispatch():
     ens = sample_ensemble(spec, grid, 0, 3)
     assert ens.process_label == "flat"
     assert np.array_equal(ens.values, np.zeros((3, 5)))
+
+
+# ------------------------------------------- frozen per-path reference code
+# The generators before their grid invariants and Davies-Harte weights were
+# cached; the cached versions must reproduce these bit for bit.
+
+
+def _reference_brownian(grid, seed, volatility):
+    z = seed.generator().standard_normal(grid.n_steps)
+    increments = volatility * np.sqrt(np.diff(grid.times)) * z
+    return np.concatenate(([0.0], np.cumsum(increments)))
+
+
+def _reference_fbm(grid, seed, hurst):
+    dt = float(grid.times[1] - grid.times[0])
+    n = grid.n_steps
+    rng = seed.generator()
+    h2 = 2.0 * hurst
+    k = np.arange(n + 1, dtype=np.float64)
+    gamma = 0.5 * ((k + 1.0) ** h2 + np.abs(k - 1.0) ** h2 - 2.0 * k**h2)
+    first_row = np.concatenate((gamma[:n], [gamma[n]], gamma[n - 1 : 0 : -1]))
+    sqrt_eig = np.sqrt(np.clip(np.fft.fft(first_row).real, 0.0, None))
+    m = sqrt_eig.size
+    half = m // 2
+    z = rng.standard_normal(m)
+    w = np.zeros(m, dtype=np.complex128)
+    w[0] = np.sqrt(1.0 / m) * sqrt_eig[0] * z[0]
+    w[half] = np.sqrt(1.0 / m) * sqrt_eig[half] * z[1]
+    if half > 1:
+        u = z[2 : half + 1]
+        v = z[half + 1 :]
+        interior = np.sqrt(1.0 / (2.0 * m)) * sqrt_eig[1:half] * (u + 1j * v)
+        w[1:half] = interior
+        w[half + 1 :] = np.conj(interior[::-1])
+    fgn = np.fft.fft(w).real[:n] * dt**hurst
+    return np.concatenate(([0.0], np.cumsum(fgn)))
+
+
+@pytest.mark.parametrize("steps", [1, 2, 3, 1024])
+@pytest.mark.parametrize("hurst", [0.1, 0.25, 0.5, 0.75, 0.9])
+def test_fbm_bit_identical_to_reference(hurst, steps):
+    grid = make_uniform_grid(1.0, steps)
+    for master_seed in (0, 7, 2**63 + 5):
+        ens = sample_ensemble(FractionalBrownianMotion(hurst), grid, master_seed, 4)
+        for i in range(ens.n_paths):
+            want = _reference_fbm(grid, SeedSpec(master_seed, i), hurst)
+            assert np.array_equal(sample_fbm(grid, SeedSpec(master_seed, i), hurst).values, want)
+            assert np.array_equal(ens.values[i], want)
+
+
+@pytest.mark.parametrize(
+    "times",
+    [
+        np.linspace(0.0, 32.0, 8193),
+        np.linspace(0.0, 1.0, 2),
+        np.cumsum([0.0, 0.01, 0.3, 0.02, 0.5, 1e-6, 0.17]),  # non-uniform
+    ],
+)
+def test_brownian_bit_identical_to_reference(times):
+    grid = TimeGrid(times)
+    for master_seed, volatility in ((3, 1.0), (11, 1.7), (2**40, 0.3)):
+        ens = sample_ensemble(BrownianMotion(volatility), grid, master_seed, 3)
+        for i in range(ens.n_paths):
+            want = _reference_brownian(grid, SeedSpec(master_seed, i), volatility)
+            got = sample_brownian(grid, SeedSpec(master_seed, i), volatility)
+            assert np.array_equal(got.values, want)
+            assert np.array_equal(ens.values[i], want)
 
 
 # ---------------------------------------------------------------- ito integration

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stickylab.errors import InvalidArgumentError
 from stickylab.pathgen import (
@@ -12,6 +14,7 @@ from stickylab.pathgen import (
 )
 from stickylab.stickiness import (
     StickinessQuery,
+    _window_sup,
     cross_check_characterizations,
     estimate_stickiness,
     estimate_stickiness_sis,
@@ -32,6 +35,7 @@ from oracles import (
     _killed_walk_stay_probability,
     corridor_stay_probability,
     grid_corridor_stay_probability,
+    wilson_interval,
 )
 
 
@@ -78,6 +82,16 @@ def test_wilson_against_independent_implementation():
     assert got == pytest.approx((lo, hi), rel=1e-12)
 
 
+@pytest.mark.parametrize("level", [0.5, 0.9, 0.95, 0.99])
+@pytest.mark.parametrize("n", [1, 2, 7, 50, 10_000])
+def test_wilson_against_closed_form_oracle(n, level):
+    for successes in sorted({0, 1, n // 3, n // 2, n - 1, n}):
+        lo, hi = wilson_ci(successes, n, level)
+        want_lo, want_hi = wilson_interval(successes, n, level)
+        assert lo == pytest.approx(want_lo, rel=1e-12, abs=1e-15)
+        assert hi == pytest.approx(want_hi, rel=1e-12, abs=1e-15)
+
+
 def test_wilson_one_success_lower_positive():
     lo, _ = wilson_ci(1, 10_000, 0.95)
     assert lo > 0.0
@@ -98,6 +112,26 @@ def test_zero_success_upper_bound_scale():
 
 
 # ---------------------------------------------------------------- estimator basics
+
+
+@given(
+    st.lists(
+        st.one_of(
+            st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False),
+            st.integers(-64, 64).map(lambda k: k / 8.0),  # ties and exact zeros
+        ),
+        min_size=1,
+        max_size=40,
+    ),
+    st.data(),
+)
+@settings(max_examples=200, deadline=None)
+def test_window_sup_equals_max_abs_deviation(values, data):
+    x = np.array(values)
+    start = data.draw(st.integers(0, x.size - 1))
+    end = data.draw(st.integers(start, x.size - 1))
+    want = np.max(np.abs(x[start : end + 1] - x[start]))
+    assert _window_sup(x, start, end) == want
 
 
 def test_constant_ensemble_is_fully_sticky():
