@@ -30,7 +30,6 @@ from .pathgen import (
     Ensemble,
     FractionalBrownianMotion,
     SeedSpec,
-    TimeGrid,
     make_uniform_grid,
     sample_ensemble,
 )
@@ -246,18 +245,18 @@ def _preset_passage_counterexample(config: ExperimentConfig) -> ResultTable:
     # level within the horizon cannot be constructed and are excluded, with
     # the exclusion count recorded in provenance.
     grid = make_uniform_grid(config.horizon, config.steps)
-    levels = np.linspace(0.0, 0.5, 11)
+    nu = PassageTimes(np.linspace(0.0, 0.5, 11))
     base = sample_ensemble(BrownianMotion(1.0), grid, config.master_seed, config.n_paths)
     rows = []
     excluded = 0
     for i in range(base.n_paths):
         try:
-            rows.append(time_change(base.path(i), PassageTimes(levels)).values)
+            rows.append(time_change(base.path(i), nu).values)
         except TimeChangeRangeError:
             excluded += 1
     if not rows:
         raise NumericalFailureError("no path attained the full level schedule")
-    ramp = Ensemble(TimeGrid(levels), np.stack(rows), config.master_seed, "passage-ramp")
+    ramp = Ensemble(nu.grid, np.stack(rows), config.master_seed, "passage-ramp")
     row = _stickiness_row(
         dataclasses.replace(config, query_horizon=0.5), ramp, "passage-ramp"
     )
@@ -552,10 +551,24 @@ _FLAG_FIELDS = {
 }
 
 
-def _build_config(args: argparse.Namespace, experiment: str) -> ExperimentConfig:
+def _resolve_config(args: argparse.Namespace) -> ExperimentConfig:
+    """The experiment's base (a preset, or the subcommand's defaults) with the
+    config file's values and then the flags actually passed on top."""
+    preset = PRESETS[args.preset] if args.command == "experiment" else None
     values: dict = {}
     if getattr(args, "config", None):
         values.update(_load_config_file(args.config))
+        values.pop("experiment", None)
+    if preset is not None:
+        # no preset reads these, so accepting them would silently ignore them
+        if getattr(args, "raw_price", False):
+            raise ConfigError(f"preset {preset.experiment!r} does not read --raw-price")
+        if getattr(args, "ladder", None):
+            raise ConfigError(f"preset {preset.experiment!r} does not read --ladder")
+        if "ladder" in values:
+            raise ConfigError(
+                f"preset {preset.experiment!r} does not read the config field 'ladder'"
+            )
     for flag, fieldname in _FLAG_FIELDS.items():
         value = getattr(args, flag, None)
         if value is not None:
@@ -567,11 +580,7 @@ def _build_config(args: argparse.Namespace, experiment: str) -> ExperimentConfig
             raise ConfigError(f"bad ladder {args.ladder!r}") from exc
     if getattr(args, "raw_price", False):
         values["raw_price"] = True
-    values["experiment"] = experiment
-    try:
-        return ExperimentConfig(**values)
-    except TypeError as exc:
-        raise ConfigError(f"bad configuration: {exc}") from exc
+    return dataclasses.replace(preset or ExperimentConfig(experiment=args.command), **values)
 
 
 def _add_common_flags(parser: argparse.ArgumentParser) -> None:
@@ -615,10 +624,7 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        if args.command == "experiment":
-            config = _merge_preset(PRESETS[args.preset], args)
-        else:
-            config = _build_config(args, experiment=args.command)
+        config = _resolve_config(args)
         table = run_experiment(config)
     except (ConfigError, StickyLabError) as exc:
         if isinstance(exc, NumericalFailureError):
@@ -634,26 +640,6 @@ def main(argv=None) -> int:
         return 4
     print(f"wrote {dest} ({len(table.rows)} rows)")
     return 0
-
-
-def _merge_preset(base: ExperimentConfig, args: argparse.Namespace) -> ExperimentConfig:
-    # only flags the user actually passed override the preset's pinned values
-    changed = {}
-    if getattr(args, "config", None):
-        changed.update(_load_config_file(args.config))
-        changed.pop("experiment", None)
-    # no preset reads these, so accepting them would silently ignore them
-    if getattr(args, "raw_price", False):
-        raise ConfigError(f"preset {base.experiment!r} does not read --raw-price")
-    if getattr(args, "ladder", None):
-        raise ConfigError(f"preset {base.experiment!r} does not read --ladder")
-    if "ladder" in changed:
-        raise ConfigError(f"preset {base.experiment!r} does not read the config field 'ladder'")
-    for flag, fieldname in _FLAG_FIELDS.items():
-        value = getattr(args, flag, None)
-        if value is not None:
-            changed[fieldname] = value
-    return dataclasses.replace(base, **changed)
 
 
 if __name__ == "__main__":

@@ -5,7 +5,7 @@ Conventions
 - Grids start at time 0 and carry strictly increasing, finite times.
 - Every path is a pure function of ``(master_seed, path_index)``: each path
   draws from its own counter-based Philox stream, so ensembles do not depend
-  on generation order or on the worker count.
+  on generation order. Ensembles are generated serially.
 - Brownian increments over ``[t_i, t_{i+1}]`` are ``N(0, sigma^2 * dt_i)``.
 - Fractional Brownian motion is sampled by circulant embedding (Davies-Harte)
   on uniform grids, with a dense Cholesky factorization as fallback when the
@@ -16,8 +16,6 @@ Conventions
 from __future__ import annotations
 
 import csv
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Union
@@ -386,25 +384,6 @@ def build_path(spec: ProcessSpec, grid: TimeGrid, seed: SeedSpec) -> Path:
     raise InvalidArgumentError(f"unknown process spec: {spec!r}")
 
 
-def _resolve_workers(workers: int | None) -> int:
-    # capped at the core count: pool threads beyond it only add overhead, and
-    # an unbounded value would start up to one thread per path
-    cap = os.cpu_count() or 1
-    if workers is not None:
-        if int(workers) < 1:
-            raise InvalidArgumentError("workers must be at least 1")
-        return min(int(workers), cap)
-    env = os.environ.get("STICKYLAB_THREADS", "")
-    if env:
-        try:
-            return min(max(1, int(env)), cap)
-        except ValueError as exc:
-            raise InvalidArgumentError(
-                f"STICKYLAB_THREADS must be an integer, got {env!r}"
-            ) from exc
-    return 1
-
-
 def sample_ensemble(
     spec: ProcessSpec,
     grid: TimeGrid,
@@ -414,25 +393,22 @@ def sample_ensemble(
 ) -> Ensemble:
     """Sample ``n_paths`` paths; path ``i`` uses ``SeedSpec(master_seed, i)``.
 
-    The result is independent of the worker count because every path owns its
-    stream and results are placed by path index.
+    Paths are generated serially into one preallocated array. ``workers`` is
+    still checked (at least 1) but has no effect; it stays for existing callers.
     """
     if int(n_paths) < 1:
         raise InvalidArgumentError("n_paths must be at least 1")
+    if workers is not None and int(workers) < 1:
+        raise InvalidArgumentError("workers must be at least 1")
     n_paths = int(n_paths)
-    workers = _resolve_workers(workers)
-
-    values = np.empty((n_paths, grid.n_points))
-
-    def fill(i: int) -> None:
+    try:
+        values = np.empty((n_paths, grid.n_points))
+    except (MemoryError, ValueError) as exc:
+        raise InvalidArgumentError(
+            f"cannot allocate an ensemble of {n_paths} paths x {grid.n_points} points: {exc}"
+        ) from exc
+    for i in range(n_paths):
         values[i] = build_path(spec, grid, SeedSpec(master_seed, i)).values
-
-    if workers == 1 or n_paths == 1:
-        for i in range(n_paths):
-            fill(i)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(fill, range(n_paths)))  # re-raises any worker's error
     return Ensemble(grid, values, master_seed, process_label=process_label(spec))
 
 

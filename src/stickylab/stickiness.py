@@ -48,6 +48,7 @@ from .stopping import (
     StoppingRule,
     StopResult,
     WholeSpace,
+    _first_exit,
     evaluate_event,
     evaluate_rule,
 )
@@ -93,10 +94,12 @@ class StickinessQuery:
         if self.characterization not in ("def-a", "prop-b", "prop-c"):
             raise InvalidArgumentError(f"unknown characterization {self.characterization!r}")
         if self.characterization == "prop-c":
-            if self.delta is not None and self.delta <= 0.0:
-                raise InvalidArgumentError("prop-c delta must be positive")
+            if self.delta is not None and not (np.isfinite(self.delta) and self.delta > 0.0):
+                raise InvalidArgumentError("prop-c delta must be finite and positive")
             if self.ladder is not None:
                 steps = np.asarray(self.ladder, dtype=np.float64)
+                if not np.isfinite(steps).all():
+                    raise InvalidArgumentError("ladder horizons must be finite")
                 if steps.size == 0 or np.any(np.diff(steps) <= 0.0):
                     raise InvalidArgumentError("ladder must be strictly increasing")
 
@@ -193,36 +196,25 @@ def _window_sup(x: Array, start: int, end: int) -> float:
     return float(max(seg.max() - x_s, x_s - seg.min()))
 
 
-def _capped_stop(query: StickinessQuery, path, end_index: int) -> StopResult:
-    # tau wedge T: a bounded surrogate used by the (b) and (c) forms
-    stop = evaluate_rule(query.tau, path)
-    if stop.stopped and stop.index <= end_index:
-        return stop
-    return StopResult.at(path.grid.times[end_index], end_index)
-
-
 def _success(query: StickinessQuery, path, end_index: int) -> bool:
+    stop = evaluate_rule(query.tau, path)
     if query.characterization == "def-a":
-        stop = evaluate_rule(query.tau, path)
         if not (stop.stopped and stop.time < query.horizon):
             return False
-        if not evaluate_event(query.event, path, stop):
-            return False
-        return _window_sup(path.values, stop.index, end_index) < query.epsilon
-    if query.characterization == "prop-b":
-        stop = _capped_stop(query, path, end_index)
-        if not evaluate_event(query.event, path, stop):
-            return False
-        return _window_sup(path.values, stop.index, end_index) < query.epsilon
-    # prop-c: the restart time from the capped stop survives the top horizon
-    delta = query.delta if query.delta is not None else query.epsilon
-    top = query.ladder[-1] if query.ladder else query.horizon
-    top_index = path.grid.last_index_at_or_before(top)
-    stop = _capped_stop(query, path, end_index)
+    elif not (stop.stopped and stop.index <= end_index):
+        # tau wedge T: a bounded surrogate used by the (b) and (c) forms
+        stop = StopResult.at(path.grid.times[end_index], end_index)
     if not evaluate_event(query.event, path, stop):
         return False
-    seg = np.abs(path.values[stop.index : top_index + 1] - path.values[stop.index])
-    return not (seg > delta).any()  # alive at the top of the ladder
+    if query.characterization == "prop-c":
+        # the restart time from the capped stop survives the top of the ladder;
+        # the scan runs over the whole path, so a top before the stop survives
+        delta = query.delta if query.delta is not None else query.epsilon
+        top = query.ladder[-1] if query.ladder else query.horizon
+        k = _first_exit(path.values, stop.index, delta)
+        return k is None or k > path.grid.last_index_at_or_before(top)
+    # def-a and prop-b fail at sup >= epsilon, not at the exit's > delta
+    return _window_sup(path.values, stop.index, end_index) < query.epsilon
 
 
 def estimate_stickiness(ensemble: Ensemble, query: StickinessQuery) -> StickinessEstimate:
@@ -272,27 +264,20 @@ def survival_ladder(
     horizons = np.asarray(horizons, dtype=np.float64)
     if horizons.size == 0:
         raise InvalidArgumentError("horizon ladder must be nonempty")
+    if not np.isfinite(horizons).all():
+        raise InvalidArgumentError("ladder horizons must be finite")
     if np.any(np.diff(horizons) <= 0.0):
         raise InvalidArgumentError("horizon ladder must be strictly increasing")
     if horizons[-1] > ensemble.grid.horizon * (1.0 + 1e-12):
         raise InvalidArgumentError("ladder horizons exceed the grid span")
-    if delta <= 0.0:
-        raise InvalidArgumentError("delta must be positive")
+    if not (np.isfinite(delta) and delta > 0.0):
+        raise InvalidArgumentError("delta must be finite and positive")
 
+    restart = HittingFrom(tau0, delta)
     survivors = np.zeros(horizons.size, dtype=np.int64)
     for i in range(ensemble.n_paths):
-        path = ensemble.path(i)
-        stop = evaluate_rule(tau0, path)
-        if not stop.stopped:
-            survivors += 1
-            continue
-        seg = np.abs(path.values[stop.index :] - path.values[stop.index])
-        exceeded = seg > delta
-        if not exceeded.any():
-            survivors += 1
-            continue
-        t1 = path.grid.times[stop.index + int(np.argmax(exceeded))]
-        survivors += t1 > horizons
+        stop = evaluate_rule(restart, ensemble.path(i))
+        survivors += stop.time > horizons if stop.stopped else 1
     return survivors / ensemble.n_paths
 
 

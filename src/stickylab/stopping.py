@@ -109,6 +109,20 @@ class StopResult:
         return cls(False)
 
 
+def _first_exit(x, start: int, delta: float) -> int | None:
+    """First ``k >= start`` with ``|x[k] - x[start]| > delta`` (strict), else None.
+
+    The one tube-exit scan behind the hitting rule, the prop-c count, the
+    survival ladder and the non-sticky example's barrier. Kept out of
+    ``__all__``: the benchmark's tracer wraps every exported function, so an
+    exported name would add a span to every traced call graph.
+    """
+    exceeded = np.abs(x[start:] - x[start]) > delta
+    if not exceeded.any():
+        return None
+    return start + int(np.argmax(exceeded))
+
+
 def evaluate_rule(rule: StoppingRule, path: Path) -> StopResult:
     """First grid index satisfying the rule, else not-stopped-by-horizon."""
     times = path.grid.times
@@ -122,14 +136,8 @@ def evaluate_rule(rule: StoppingRule, path: Path) -> StopResult:
         return StopResult.at(times[k], k)
     if isinstance(rule, HittingFrom):
         base = evaluate_rule(rule.start, path)
-        if not base.stopped:
-            return StopResult.not_stopped()
-        ref = x[base.index]
-        exceeded = np.abs(x[base.index :] - ref) > rule.delta
-        if not exceeded.any():
-            return StopResult.not_stopped()
-        k = base.index + int(np.argmax(exceeded))
-        return StopResult.at(times[k], k)
+        k = _first_exit(x, base.index, rule.delta) if base.stopped else None
+        return StopResult.not_stopped() if k is None else StopResult.at(times[k], k)
     if isinstance(rule, PassageToLevel):
         gap = x - rule.level
         hit = gap == 0.0

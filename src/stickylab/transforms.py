@@ -10,7 +10,7 @@ scope up to one grid modulus.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Union
 
 import numpy as np
@@ -34,7 +34,7 @@ from .pathgen import (
     integrate_ito,
     sample_brownian,
 )
-from .stopping import FirstAbsExceed, evaluate_rule, passage_time
+from .stopping import FirstAbsExceed, _first_exit, evaluate_rule, passage_time
 
 __all__ = [
     "Identity",
@@ -344,14 +344,14 @@ class PassageTimes:
     """
 
     levels: Array
+    grid: TimeGrid = field(init=False, repr=False)
 
     def __post_init__(self):
-        levels = np.asarray(self.levels, dtype=np.float64)
-        object.__setattr__(self, "levels", levels)
-        if levels.ndim != 1 or levels.size < 2:
-            raise InvalidArgumentError("level schedule needs at least two levels")
-        if levels[0] != 0.0 or np.any(np.diff(levels) <= 0.0):
-            raise InvalidArgumentError("levels must strictly increase from 0")
+        # the schedule is the output grid; TimeGrid checks it starts at 0,
+        # strictly increases and is finite, once for every path changed
+        grid = TimeGrid(self.levels)
+        object.__setattr__(self, "grid", grid)
+        object.__setattr__(self, "levels", grid.times)
 
     is_bounded = False
 
@@ -377,7 +377,7 @@ def time_change(path: Path, nu: TimeChange) -> Path:
                 )
             values[i] = path.values[stop.index]
         return Path(
-            TimeGrid(levels),
+            nu.grid,
             values,
             label=f"{path.label}@passage" if path.label else "passage-ramp",
             flags=path.flags + ("unbounded-time-change",),
@@ -493,10 +493,8 @@ def _build_nonsticky(spec: NonStickyMartingale, grid: TimeGrid, seed: SeedSpec) 
 
     x = np.empty(times.size)
     x[:n_pre] = w
-    crossed = np.abs(w) > spec.barrier
-    if crossed.any():
-        j = int(np.argmax(crossed))
-    else:
+    j = _first_exit(w, 0, spec.barrier)  # w[0] = 0, so this is the first |w| > barrier
+    if j is None:
         j = n_pre - 1  # exit before t=1 is a.s.; clamp guards the measure-zero miss
     dt = np.diff(times)
     x[j + 1 :] = x[j] + np.cumsum(np.sqrt(dt[j:]) * z_unit[j:])

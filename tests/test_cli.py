@@ -197,6 +197,43 @@ def test_preset_csv_bytes_pinned():
     assert got == PINNED_PRESET_SHA256
 
 
+# SHA-256 of subcommand CSVs at small sizes; recorded before the hitting rule,
+# the characterizations and the ladder were moved onto one first-exit scan
+PINNED_SUBCOMMANDS = {
+    "generate": (
+        ExperimentConfig(experiment="generate", process="fbm", hurst=0.3, n_paths=4,
+                         steps=16, master_seed=9),
+        "8478ee2ffe123fc66ca5735fa076fc7f28c9bd899e71046b4e40d75f3aa6fcd3",
+    ),
+    "stickiness-hit": (
+        ExperimentConfig(experiment="stickiness", process="fbm", n_paths=48, steps=128,
+                         tau="hit:0.1", epsilon=0.5),
+        "6839af347231df8f39092c9b002828f995b58db445051679bfc38172ea35742a",
+    ),
+    "ladder": (
+        ExperimentConfig(experiment="ladder", process="bm", n_paths=48, steps=128, delta=0.5),
+        "84eae62f4a1d69638d847bc5e2ba14fd7d9215dd77acff54d5643b32ef3ff525",
+    ),
+    "ladder-hit": (
+        ExperimentConfig(experiment="ladder", process="fbm", hurst=0.75, n_paths=48, steps=128,
+                         tau="hit:0.2", delta=0.4, ladder=(0.1, 0.3, 0.7, 1.0)),
+        "9fbdf40ef32e400c268f2ab2f47dc99509961943d2fd3ebaabfbe63d2fe4df62",
+    ),
+    "portfolio": (
+        ExperimentConfig(experiment="portfolio", process="fbm", n_paths=48, steps=128,
+                         rate=0.01),
+        "73e598d9dcf016397d22933807f492ec978bf9fdcee409c915182ea665c5c029",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_SUBCOMMANDS))
+def test_subcommand_csv_bytes_pinned(name):
+    config, sha = PINNED_SUBCOMMANDS[name]
+    text = render_csv(run_experiment(config))
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == sha
+
+
 # ---------------------------------------------------------------- CLI process
 
 
@@ -269,6 +306,25 @@ def test_cli_exit_code_2_on_bad_rule(tmp_path):
          "--tau", "bogus:1", "--out", str(tmp_path / "x.csv")]
     )
     assert result.returncode == 2
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["ladder", "--paths", "8", "--steps", "16", "--delta", "nan"],
+        ["ladder", "--paths", "8", "--steps", "16", "--delta", "inf"],
+        ["ladder", "--paths", "8", "--steps", "16", "--ladder", "0.25,nan"],
+        # neither ensemble fits any address space, so nothing is touched
+        ["stickiness", "--steps", "1024", "--paths", "10000000000000"],
+        ["stickiness", "--steps", "8", "--paths", "100000000000000000000000"],
+    ],
+)
+def test_cli_exit_code_2_on_non_finite_ladder_or_huge_ensemble(tmp_path, monkeypatch, capsys, flags):
+    monkeypatch.chdir(tmp_path)
+    code = main([*flags, "--out", "x.csv"])
+    assert code == 2
+    assert "configuration error" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_cli_exit_code_3_on_numerical_failure(monkeypatch, tmp_path):

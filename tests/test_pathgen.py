@@ -85,21 +85,6 @@ def test_grid_uniformity_tolerance_matches_allclose():
         assert TimeGrid(times).is_uniform == want
 
 
-@pytest.mark.parametrize("value", ["1000000000", None])
-def test_worker_count_capped_at_cores(monkeypatch, value):
-    import stickylab.pathgen as pg
-
-    monkeypatch.setattr(pg.os, "cpu_count", lambda: 3)
-    if value is None:
-        assert pg._resolve_workers(10**9) == 3
-        assert pg._resolve_workers(2) == 2
-    else:
-        monkeypatch.setenv("STICKYLAB_THREADS", value)
-        assert pg._resolve_workers(None) == 3
-    monkeypatch.setattr(pg.os, "cpu_count", lambda: None)  # unknown core count
-    assert pg._resolve_workers(10**9) == 1
-
-
 # ---------------------------------------------------------------- brownian
 
 
@@ -226,6 +211,16 @@ def test_ensemble_worker_count_invariance():
     for workers in (2, 4, 8):
         again = sample_ensemble(spec, grid, 5, 40, workers=workers)
         assert np.array_equal(base.values, again.values)
+
+
+def test_ensemble_allocation_failure_is_an_argument_error():
+    # 1e13 x 1025 doubles exceed any address space, so the request fails
+    # before any memory is touched
+    grid = make_uniform_grid(1.0, 1024)
+    with pytest.raises(InvalidArgumentError, match="10000000000000 paths x 1025 points"):
+        sample_ensemble(BrownianMotion(1.0), grid, 0, 10**13)
+    with pytest.raises(InvalidArgumentError):
+        sample_ensemble(BrownianMotion(1.0), grid, 0, 4, workers=0)
 
 
 def test_ensemble_variance_sigma2():

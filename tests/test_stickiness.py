@@ -14,6 +14,7 @@ from stickylab.pathgen import (
 )
 from stickylab.stickiness import (
     StickinessQuery,
+    _success,
     _window_sup,
     cross_check_characterizations,
     estimate_stickiness,
@@ -25,8 +26,13 @@ from stickylab.stickiness import (
 from stickylab.stopping import (
     Conjunction,
     Deterministic,
+    HittingFrom,
+    StoppedBeforeHorizon,
+    StopResult,
     ValueAtStopInRange,
     WholeSpace,
+    evaluate_event,
+    evaluate_rule,
     parse_rule,
 )
 from stickylab.transforms import Affine, NonStickyMartingale, example_process, apply_map
@@ -273,6 +279,28 @@ def test_ladder_validation():
         survival_ladder(ens, Deterministic(0.0), 0.5, [0.5, 0.5])
     with pytest.raises(InvalidArgumentError):
         survival_ladder(ens, Deterministic(0.0), -1.0, [0.5])
+    for delta in (float("nan"), float("inf")):
+        with pytest.raises(InvalidArgumentError):
+            survival_ladder(ens, Deterministic(0.0), delta, [0.5])
+    for horizons in ([0.25, float("nan")], [float("-inf"), 0.5], [float("nan")]):
+        with pytest.raises(InvalidArgumentError):
+            survival_ladder(ens, Deterministic(0.0), 0.5, horizons)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"delta": float("nan")},
+        {"delta": float("inf")},
+        {"delta": 0.0},
+        {"ladder": (0.25, float("nan"))},
+        {"ladder": (float("-inf"), 0.5)},
+        {"ladder": ()},
+    ],
+)
+def test_prop_c_query_rejects_bad_delta_and_ladder(kwargs):
+    with pytest.raises(InvalidArgumentError):
+        q(0.5, characterization="prop-c", **kwargs)
 
 
 # ---------------------------------------------------------------- cross checks
@@ -373,3 +401,132 @@ def test_sis_rejects_nonuniform_grid():
     grid = TimeGrid(np.array([0.0, 0.25, 1.0]))
     with pytest.raises(InvalidArgumentError):
         estimate_stickiness_sis(BrownianMotion(1.0), grid, q(0.5), 0, 10)
+
+
+# ------------------------------------------- frozen tube-exit reference code
+# The hitting rule, the three characterizations and the ladder as they were
+# before sharing one first-exit scan; the shared scan must reproduce them
+# path for path.
+
+
+def _reference_rule(rule, path):
+    if not isinstance(rule, HittingFrom):
+        return evaluate_rule(rule, path)
+    base = _reference_rule(rule.start, path)
+    if not base.stopped:
+        return StopResult.not_stopped()
+    x = path.values
+    exceeded = np.abs(x[base.index :] - x[base.index]) > rule.delta
+    if not exceeded.any():
+        return StopResult.not_stopped()
+    k = base.index + int(np.argmax(exceeded))
+    return StopResult.at(path.grid.times[k], k)
+
+
+def _reference_capped_stop(query, path, end_index):
+    stop = _reference_rule(query.tau, path)
+    if stop.stopped and stop.index <= end_index:
+        return stop
+    return StopResult.at(path.grid.times[end_index], end_index)
+
+
+def _reference_window_sup(x, start, end):
+    return float(np.max(np.abs(x[start : end + 1] - x[start])))
+
+
+def _reference_success(query, path, end_index):
+    if query.characterization == "def-a":
+        stop = _reference_rule(query.tau, path)
+        if not (stop.stopped and stop.time < query.horizon):
+            return False
+        if not evaluate_event(query.event, path, stop):
+            return False
+        return _reference_window_sup(path.values, stop.index, end_index) < query.epsilon
+    if query.characterization == "prop-b":
+        stop = _reference_capped_stop(query, path, end_index)
+        if not evaluate_event(query.event, path, stop):
+            return False
+        return _reference_window_sup(path.values, stop.index, end_index) < query.epsilon
+    delta = query.delta if query.delta is not None else query.epsilon
+    top = query.ladder[-1] if query.ladder else query.horizon
+    top_index = path.grid.last_index_at_or_before(top)
+    stop = _reference_capped_stop(query, path, end_index)
+    if not evaluate_event(query.event, path, stop):
+        return False
+    seg = np.abs(path.values[stop.index : top_index + 1] - path.values[stop.index])
+    return not (seg > delta).any()
+
+
+def _reference_ladder(ensemble, tau0, delta, horizons):
+    horizons = np.asarray(horizons, dtype=np.float64)
+    survivors = np.zeros(horizons.size, dtype=np.int64)
+    for i in range(ensemble.n_paths):
+        path = ensemble.path(i)
+        stop = _reference_rule(tau0, path)
+        if not stop.stopped:
+            survivors += 1
+            continue
+        seg = np.abs(path.values[stop.index :] - path.values[stop.index])
+        exceeded = seg > delta
+        if not exceeded.any():
+            survivors += 1
+            continue
+        t1 = path.grid.times[stop.index + int(np.argmax(exceeded))]
+        survivors += t1 > horizons
+    return survivors / ensemble.n_paths
+
+
+def _reference_ensemble(kind):
+    grid = make_uniform_grid(1.0, 32)
+    if kind == "lattice":
+        # values on the 1/8 lattice, so |x - x_s| equals delta and epsilon exactly
+        steps = np.random.default_rng(8).integers(-2, 3, size=(60, 32)) / 8.0
+        values = np.concatenate((np.zeros((60, 1)), np.cumsum(steps, axis=1)), axis=1)
+        return Ensemble(grid, values, 0, "lattice")
+    if kind == "bm":
+        return sample_ensemble(BrownianMotion(1.0), grid, 17, 60)
+    return sample_ensemble(FractionalBrownianMotion(float(kind)), grid, 17, 60)
+
+
+REFERENCE_RULES = ("det:0", "det:0.3", "det:1", "hit:0.25", "hit:0.25@det:0.5",
+                   "absexceed:0.5", "pass:0.25")
+REFERENCE_EVENTS = (
+    WholeSpace(),
+    Conjunction((ValueAtStopInRange(-0.25, 0.25), StoppedBeforeHorizon(0.75))),
+)
+# prop-c (delta, ladder); a ladder topping out at 0.25 lies before the capped
+# stop of det:0.3 and of hit:0.25@det:0.5
+PROP_C_VARIANTS = ((None, None), (0.25, None), (0.375, (0.1, 0.25)), (0.25, (0.5, 0.75)))
+
+
+@pytest.mark.parametrize("kind", ["lattice", "bm", "0.3", "0.75"])
+def test_characterizations_match_reference(kind):
+    ens = _reference_ensemble(kind)
+    if kind == "lattice":
+        assert np.any(np.abs(ens.values - ens.values[:, :1]) == 0.25)
+    paths = ens.paths
+    for rule in REFERENCE_RULES:
+        for epsilon in (0.125, 0.25, 0.5):
+            for event in REFERENCE_EVENTS:
+                for horizon in (0.75, 1.0):
+                    end_index = ens.grid.last_index_at_or_before(horizon)
+                    queries = [q(epsilon, parse_rule(rule), horizon, event=event,
+                                 characterization=c) for c in ("def-a", "prop-b")]
+                    queries += [q(epsilon, parse_rule(rule), horizon, event=event,
+                                  characterization="prop-c", delta=d, ladder=lad)
+                                for d, lad in PROP_C_VARIANTS]
+                    for query in queries:
+                        got = [_success(query, p, end_index) for p in paths]
+                        want = [_reference_success(query, p, end_index) for p in paths]
+                        assert got == want, query
+
+
+@pytest.mark.parametrize("kind", ["lattice", "bm", "0.3", "0.75"])
+def test_survival_ladder_matches_reference(kind):
+    ens = _reference_ensemble(kind)
+    horizons = (0.1, 0.25, 0.5, 0.75, 1.0)
+    for rule in REFERENCE_RULES:
+        for delta in (0.125, 0.25, 0.5):
+            got = survival_ladder(ens, parse_rule(rule), delta, horizons)
+            want = _reference_ladder(ens, parse_rule(rule), delta, horizons)
+            assert np.array_equal(got, want), (rule, delta)

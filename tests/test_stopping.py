@@ -14,6 +14,7 @@ from stickylab.stopping import (
     StoppedBeforeHorizon,
     ValueAtStopInRange,
     WholeSpace,
+    _first_exit,
     evaluate_event,
     evaluate_rule,
     event_to_text,
@@ -101,6 +102,19 @@ def test_hitting_monotone_in_delta(values, d1, d2):
     s_hi = evaluate_rule(HittingFrom(Deterministic(0.0), hi), p)
     if s_hi.stopped:
         assert s_lo.stopped and s_lo.time <= s_hi.time
+
+
+@given(
+    st.lists(st.integers(-24, 24).map(lambda k: k / 8.0), min_size=1, max_size=30),
+    st.integers(1, 16).map(lambda k: k / 8.0),  # lattice deltas, so |x - x_s| == delta occurs
+    st.data(),
+)
+@settings(max_examples=300, deadline=None)
+def test_first_exit_matches_loop(values, delta, data):
+    x = np.array(values)
+    start = data.draw(st.integers(0, x.size - 1))
+    want = next((k for k in range(start, x.size) if abs(x[k] - x[start]) > delta), None)
+    assert _first_exit(x, start, delta) == want
 
 
 @given(st.lists(st.floats(-3, 3), min_size=4, max_size=20), st.floats(0.1, 1.5))

@@ -224,6 +224,12 @@ def test_identity_cap_freezes_midpoint():
     assert np.all(out.values[mid:] == p.values[mid])
 
 
+@pytest.mark.parametrize("levels", [[0.0], [0.1, 0.2], [0.0, 0.2, 0.2], [0.0, float("nan")]])
+def test_passage_levels_validated_as_a_grid(levels):
+    with pytest.raises(InvalidArgumentError):
+        PassageTimes(np.array(levels))
+
+
 def test_passage_time_change_reproduces_levels():
     # the time-changed ramp equals the level schedule within the crossing
     # overshoot at the detection grid point
