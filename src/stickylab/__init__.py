@@ -15,11 +15,9 @@ from .market import (
     LedgerPath,
     Strategy,
     admissibility_check,
-    arbitrage_stats,
     exp_price,
     liquidation_value,
     momentum_strategy,
-    total_variation,
 )
 from .pathgen import (
     BrownianMotion,

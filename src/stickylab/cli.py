@@ -52,7 +52,6 @@ __all__ = [
     "PRESETS",
     "run_experiment",
     "emit_csv",
-    "emit_plot_data",
     "main",
 ]
 
@@ -160,8 +159,13 @@ def _hurst_cell(config: ExperimentConfig) -> object:
 # ------------------------------ experiment runners ------------------------------ #
 
 
-def _stickiness_row(config: ExperimentConfig, ensemble: Ensemble, process: str) -> tuple:
-    horizon = config.query_horizon if config.query_horizon is not None else ensemble.grid.horizon
+def _stickiness_table(
+    config: ExperimentConfig, ensemble: Ensemble, process: str, horizon=None, **extra
+) -> ResultTable:
+    """One ``STICKINESS_COLUMNS`` row, with the verdict convention and ``extra``
+    in the provenance. T is ``horizon``, else the config's, else the grid's."""
+    if horizon is None:
+        horizon = config.query_horizon if config.query_horizon is not None else ensemble.grid.horizon
     query = StickinessQuery(
         tau=parse_rule(config.tau),
         horizon=horizon,
@@ -171,19 +175,17 @@ def _stickiness_row(config: ExperimentConfig, ensemble: Ensemble, process: str) 
     est = estimate_stickiness(ensemble, query)
     # ZERO verdicts report the one-sided upper bound, per the convention
     upper = est.zero_upper if est.successes == 0 else est.ci_high
-    return (
+    row = (
         process, _hurst_cell(config), config.tau, config.event, config.epsilon,
         horizon, est.n, est.successes, est.p_hat, est.ci_low, upper,
         config.master_seed, config.steps, est.verdict,
     )
+    prov = _provenance(config, verdict_convention=VERDICT_CONVENTION, **extra)
+    return ResultTable(STICKINESS_COLUMNS, (row,), prov)
 
 
 def _run_stickiness(config: ExperimentConfig) -> ResultTable:
-    ensemble = _ensemble(config)
-    row = _stickiness_row(config, ensemble, config.process)
-    return ResultTable(
-        STICKINESS_COLUMNS, (row,), _provenance(config, verdict_convention=VERDICT_CONVENTION)
-    )
+    return _stickiness_table(config, _ensemble(config), config.process)
 
 
 def _run_ladder(config: ExperimentConfig) -> ResultTable:
@@ -208,6 +210,15 @@ def _parse_strategy(text: str):
         raise ConfigError(f"bad strategy parameters in {text!r}") from exc
 
 
+def _market_row(strategy: str, rate: float, terminal: np.ndarray, seed: int) -> tuple:
+    """One ``MARKET_COLUMNS`` row from the terminal liquidation values."""
+    stats = terminal_stats(terminal)
+    return (
+        strategy, rate, stats.n, stats.frac_nonnegative, stats.frac_strictly_positive,
+        stats.mean_terminal, stats.std_terminal, stats.min_terminal, stats.flag, seed,
+    )
+
+
 def _run_portfolio(config: ExperimentConfig) -> ResultTable:
     threshold, unit = _parse_strategy(config.strategy)
     ensemble = _ensemble(config)
@@ -218,12 +229,7 @@ def _run_portfolio(config: ExperimentConfig) -> ResultTable:
         price = signal if config.raw_price else exp_price(signal)
         strat = momentum_strategy(price, threshold, unit)
         terminal[i] = liquidation_value(strat, price, cost).terminal
-    stats = terminal_stats(terminal)
-    row = (
-        config.strategy, config.rate, stats.n, stats.frac_nonnegative,
-        stats.frac_strictly_positive, stats.mean_terminal, stats.std_terminal,
-        stats.min_terminal, stats.flag, config.master_seed,
-    )
+    row = _market_row(config.strategy, config.rate, terminal, config.master_seed)
     return ResultTable(MARKET_COLUMNS, (row,), _provenance(config))
 
 
@@ -257,18 +263,9 @@ def _preset_passage_counterexample(config: ExperimentConfig) -> ResultTable:
     if not rows:
         raise NumericalFailureError("no path attained the full level schedule")
     ramp = Ensemble(nu.grid, np.stack(rows), config.master_seed, "passage-ramp")
-    row = _stickiness_row(
-        dataclasses.replace(config, query_horizon=0.5), ramp, "passage-ramp"
-    )
-    return ResultTable(
-        STICKINESS_COLUMNS,
-        (row,),
-        _provenance(
-            config,
-            requested_paths=config.n_paths,
-            excluded_paths=excluded,
-            verdict_convention=VERDICT_CONVENTION,
-        ),
+    return _stickiness_table(
+        config, ramp, "passage-ramp", horizon=0.5,
+        requested_paths=config.n_paths, excluded_paths=excluded,
     )
 
 
@@ -280,10 +277,7 @@ def _preset_timechange_cap(config: ExperimentConfig) -> ResultTable:
     cap = IdentityCap(0.5)
     values = np.stack([time_change(base.path(i), cap).values for i in range(base.n_paths)])
     capped = Ensemble(grid, values, config.master_seed, "fbm-capped")
-    row = _stickiness_row(config, capped, "fbm-capped")
-    return ResultTable(
-        STICKINESS_COLUMNS, (row,), _provenance(config, verdict_convention=VERDICT_CONVENTION)
-    )
+    return _stickiness_table(config, capped, "fbm-capped")
 
 
 def _preset_dds_check(config: ExperimentConfig) -> ResultTable:
@@ -345,20 +339,16 @@ def _preset_costs_momentum(config: ExperimentConfig) -> ResultTable:
         control_path = control.path(i)
         control_strat = momentum_strategy(control_path, threshold, unit)
         v_control[i] = liquidation_value(control_strat, control_path, CostModel(0.0)).terminal
-    rows = []
-    for name, rate, terminal in (
-        ("momentum", 0.0, v_free),
-        ("momentum", config.rate, v_cost),
-        ("momentum-raw", 0.0, v_raw),
-        ("momentum-raw-shuffled", 0.0, v_control),
-    ):
-        stats = terminal_stats(terminal)
-        rows.append(
-            (name, rate, stats.n, stats.frac_nonnegative, stats.frac_strictly_positive,
-             stats.mean_terminal, stats.std_terminal, stats.min_terminal, stats.flag,
-             config.master_seed)
+    rows = tuple(
+        _market_row(name, rate, terminal, config.master_seed)
+        for name, rate, terminal in (
+            ("momentum", 0.0, v_free),
+            ("momentum", config.rate, v_cost),
+            ("momentum-raw", 0.0, v_raw),
+            ("momentum-raw-shuffled", 0.0, v_control),
         )
-    return ResultTable(MARKET_COLUMNS, tuple(rows), _provenance(config))
+    )
+    return ResultTable(MARKET_COLUMNS, rows, _provenance(config))
 
 
 PRESETS: dict[str, ExperimentConfig] = {
@@ -453,19 +443,6 @@ def render_csv(table: ResultTable) -> str:
 def emit_csv(table: ResultTable, dest: str) -> None:
     """Write provenance comments, header, and rows; atomically."""
     _atomic_write(dest, render_csv(table))
-
-
-def emit_plot_data(table: ResultTable, x_column: str, y_column: str, dest: str) -> None:
-    """Two-column CSV sorted by the x column."""
-    for name in (x_column, y_column):
-        if name not in table.columns:
-            raise ConfigError(f"column {name!r} not in table columns {table.columns}")
-    xi = table.columns.index(x_column)
-    yi = table.columns.index(y_column)
-    rows = sorted(table.rows, key=lambda row: row[xi])
-    lines = [f"{x_column},{y_column}"]
-    lines.extend(f"{_format_cell(row[xi])},{_format_cell(row[yi])}" for row in rows)
-    _atomic_write(dest, "\n".join(lines) + "\n")
 
 
 # ------------------------------ config ingestion ------------------------------ #

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AlignmentError, GridMismatchError, InvalidArgumentError
+from .errors import AlignmentError, InvalidArgumentError
 from .pathgen import Array, Path, TimeGrid
 
 __all__ = [
@@ -22,10 +22,8 @@ __all__ = [
     "CostModel",
     "LedgerPath",
     "ArbitrageStats",
-    "total_variation",
     "liquidation_value",
     "admissibility_check",
-    "arbitrage_stats",
     "terminal_stats",
     "momentum_strategy",
     "exp_price",
@@ -120,14 +118,6 @@ def exp_price(path: Path) -> Path:
     return Path(path.grid, np.exp(path.values), label=f"exp({path.label})" if path.label else "exp")
 
 
-def total_variation(strategy: Strategy, up_to: float) -> float:
-    """Cumulative absolute trade size over jumps at or before ``up_to``,
-    including the initial jump from holding 0."""
-    sizes = np.abs(strategy.jump_sizes())
-    included = strategy.breakpoints <= up_to
-    return float(sizes[included].sum())
-
-
 def _holdings_on_grid(strategy: Strategy, grid: TimeGrid) -> tuple[Array, Array]:
     """Post-trade holding per grid point and the grid index of each breakpoint."""
     if strategy.n_jumps == 0:
@@ -188,19 +178,6 @@ def terminal_stats(terminal: Array, tol: float = 1e-9) -> ArbitrageStats:
         tolerance=tol,
         flag=bool(frac_nonneg == 1.0 and frac_pos > 0.0),
     )
-
-
-def arbitrage_stats(ledgers, horizon: float, tol: float = 1e-9) -> ArbitrageStats:
-    """Terminal-value statistics across ledgers at the last grid time <= horizon."""
-    ledgers = list(ledgers)
-    if not ledgers:
-        raise InvalidArgumentError("need at least one ledger")
-    grid = ledgers[0].grid
-    for ledger in ledgers[1:]:
-        if ledger.grid != grid:
-            raise GridMismatchError("ledgers must share one grid")
-    k = grid.last_index_at_or_before(horizon)
-    return terminal_stats(np.array([ledger.values[k] for ledger in ledgers]), tol)
 
 
 def momentum_strategy(price: Path, threshold: float, unit: float) -> Strategy:

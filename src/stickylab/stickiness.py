@@ -69,6 +69,21 @@ __all__ = [
 Characterization = Literal["def-a", "prop-b", "prop-c"]
 
 
+def _check_ladder(horizons, span: float | None = None) -> Array:
+    """``horizons`` as an array; raises unless they are nonempty, finite,
+    strictly increasing and, when ``span`` is given, end within the grid span."""
+    horizons = np.asarray(horizons, dtype=np.float64)
+    if horizons.size == 0:
+        raise InvalidArgumentError("horizon ladder must be nonempty")
+    if not np.isfinite(horizons).all():
+        raise InvalidArgumentError("ladder horizons must be finite")
+    if np.any(np.diff(horizons) <= 0.0):
+        raise InvalidArgumentError("horizon ladder must be strictly increasing")
+    if span is not None and horizons[-1] > span * (1.0 + 1e-12):
+        raise InvalidArgumentError("ladder horizons exceed the grid span")
+    return horizons
+
+
 @dataclass(frozen=True)
 class StickinessQuery:
     """The (tau, T, epsilon, A) tuple plus the characterization to count by."""
@@ -97,11 +112,7 @@ class StickinessQuery:
             if self.delta is not None and not (np.isfinite(self.delta) and self.delta > 0.0):
                 raise InvalidArgumentError("prop-c delta must be finite and positive")
             if self.ladder is not None:
-                steps = np.asarray(self.ladder, dtype=np.float64)
-                if not np.isfinite(steps).all():
-                    raise InvalidArgumentError("ladder horizons must be finite")
-                if steps.size == 0 or np.any(np.diff(steps) <= 0.0):
-                    raise InvalidArgumentError("ladder must be strictly increasing")
+                _check_ladder(self.ladder)
 
 
 @dataclass(frozen=True)
@@ -228,8 +239,7 @@ def estimate_stickiness(ensemble: Ensemble, query: StickinessQuery) -> Stickines
             f"query horizon {query.horizon} exceeds grid horizon {horizon}"
         )
     if query.characterization == "prop-c" and query.ladder:
-        if query.ladder[-1] > horizon * (1.0 + 1e-12):
-            raise InvalidArgumentError("ladder horizons exceed the grid span")
+        _check_ladder(query.ladder, horizon)
     end_index = ensemble.grid.last_index_at_or_before(query.horizon)
     successes = 0
     for i in range(ensemble.n_paths):
@@ -261,15 +271,7 @@ def survival_ladder(
 
     Paths whose restart never triggers within the grid survive every horizon.
     """
-    horizons = np.asarray(horizons, dtype=np.float64)
-    if horizons.size == 0:
-        raise InvalidArgumentError("horizon ladder must be nonempty")
-    if not np.isfinite(horizons).all():
-        raise InvalidArgumentError("ladder horizons must be finite")
-    if np.any(np.diff(horizons) <= 0.0):
-        raise InvalidArgumentError("horizon ladder must be strictly increasing")
-    if horizons[-1] > ensemble.grid.horizon * (1.0 + 1e-12):
-        raise InvalidArgumentError("ladder horizons exceed the grid span")
+    horizons = _check_ladder(horizons, ensemble.grid.horizon)
     if not (np.isfinite(delta) and delta > 0.0):
         raise InvalidArgumentError("delta must be finite and positive")
 

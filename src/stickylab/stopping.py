@@ -36,8 +36,6 @@ __all__ = [
     "evaluate_event",
     "parse_rule",
     "parse_event",
-    "rule_to_text",
-    "event_to_text",
 ]
 
 
@@ -242,20 +240,6 @@ def parse_rule(text: str) -> StoppingRule:
     raise InvalidRuleError(f"unknown rule kind {head!r} in {text!r}")
 
 
-def rule_to_text(rule: StoppingRule) -> str:
-    if isinstance(rule, Deterministic):
-        return f"det:{rule.time:g}"
-    if isinstance(rule, HittingFrom):
-        if rule.start == Deterministic(0.0):
-            return f"hit:{rule.delta:g}"
-        return f"hit:{rule.delta:g}@{rule_to_text(rule.start)}"
-    if isinstance(rule, PassageToLevel):
-        return f"pass:{rule.level:g}"
-    if isinstance(rule, FirstAbsExceed):
-        return f"absexceed:{rule.level:g}"
-    raise InvalidRuleError(f"unknown stopping rule: {rule!r}")
-
-
 def parse_event(text: str) -> EventDescriptor:
     text = text.strip()
     if "&" in text:
@@ -272,14 +256,3 @@ def parse_event(text: str) -> EventDescriptor:
         return StoppedBeforeHorizon(_number(rest, "event horizon"))
     raise InvalidRuleError(f"unknown event {text!r}")
 
-
-def event_to_text(event: EventDescriptor) -> str:
-    if isinstance(event, WholeSpace):
-        return "all"
-    if isinstance(event, ValueAtStopInRange):
-        return f"stoprange:{event.low:g}:{event.high:g}"
-    if isinstance(event, StoppedBeforeHorizon):
-        return f"before:{event.horizon:g}"
-    if isinstance(event, Conjunction):
-        return "&".join(event_to_text(e) for e in event.events)
-    raise InvalidRuleError(f"unknown event descriptor: {event!r}")

@@ -71,16 +71,6 @@ def cash_ledger_terminal(
     return cash
 
 
-def brute_force_total_variation(holdings: np.ndarray) -> float:
-    """Sum of absolute jump sizes starting from a flat position."""
-    previous = 0.0
-    total = 0.0
-    for h in holdings:
-        total += abs(h - previous)
-        previous = h
-    return total
-
-
 def grid_corridor_stay_probability(half_width: float, steps: int, horizon: float = 1.0) -> float:
     """P(|B_{t_k}| < a at every t_k = k * T / steps) for standard Brownian motion.
 

@@ -4,19 +4,22 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from stickylab.cli import (
     PRESETS,
     ExperimentConfig,
     ResultTable,
     emit_csv,
-    emit_plot_data,
     main,
     render_csv,
     run_experiment,
 )
 from stickylab.errors import ConfigError
+from stickylab.pathgen import BrownianMotion, make_uniform_grid, sample_ensemble
 
 
 def small(preset: str, **overrides) -> ExperimentConfig:
@@ -78,26 +81,6 @@ def test_provenance_comment_block_before_header(tmp_path):
     assert any("config_hash=" in ln for ln in comments)
     assert any("seed=" in ln for ln in comments)
     assert lines[len(comments)].startswith("process,")
-
-
-def test_plot_data_sorted_two_columns(tmp_path):
-    table = ResultTable(("h", "f"), ((2.0, 0.125), (1.0, 0.5), (4.0, 0.0)), {})
-    dest = tmp_path / "plot.csv"
-    emit_plot_data(table, "h", "f", str(dest))
-    assert dest.read_text() == "h,f\n1,0.5\n2,0.125\n4,0\n"
-
-
-def test_plot_data_single_row(tmp_path):
-    table = ResultTable(("h", "f"), ((2.0, 0.25),), {})
-    dest = tmp_path / "one.csv"
-    emit_plot_data(table, "h", "f", str(dest))
-    assert dest.read_text() == "h,f\n2,0.25\n"
-
-
-def test_plot_data_missing_column():
-    table = ResultTable(("h", "f"), (), {})
-    with pytest.raises(ConfigError):
-        emit_plot_data(table, "h", "nope", "/tmp/never.csv")
 
 
 # ---------------------------------------------------------------- run_experiment
@@ -399,13 +382,129 @@ def test_stickiness_csv_carries_verdict_convention(tmp_path):
 
 
 def test_cli_generate_round_trip(tmp_path):
-    from stickylab.pathgen import read_ensemble_csv
-
+    # 17 significant digits bring every double back bit for bit
     dest = tmp_path / "paths.csv"
     result = run_cli(
         ["generate", "--process", "bm", "--paths", "4", "--steps", "16",
          "--seed", "9", "--out", str(dest)]
     )
     assert result.returncode == 0, result.stderr
-    ens = read_ensemble_csv(dest, master_seed=9)
-    assert ens.values.shape == (4, 17)
+    lines = [ln for ln in dest.read_text().splitlines() if not ln.startswith("#")]
+    assert lines[0] == "t,x_0,x_1,x_2,x_3"
+    data = np.loadtxt(lines[1:], delimiter=",", ndmin=2)
+    ens = sample_ensemble(BrownianMotion(1.0), make_uniform_grid(1.0, 16), 9, 4)
+    assert np.array_equal(data[:, 0], ens.grid.times)
+    assert np.array_equal(data[:, 1:], ens.values.T)
+
+
+# ---------------------------------------------------------------- fBm dense fallback
+
+
+def test_cli_fbm_near_one_runs_on_the_dense_fallback(tmp_path, monkeypatch, capsys):
+    # the circulant embedding turns indefinite by roundoff here, so only the
+    # dense Cholesky fallback can sample this fBm
+    from stickylab.pathgen import _fgn_sqrt_spectrum
+
+    assert _fgn_sqrt_spectrum(512, 0.9999999999) is None
+    monkeypatch.chdir(tmp_path)
+    code = main(["stickiness", "--process", "fbm", "--hurst", "0.9999999999",
+                 "--steps", "512", "--paths", "4", "--out", "x.csv"])
+    assert code == 0, capsys.readouterr().err
+    assert (tmp_path / "x.csv").read_text().splitlines()[-1].startswith("fbm,")
+
+
+def test_cli_exit_code_2_when_the_dense_fbm_factor_cannot_be_allocated(
+    tmp_path, monkeypatch, capsys
+):
+    # 2**22 steps need a 2**47-byte covariance, beyond any 47-bit address
+    # space, so nothing is touched
+    import stickylab.pathgen as pg
+
+    monkeypatch.setattr(pg, "_fgn_sqrt_spectrum", lambda n, h: None)
+    monkeypatch.chdir(tmp_path)
+    code = main(["stickiness", "--process", "fbm", "--steps", str(2**22), "--paths", "1",
+                 "--out", "x.csv"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "configuration error" in err and "4194304 x 4194304" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "x.csv").exists()
+
+
+# ---------------------------------------------------------------- config fuzzing
+
+_ODD_FLOATS = st.one_of(
+    st.sampled_from([float("nan"), float("inf"), float("-inf"), 0.0, -1.0, 1e-300, 1e300]),
+    st.floats(min_value=-2.0, max_value=2.0),
+)
+_RULES = st.sampled_from([
+    "det:0", "det:0.5", "det:2", "det:nan", "hit:0.1", "hit:nan", "hit:inf", "hit:-1",
+    "hit:0.2@det:nan", "hit:0.1@pass:0.3", "pass:0.2", "pass:inf", "pass:nan",
+    "absexceed:0.5", "absexceed:nan", "bogus:1", "det",
+])
+_EVENTS = st.sampled_from([
+    "all", "before:0.5", "before:nan", "before:-inf", "stoprange:-1:1", "stoprange:nan:1",
+    "stoprange:1:-1", "stoprange:-inf:inf", "all&before:inf", "stoprange:0", "nope",
+])
+_STRATEGIES = st.sampled_from([
+    "momentum:0.1:1", "momentum:nan:1", "momentum:0.1:inf", "momentum:inf:1",
+    "momentum:-1:1", "momentum:x:1", "buyhold", "momentum:0.1",
+])
+_PROCESSES = st.sampled_from(["bm", "fbm", "nonsticky-martingale", "abs-cuberoot", "cos-drift"])
+_JSON_VALUES = st.one_of(_ODD_FLOATS, st.integers(-3, 40), st.text(max_size=3), st.booleans(),
+                         st.none(), st.lists(st.floats(allow_nan=True), max_size=3))
+
+
+def _optional(keys):
+    return st.fixed_dictionaries({}, optional=keys)
+
+
+_CONFIGS = _optional({
+    "process": st.one_of(_PROCESSES, _optional(
+        {"name": st.one_of(_PROCESSES, _JSON_VALUES), "hurst": _JSON_VALUES,
+         "sigma": _JSON_VALUES})),
+    "grid": _optional({"horizon": st.one_of(_ODD_FLOATS, _JSON_VALUES),
+                       "steps": st.one_of(st.integers(-1, 32), _JSON_VALUES)}),
+    "experiment": st.one_of(st.just("stickiness"), _optional({
+        "kind": st.sampled_from(["stickiness", "ladder"]),
+        "epsilon": _JSON_VALUES, "rate": _JSON_VALUES, "delta": _JSON_VALUES,
+        "tau": st.one_of(_RULES, _JSON_VALUES), "event": _EVENTS, "strategy": _STRATEGIES,
+        "T": _JSON_VALUES, "ladder": st.one_of(st.lists(_ODD_FLOATS, max_size=4),
+                                               _JSON_VALUES)})),
+    "seed": st.one_of(st.integers(-1, 2**64), _JSON_VALUES),
+    "paths": _JSON_VALUES,
+})
+
+_FLAGS = _optional({
+    "--hurst": _ODD_FLOATS, "--sigma": _ODD_FLOATS, "--epsilon": _ODD_FLOATS,
+    "--horizon": _ODD_FLOATS, "--big-t": _ODD_FLOATS, "--k": _ODD_FLOATS,
+    "--delta": _ODD_FLOATS, "--seed": st.integers(-1, 2**64), "--tau": _RULES,
+    "--event": _EVENTS, "--strategy": _STRATEGIES, "--process": _PROCESSES,
+    "--ladder": st.lists(_ODD_FLOATS, min_size=1, max_size=4).map(
+        lambda hs: ",".join(repr(h) for h in hs)),
+    "--raw-price": st.just(None),
+})
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    command=st.sampled_from(["generate", "stickiness", "ladder", "portfolio", "experiment"]),
+    preset=st.sampled_from(sorted(PRESETS)),
+    config=st.one_of(st.none(), _CONFIGS),
+    flags=_FLAGS,
+    paths=st.integers(-1, 8),
+    steps=st.integers(-1, 32),
+)
+def test_cli_fuzzed_configs_and_flags_exit_cleanly(tmp_path, command, preset, config, flags,
+                                                   paths, steps):
+    # every input, however odd, ends in an exit code; small sizes keep it quick
+    argv = [command, preset] if command == "experiment" else [command]
+    argv += [f"--paths={paths}", f"--steps={steps}", f"--out={tmp_path / 'out.csv'}"]
+    for flag, value in flags.items():
+        argv.append(flag if value is None else f"{flag}={value}")
+    if config is not None:
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(config))
+        argv.append(f"--config={cfg_path}")
+    assert main(argv) in (0, 2, 3, 4)

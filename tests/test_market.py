@@ -6,12 +6,10 @@ from stickylab.market import (
     CostModel,
     Strategy,
     admissibility_check,
-    arbitrage_stats,
     exp_price,
     liquidation_value,
     momentum_strategy,
     terminal_stats,
-    total_variation,
 )
 from stickylab.pathgen import (
     BrownianMotion,
@@ -22,7 +20,7 @@ from stickylab.pathgen import (
     sample_ensemble,
 )
 
-from oracles import brute_force_total_variation, cash_ledger_terminal
+from oracles import cash_ledger_terminal
 
 
 def flat_strategy():
@@ -38,28 +36,6 @@ def random_instance(rng, steps=64, max_jumps=10):
     strategy = Strategy(grid.times[idx], holdings)
     price_path = Path(grid, np.exp(rng.normal(scale=0.3, size=steps + 1).cumsum() * 0.2))
     return grid, strategy, price_path
-
-
-# ---------------------------------------------------------------- total variation
-
-
-def test_tv_flat_zero():
-    assert total_variation(flat_strategy(), 1.0) == 0.0
-
-
-def test_tv_round_trip_strategy():
-    strategy = Strategy(np.array([0.2, 0.8]), np.array([1.0, 0.0]))
-    assert total_variation(strategy, 1.0) == 2.0
-    assert total_variation(strategy, 0.5) == 1.0
-
-
-def test_tv_matches_brute_force():
-    rng = np.random.default_rng(7)
-    for _ in range(200):
-        _, strategy, _ = random_instance(rng)
-        assert total_variation(strategy, 1.0) == pytest.approx(
-            brute_force_total_variation(strategy.holdings), rel=1e-12
-        )
 
 
 # ---------------------------------------------------------------- ledger
@@ -119,7 +95,7 @@ def test_k_monotonicity_per_path():
         _, strategy, price = random_instance(rng)
         terminals = [liquidation_value(strategy, price, CostModel(k)).terminal for k in rates]
         assert all(a >= b for a, b in zip(terminals, terminals[1:]))
-        if total_variation(strategy, 1.0) > 0:
+        if np.abs(strategy.jump_sizes()).sum() > 0:
             assert terminals[0] > terminals[-1]
 
 
@@ -181,7 +157,7 @@ def test_stats_all_zero_ledgers():
     grid = make_uniform_grid(1.0, 4)
     price = Path(grid, np.ones(5))
     ledgers = [liquidation_value(flat_strategy(), price, CostModel(0.0)) for _ in range(5)]
-    stats = arbitrage_stats(ledgers, 1.0)
+    stats = terminal_stats(np.array([ledger.terminal for ledger in ledgers]))
     assert stats.frac_nonnegative == 1.0
     assert stats.frac_strictly_positive == 0.0
     assert not stats.flag

@@ -18,13 +18,9 @@ from stickylab.pathgen import (
     TimeGrid,
     integrate_ito,
     make_uniform_grid,
-    read_ensemble_csv,
-    read_path_csv,
     sample_brownian,
     sample_ensemble,
     sample_fbm,
-    write_ensemble_csv,
-    write_path_csv,
 )
 
 from oracles import fbm_covariance
@@ -184,6 +180,42 @@ def test_fbm_dense_fallback_produces_the_same_law(monkeypatch):
     assert terminals.var(ddof=1) == pytest.approx(1.0, abs=0.1)
 
 
+def _reference_dense_factor(n_steps, dt, hurst):
+    # the dense factor as built on meshgrid copies, before it broadcast
+    t = dt * np.arange(1, n_steps + 1, dtype=np.float64)
+    h2 = 2.0 * hurst
+    s, u = np.meshgrid(t, t, indexing="ij")
+    cov = 0.5 * (s**h2 + u**h2 - np.abs(s - u) ** h2)
+    jitter = 0.0
+    for _ in range(6):
+        try:
+            return np.linalg.cholesky(cov + jitter * np.eye(n_steps))
+        except np.linalg.LinAlgError:
+            jitter = 1e-12 if jitter == 0.0 else jitter * 10.0
+    raise AssertionError("reference factorization failed")
+
+
+@pytest.mark.parametrize("hurst", [0.25, 0.5, 0.75])
+@pytest.mark.parametrize("steps", [1, 8, 64])
+def test_fbm_dense_factor_bit_identical_to_reference(hurst, steps):
+    import stickylab.pathgen as pg
+
+    dt = 1.0 / steps
+    got = pg._fbm_dense_factor.__wrapped__(steps, dt, hurst)
+    assert np.array_equal(got, _reference_dense_factor(steps, dt, hurst))
+
+
+def test_fbm_dense_factor_allocation_failure_is_an_argument_error(monkeypatch):
+    # a 2**22 x 2**22 covariance takes 2**47 bytes, more than any 47-bit
+    # address space holds, so the request fails before any memory is touched
+    import stickylab.pathgen as pg
+
+    monkeypatch.setattr(pg, "_fgn_sqrt_spectrum", lambda n, h: None)
+    grid = make_uniform_grid(1.0, 2**22)
+    with pytest.raises(InvalidArgumentError, match="4194304 x 4194304 fBm covariance"):
+        pg.sample_fbm(grid, SeedSpec(0), 0.75)
+
+
 def test_fbm_cov_example_h075():
     # Cov(X_0.5, X_1.0) at H = 0.75 equals 0.5 exactly in closed form
     assert fbm_covariance(0.5, 1.0, 0.75) == pytest.approx(0.5)
@@ -237,9 +269,8 @@ def test_ensemble_rejects_zero_paths():
 
 def test_ensemble_paths_accessor():
     ens = sample_ensemble(BrownianMotion(1.0), make_uniform_grid(1.0, 4), 3, 3)
-    paths = ens.paths
-    assert len(paths) == 3
-    for i, p in enumerate(paths):
+    for i in range(ens.n_paths):
+        p = ens.path(i)
         assert np.array_equal(p.values, ens.values[i])
         assert p.grid == ens.grid
 
@@ -374,27 +405,6 @@ def test_ito_linearity_exact_for_dyadic_inputs(a, b, h1, h2, db):
     lhs = integrate_ito(combo, integrator).values
     rhs = a * integrate_ito(p1, integrator).values + b * integrate_ito(p2, integrator).values
     assert np.array_equal(lhs, rhs)
-
-
-# ---------------------------------------------------------------- csv round trips
-
-
-def test_path_csv_round_trip(tmp_path):
-    path = sample_brownian(make_uniform_grid(1.0, 16), SeedSpec(3, 2))
-    dest = tmp_path / "path.csv"
-    write_path_csv(path, dest)
-    back = read_path_csv(dest)
-    assert np.array_equal(back.grid.times, path.grid.times)
-    assert np.array_equal(back.values, path.values)
-
-
-def test_ensemble_csv_round_trip(tmp_path):
-    ens = sample_ensemble(BrownianMotion(1.0), make_uniform_grid(1.0, 8), 9, 5)
-    dest = tmp_path / "ens.csv"
-    write_ensemble_csv(ens, dest)
-    back = read_ensemble_csv(dest, master_seed=9)
-    assert np.array_equal(back.values, ens.values)
-    assert back.grid == ens.grid
 
 
 def test_path_values_validated():

@@ -303,6 +303,19 @@ def test_prop_c_query_rejects_bad_delta_and_ladder(kwargs):
         q(0.5, characterization="prop-c", **kwargs)
 
 
+@pytest.mark.parametrize(
+    "ladder",
+    [(), (0.5, 0.5), (0.75, 0.25), (0.25, float("nan")), (float("-inf"), 0.5), (0.5, 1.5)],
+)
+def test_ladder_and_prop_c_reject_the_same_ladders(ladder):
+    # (0.5, 1.5) is well formed but ends past the grid span of 1
+    ens = constant_ensemble()
+    with pytest.raises(InvalidArgumentError):
+        survival_ladder(ens, Deterministic(0.0), 0.5, ladder)
+    with pytest.raises(InvalidArgumentError):
+        estimate_stickiness(ens, q(0.5, characterization="prop-c", ladder=ladder))
+
+
 # ---------------------------------------------------------------- cross checks
 
 
@@ -504,7 +517,7 @@ def test_characterizations_match_reference(kind):
     ens = _reference_ensemble(kind)
     if kind == "lattice":
         assert np.any(np.abs(ens.values - ens.values[:, :1]) == 0.25)
-    paths = ens.paths
+    paths = [ens.path(i) for i in range(ens.n_paths)]
     for rule in REFERENCE_RULES:
         for epsilon in (0.125, 0.25, 0.5):
             for event in REFERENCE_EVENTS:

@@ -17,11 +17,9 @@ from stickylab.stopping import (
     _first_exit,
     evaluate_event,
     evaluate_rule,
-    event_to_text,
     parse_event,
     parse_rule,
     passage_time,
-    rule_to_text,
 )
 
 
@@ -205,11 +203,6 @@ def test_parse_rule(text, expected):
     assert parse_rule(text) == expected
 
 
-def test_rule_text_round_trip():
-    for text in ("det:0", "hit:0.1", "hit:0.2@det:0.25", "pass:1.5", "absexceed:1"):
-        assert parse_rule(rule_to_text(parse_rule(text))) == parse_rule(text)
-
-
 @pytest.mark.parametrize("bad", ["", "det", "unknown:1", "hit:x", "det:abc"])
 def test_parse_rule_rejects_garbage(bad):
     with pytest.raises(InvalidRuleError):
@@ -225,7 +218,3 @@ def test_parse_event_forms():
     with pytest.raises(InvalidRuleError):
         parse_event("nonsense")
 
-
-def test_event_text_round_trip():
-    for text in ("all", "stoprange:-1:2", "before:0.5"):
-        assert event_to_text(parse_event(text)) == text
