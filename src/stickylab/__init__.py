@@ -61,24 +61,18 @@ from .transforms import (
     Abs,
     AbsCubeRootOfMartingale,
     Affine,
-    Composition,
     CosDriftExample,
     CosPiOverX,
-    Exp,
     Identity,
     IdentityCap,
     NonStickyMartingale,
     PassageTimes,
-    Power,
-    QVInverse,
-    QVPath,
     SignedPower,
     TimeChange,
     apply_map,
     build_example,
     dds_brownianize,
     drift_by_qv,
-    qv_inverse,
     quadratic_variation,
     time_change,
 )

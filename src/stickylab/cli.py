@@ -33,8 +33,8 @@ from .pathgen import (
     make_uniform_grid,
     sample_ensemble,
 )
-from .stickiness import StickinessQuery, estimate_stickiness, survival_ladder
-from .stopping import parse_event, parse_rule
+from .stickiness import StickinessQuery, _check_ladder, estimate_stickiness, survival_ladder
+from .stopping import HittingFrom, parse_event, parse_rule
 from .transforms import (
     AbsCubeRootOfMartingale,
     CosDriftExample,
@@ -102,6 +102,18 @@ class ExperimentConfig:
     raw_price: bool = False
     output: str | None = None
 
+    def __post_init__(self):
+        # each value goes through the validator of what it feeds, here, so a
+        # bad one is refused before any ensemble is sampled
+        tau = parse_rule(self.tau)
+        horizon = self.horizon if self.query_horizon is None else self.query_horizon
+        StickinessQuery(tau, horizon, self.epsilon, parse_event(self.event))
+        HittingFrom(tau, self.delta)  # the ladder's restart rule
+        if self.ladder:
+            _check_ladder(self.ladder, self.horizon)
+        _parse_strategy(self.strategy)
+        CostModel(self.rate)
+
 
 @dataclass(frozen=True)
 class ResultTable:
@@ -160,12 +172,11 @@ def _hurst_cell(config: ExperimentConfig) -> object:
 
 
 def _stickiness_table(
-    config: ExperimentConfig, ensemble: Ensemble, process: str, horizon=None, **extra
+    config: ExperimentConfig, ensemble: Ensemble, process: str, **extra
 ) -> ResultTable:
     """One ``STICKINESS_COLUMNS`` row, with the verdict convention and ``extra``
-    in the provenance. T is ``horizon``, else the config's, else the grid's."""
-    if horizon is None:
-        horizon = config.query_horizon if config.query_horizon is not None else ensemble.grid.horizon
+    in the provenance. T is the config's, else the grid's horizon."""
+    horizon = config.query_horizon if config.query_horizon is not None else ensemble.grid.horizon
     query = StickinessQuery(
         tau=parse_rule(config.tau),
         horizon=horizon,
@@ -250,9 +261,8 @@ def _preset_passage_counterexample(config: ExperimentConfig) -> ResultTable:
     # Ramp built from observed passage times; paths that never attain some
     # level within the horizon cannot be constructed and are excluded, with
     # the exclusion count recorded in provenance.
-    grid = make_uniform_grid(config.horizon, config.steps)
     nu = PassageTimes(np.linspace(0.0, 0.5, 11))
-    base = sample_ensemble(BrownianMotion(1.0), grid, config.master_seed, config.n_paths)
+    base = _ensemble(config)
     rows = []
     excluded = 0
     for i in range(base.n_paths):
@@ -264,20 +274,16 @@ def _preset_passage_counterexample(config: ExperimentConfig) -> ResultTable:
         raise NumericalFailureError("no path attained the full level schedule")
     ramp = Ensemble(nu.grid, np.stack(rows), config.master_seed, "passage-ramp")
     return _stickiness_table(
-        config, ramp, "passage-ramp", horizon=0.5,
-        requested_paths=config.n_paths, excluded_paths=excluded,
+        config, ramp, "passage-ramp", requested_paths=config.n_paths, excluded_paths=excluded
     )
 
 
 def _preset_timechange_cap(config: ExperimentConfig) -> ResultTable:
-    grid = make_uniform_grid(config.horizon, config.steps)
-    base = sample_ensemble(
-        FractionalBrownianMotion(config.hurst), grid, config.master_seed, config.n_paths
-    )
+    base = _ensemble(config)
     cap = IdentityCap(0.5)
     values = np.stack([time_change(base.path(i), cap).values for i in range(base.n_paths)])
-    capped = Ensemble(grid, values, config.master_seed, "fbm-capped")
-    return _stickiness_table(config, capped, "fbm-capped")
+    label = f"{config.process}-capped"
+    return _stickiness_table(config, Ensemble(base.grid, values, config.master_seed, label), label)
 
 
 def _preset_dds_check(config: ExperimentConfig) -> ResultTable:

@@ -21,16 +21,8 @@ class NumericalFailureError(StickyLabError, RuntimeError):
     """A numerical routine failed even after its mandated fallback."""
 
 
-class DomainViolationError(StickyLabError, ValueError):
-    """A path value fell outside a scalar map's domain."""
-
-    def __init__(self, message: str, index: int | None = None):
-        super().__init__(message)
-        self.index = index
-
-
 class TimeChangeRangeError(StickyLabError, ValueError):
-    """A time change produced times outside the path's grid span."""
+    """A passage-time change needs a level the path does not reach on its grid."""
 
 
 class InvalidRuleError(StickyLabError, ValueError):

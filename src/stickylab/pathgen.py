@@ -179,7 +179,6 @@ class Path:
     grid: TimeGrid
     values: Array
     label: str = ""
-    flags: tuple[str, ...] = ()
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=np.float64)
@@ -190,10 +189,6 @@ class Path:
             )
         if not np.isfinite(values).all():  # per path: the method skips np.all's dispatch
             raise InvalidArgumentError("path values must be finite")
-
-    def value_at(self, t) -> Array | float:
-        """Linear interpolation between grid points; clamped at the ends."""
-        return np.interp(t, self.grid.times, self.values)
 
     @property
     def terminal(self) -> float:

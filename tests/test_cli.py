@@ -283,6 +283,69 @@ def test_cli_preset_rejects_flags_it_does_not_read(tmp_path, monkeypatch, capsys
     assert not (tmp_path / "x.csv").exists()
 
 
+def _csv_row(path) -> dict:
+    lines = [ln for ln in path.read_text().splitlines() if not ln.startswith("#")]
+    return dict(zip(lines[0].split(","), lines[-1].split(",")))
+
+
+def test_timechange_cap_preset_samples_the_process_flag(tmp_path, monkeypatch):
+    from stickylab.pathgen import Ensemble
+    from stickylab.stickiness import StickinessQuery, estimate_stickiness
+    from stickylab.stopping import Deterministic
+    from stickylab.transforms import IdentityCap, time_change
+
+    monkeypatch.chdir(tmp_path)
+    assert main(["experiment", "timechange-cap", "--process", "bm", "--paths", "40",
+                 "--steps", "64", "--seed", "5", "--out", "x.csv"]) == 0
+    row = _csv_row(tmp_path / "x.csv")
+    bm = sample_ensemble(BrownianMotion(1.0), make_uniform_grid(1.0, 64), 5, 40)
+    capped = np.stack([time_change(bm.path(i), IdentityCap(0.5)).values for i in range(40)])
+    expected = estimate_stickiness(
+        Ensemble(bm.grid, capped, 5), StickinessQuery(Deterministic(0.0), 1.0, 0.5)
+    )
+    assert (row["process"], row["H"]) == ("bm-capped", "")
+    assert int(row["successes"]) == expected.successes
+
+
+def test_passage_preset_reads_the_window_end(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    small_run = ["experiment", "passage-counterexample", "--paths", "40", "--steps", "2048"]
+    assert main([*small_run, "--big-t", "0.3", "--out", "x.csv"]) == 0
+    assert float(_csv_row(tmp_path / "x.csv")["T"]) == 0.3
+    # the ramp ends at level 0.5, so a later window end is refused
+    assert main([*small_run, "--big-t", "0.75", "--out", "y.csv"]) == 2
+    assert "query horizon 0.75 exceeds grid horizon 0.5" in capsys.readouterr().err
+    assert not (tmp_path / "y.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["experiment", "passage-counterexample", "--epsilon", "-1"],
+        ["stickiness", "--tau", "hit:abc", "--paths", "10000", "--steps", "8192"],
+        ["stickiness", "--event", "nope"],
+        ["stickiness", "--big-t", "0"],
+        ["ladder", "--delta", "-1"],
+        ["ladder", "--ladder", "0.5,0.25"],
+        ["ladder", "--ladder", "0.5,2"],
+        ["portfolio", "--strategy", "buyhold"],
+        ["portfolio", "--k", "1.5"],
+    ],
+)
+def test_cli_bad_values_exit_2_before_any_ensemble_is_sampled(tmp_path, monkeypatch, capsys,
+                                                              argv):
+    import stickylab.cli as cli
+
+    def sample_ensemble(*args, **kwargs):
+        raise AssertionError("an ensemble was sampled before the config was checked")
+
+    monkeypatch.setattr(cli, "sample_ensemble", sample_ensemble)
+    monkeypatch.chdir(tmp_path)
+    assert main([*argv, "--out", "x.csv"]) == 2
+    assert "configuration error" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_cli_exit_code_2_on_bad_rule(tmp_path):
     result = run_cli(
         ["stickiness", "--process", "bm", "--paths", "5", "--steps", "16",
