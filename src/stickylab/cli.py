@@ -33,7 +33,8 @@ from .pathgen import (
     make_uniform_grid,
     sample_ensemble,
 )
-from .stickiness import StickinessQuery, _check_ladder, estimate_stickiness, survival_ladder
+from .stickiness import (StickinessQuery, _check_ladder, _check_window_end, estimate_stickiness,
+                         survival_ladder)
 from .stopping import HittingFrom, parse_event, parse_rule
 from .transforms import (
     AbsCubeRootOfMartingale,
@@ -69,6 +70,9 @@ DDS_COLUMNS = (
     "process", "sigma", "n", "qv_steps", "mean_du", "increment_var_ratio", "unit_qv_mean",
     "seed", "steps",
 )
+
+# rows per market block: a 64 x 1025 float64 block (0.5 MB) and its temporaries fit in L2
+_BLOCK_ROWS = 64
 
 # salt for the independent shuffle stream of the momentum control
 _SHUFFLE_SALT = 0x9E3779B97F4A7C15
@@ -108,6 +112,7 @@ class ExperimentConfig:
         tau = parse_rule(self.tau)
         horizon = self.horizon if self.query_horizon is None else self.query_horizon
         StickinessQuery(tau, horizon, self.epsilon, parse_event(self.event))
+        _check_window_end(self.query_horizon, self.horizon)
         HittingFrom(tau, self.delta)  # the ladder's restart rule
         if self.ladder:
             _check_ladder(self.ladder, self.horizon)
@@ -221,6 +226,21 @@ def _parse_strategy(text: str):
         raise ConfigError(f"bad strategy parameters in {text!r}") from exc
 
 
+def _momentum_terminals(ensemble: Ensemble, threshold: float, unit: float,
+                        rates: tuple[float, ...], exp: bool) -> np.ndarray:
+    """Terminal liquidation values, ``(len(rates), n_paths)``, of momentum trading
+    each path (its exponential when ``exp``) at each cost rate, row block by block."""
+    terminal = np.empty((len(rates), ensemble.n_paths))
+    for start in range(0, ensemble.n_paths, _BLOCK_ROWS):
+        rows = slice(start, start + _BLOCK_ROWS)
+        block = Ensemble(ensemble.grid, ensemble.values[rows], ensemble.master_seed)
+        price = exp_price(block) if exp else block
+        strategy = momentum_strategy(price, threshold, unit)
+        for k, rate in enumerate(rates):
+            terminal[k, rows] = liquidation_value(strategy, price, CostModel(rate)).terminal
+    return terminal
+
+
 def _market_row(strategy: str, rate: float, terminal: np.ndarray, seed: int) -> tuple:
     """One ``MARKET_COLUMNS`` row from the terminal liquidation values."""
     stats = terminal_stats(terminal)
@@ -232,14 +252,9 @@ def _market_row(strategy: str, rate: float, terminal: np.ndarray, seed: int) -> 
 
 def _run_portfolio(config: ExperimentConfig) -> ResultTable:
     threshold, unit = _parse_strategy(config.strategy)
-    ensemble = _ensemble(config)
-    cost = CostModel(rate=config.rate)
-    terminal = np.empty(ensemble.n_paths)
-    for i in range(ensemble.n_paths):
-        signal = ensemble.path(i)
-        price = signal if config.raw_price else exp_price(signal)
-        strat = momentum_strategy(price, threshold, unit)
-        terminal[i] = liquidation_value(strat, price, cost).terminal
+    (terminal,) = _momentum_terminals(
+        _ensemble(config), threshold, unit, (config.rate,), exp=not config.raw_price
+    )
     row = _market_row(config.strategy, config.rate, terminal, config.master_seed)
     return ResultTable(MARKET_COLUMNS, (row,), _provenance(config))
 
@@ -247,10 +262,7 @@ def _run_portfolio(config: ExperimentConfig) -> ResultTable:
 def _run_generate(config: ExperimentConfig) -> ResultTable:
     ensemble = _ensemble(config)
     columns = ("t",) + tuple(f"x_{i}" for i in range(ensemble.n_paths))
-    rows = tuple(
-        (t,) + tuple(ensemble.values[:, k])
-        for k, t in enumerate(ensemble.grid.times)
-    )
+    rows = tuple(zip(ensemble.grid.times, *ensemble.values))
     return ResultTable(columns, rows, _provenance(config))
 
 
@@ -262,6 +274,7 @@ def _preset_passage_counterexample(config: ExperimentConfig) -> ResultTable:
     # level within the horizon cannot be constructed and are excluded, with
     # the exclusion count recorded in provenance.
     nu = PassageTimes(np.linspace(0.0, 0.5, 11))
+    _check_window_end(config.query_horizon, nu.grid.horizon)
     base = _ensemble(config)
     rows = []
     excluded = 0
@@ -314,11 +327,9 @@ def _pooled_shuffle(ensemble: Ensemble, master_seed: int) -> Ensemble:
     # displacement, which trend-following captures regardless of correlation.
     rng = SeedSpec((master_seed ^ _SHUFFLE_SALT) % 2**64, 0).generator()
     increments = np.diff(ensemble.values, axis=1)
-    flat = increments.ravel()
-    redealt = flat[rng.permutation(flat.size)].reshape(increments.shape)
-    values = np.concatenate(
-        (np.zeros((ensemble.n_paths, 1)), np.cumsum(redealt, axis=1)), axis=1
-    )
+    rng.shuffle(increments.ravel())  # in place: rng.permutation of the flat array, no copy
+    values = np.zeros(ensemble.values.shape)
+    np.cumsum(increments, axis=1, out=values[:, 1:])
     return Ensemble(ensemble.grid, values, ensemble.master_seed, "shuffled-control")
 
 
@@ -329,22 +340,10 @@ def _preset_costs_momentum(config: ExperimentConfig) -> ResultTable:
     # control whose mean is expected to sit at zero.
     threshold, unit = _parse_strategy(config.strategy)
     ensemble = _ensemble(config)
+    v_free, v_cost = _momentum_terminals(ensemble, threshold, unit, (0.0, config.rate), exp=True)
+    (v_raw,) = _momentum_terminals(ensemble, threshold, unit, (0.0,), exp=False)
     control = _pooled_shuffle(ensemble, config.master_seed)
-    v_free = np.empty(ensemble.n_paths)
-    v_cost = np.empty(ensemble.n_paths)
-    v_raw = np.empty(ensemble.n_paths)
-    v_control = np.empty(ensemble.n_paths)
-    for i in range(ensemble.n_paths):
-        signal = ensemble.path(i)
-        price = exp_price(signal)
-        strat = momentum_strategy(price, threshold, unit)
-        v_free[i] = liquidation_value(strat, price, CostModel(0.0)).terminal
-        v_cost[i] = liquidation_value(strat, price, CostModel(config.rate)).terminal
-        raw_strat = momentum_strategy(signal, threshold, unit)
-        v_raw[i] = liquidation_value(raw_strat, signal, CostModel(0.0)).terminal
-        control_path = control.path(i)
-        control_strat = momentum_strategy(control_path, threshold, unit)
-        v_control[i] = liquidation_value(control_strat, control_path, CostModel(0.0)).terminal
+    (v_control,) = _momentum_terminals(control, threshold, unit, (0.0,), exp=False)
     rows = tuple(
         _market_row(name, rate, terminal, config.master_seed)
         for name, rate, terminal in (

@@ -6,6 +6,8 @@ trades executed at or before ``t``, marked against the price at ``t`` and
 charged the liquidation penalty on the current position. Trading ``|d|``
 units at price ``X`` costs ``rate * X * |d|`` on buys and sells alike, and
 liquidating at ``t`` costs ``rate * X_t * |holding_t|``.
+Prices, strategies and ledgers take one ``Path`` or a row block of an
+``Ensemble`` (one row per path) through one code path along the last axis.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AlignmentError, InvalidArgumentError
-from .pathgen import Array, Path, TimeGrid
+from .pathgen import Array, Ensemble, Path, TimeGrid
 
 __all__ = [
     "Strategy",
@@ -32,11 +34,11 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class Strategy:
-    """Piecewise-constant holdings: jump to ``holdings[j]`` at ``breakpoints[j]``.
+    """Piecewise-constant holdings: jump to ``holdings[..., j]`` at ``breakpoints[j]``.
 
-    The initial holding before the first breakpoint is 0. Jump decisions must
-    depend only on strictly earlier path values; constructors here guarantee
-    that, imported strategies are trusted.
+    A block holds one row per path; before the first breakpoint the holding
+    is 0. Jump decisions must depend only on strictly earlier path values;
+    constructors here guarantee that, imported strategies are trusted.
     """
 
     breakpoints: Array
@@ -47,8 +49,8 @@ class Strategy:
         holdings = np.asarray(self.holdings, dtype=np.float64)
         object.__setattr__(self, "breakpoints", breakpoints)
         object.__setattr__(self, "holdings", holdings)
-        if breakpoints.shape != holdings.shape or breakpoints.ndim != 1:
-            raise InvalidArgumentError("breakpoints and holdings must be matching 1-d arrays")
+        if breakpoints.ndim != 1 or holdings.ndim > 2 or holdings.shape[-1:] != breakpoints.shape:
+            raise InvalidArgumentError("holdings must have one column per breakpoint")
         if breakpoints.size and np.any(np.diff(breakpoints) <= 0.0):
             raise InvalidArgumentError("breakpoints must be strictly increasing")
         if not (np.all(np.isfinite(breakpoints)) and np.all(np.isfinite(holdings))):
@@ -56,11 +58,12 @@ class Strategy:
 
     @property
     def n_jumps(self) -> int:
-        return int(self.breakpoints.size)
+        """Nonzero trades, summed over the rows of a block."""
+        return int(np.count_nonzero(self.jump_sizes()))
 
     def jump_sizes(self) -> Array:
         """Signed trade sizes, including the initial jump away from 0."""
-        return np.diff(np.concatenate(([0.0], self.holdings)))
+        return np.diff(self.holdings, axis=-1, prepend=0.0)
 
 
 @dataclass(frozen=True)
@@ -91,14 +94,14 @@ class LedgerPath:
         for name in ("gains", "cost_flow", "liquidation_penalty", "values"):
             arr = np.asarray(getattr(self, name), dtype=np.float64)
             object.__setattr__(self, name, arr)
-            if arr.shape != (self.grid.n_points,):
+            if arr.ndim not in (1, 2) or arr.shape[-1] != self.grid.n_points:
                 raise InvalidArgumentError(f"{name} must match the grid length")
             if not np.all(np.isfinite(arr)):
                 raise InvalidArgumentError(f"{name} must be finite")
 
     @property
-    def terminal(self) -> float:
-        return float(self.values[-1])
+    def terminal(self) -> float | Array:
+        return float(self.values[-1]) if self.values.ndim == 1 else self.values[:, -1]
 
 
 @dataclass(frozen=True)
@@ -113,45 +116,41 @@ class ArbitrageStats:
     flag: bool  # finite-sample surrogate, not a proof of arbitrage
 
 
-def exp_price(path: Path) -> Path:
-    """Exponential of the signal path: the default, strictly positive asset price."""
+def exp_price(path: Path | Ensemble) -> Path | Ensemble:
+    """Exponential of the signal: the default, strictly positive asset price.
+    The result's finiteness check refuses an overflowing price."""
+    if isinstance(path, Ensemble):
+        return Ensemble(path.grid, np.exp(path.values), path.master_seed, "exp")
     return Path(path.grid, np.exp(path.values), label=f"exp({path.label})" if path.label else "exp")
 
 
-def _holdings_on_grid(strategy: Strategy, grid: TimeGrid) -> tuple[Array, Array]:
-    """Post-trade holding per grid point and the grid index of each breakpoint."""
-    if strategy.n_jumps == 0:
-        return np.zeros(grid.n_points), np.array([], dtype=np.intp)
-    idx = np.searchsorted(grid.times, strategy.breakpoints, side="left")
-    if np.any(idx >= grid.n_points) or np.any(grid.times[idx] != strategy.breakpoints):
-        raise AlignmentError("strategy breakpoints must sit exactly on grid times")
-    pos = np.searchsorted(strategy.breakpoints, grid.times, side="right") - 1
-    holding = np.where(pos >= 0, strategy.holdings[np.maximum(pos, 0)], 0.0)
-    return holding, idx
-
-
-def liquidation_value(strategy: Strategy, price: Path, cost: CostModel) -> LedgerPath:
+def liquidation_value(strategy: Strategy, price: Path | Ensemble, cost: CostModel) -> LedgerPath:
     """Ledger of gains, trading costs, and liquidation penalty along the grid.
 
     gains[m]   = sum_{i<m} holding_i * (X_{i+1} - X_i)    (left-point Ito sum)
     cost[m]    = rate * sum_{jumps at s <= t_m} X_s * |trade|
     penalty[m] = rate * X_m * |holding_m|
     """
-    grid = price.grid
-    holding, jump_idx = _holdings_on_grid(strategy, grid)
-    gains = np.concatenate(([0.0], np.cumsum(holding[:-1] * np.diff(price.values))))
-    per_point_cost = np.zeros(grid.n_points)
-    np.add.at(
-        per_point_cost, jump_idx, cost.rate * price.values[jump_idx] * np.abs(strategy.jump_sizes())
-    )
-    cost_flow = np.cumsum(per_point_cost)
-    penalty = cost.rate * price.values * np.abs(holding)
-    return LedgerPath(grid, gains, cost_flow, penalty, gains - cost_flow - penalty)
+    times, x, holding = price.grid.times, price.values, strategy.holdings
+    idx = np.searchsorted(times, strategy.breakpoints, side="left")
+    if np.any(idx >= times.size) or np.any(times[idx] != strategy.breakpoints):
+        raise AlignmentError("strategy breakpoints must sit exactly on grid times")
+    if idx.size < times.size:  # post-trade holding per grid point; column 0 holds the start's 0
+        holding = np.concatenate((np.zeros(holding.shape[:-1] + (1,)), holding), axis=-1)
+        holding = holding[..., np.searchsorted(strategy.breakpoints, times, side="right")]
+    gains = np.zeros(x.shape)
+    np.cumsum(holding[..., :-1] * np.diff(x, axis=-1), axis=-1, out=gains[..., 1:])
+    rate_x = cost.rate * x
+    trade_cost = rate_x * np.abs(np.diff(holding, axis=-1, prepend=0.0))
+    trade_cost += 0.0  # the -0.0 of a negative price times a zero trade becomes +0.0
+    cost_flow = np.cumsum(trade_cost, axis=-1)
+    penalty = rate_x * np.abs(holding)
+    return LedgerPath(price.grid, gains, cost_flow, penalty, gains - cost_flow - penalty)
 
 
 def admissibility_check(ledger: LedgerPath, cost: CostModel) -> tuple[bool, float | None]:
-    """True iff the ledger never dips below -M; else the first violation time."""
-    below = ledger.values < -cost.admissibility_floor
+    """True iff no row of the ledger dips below -M; else the first time one does."""
+    below = (ledger.values < -cost.admissibility_floor).reshape(-1, ledger.grid.n_points).any(0)
     if not below.any():
         return True, None
     return False, float(ledger.grid.times[int(np.argmax(below))])
@@ -180,15 +179,17 @@ def terminal_stats(terminal: Array, tol: float = 1e-9) -> ArbitrageStats:
     )
 
 
-def momentum_strategy(price: Path, threshold: float, unit: float) -> Strategy:
+def momentum_strategy(price: Path | Ensemble, threshold: float, unit: float) -> Strategy:
     """Hold +unit / -unit when the last observed move from the start exceeds
-    the threshold band; decisions at ``t`` use values strictly before ``t``."""
+    the threshold band; decisions at ``t`` use values strictly before ``t``.
+    A row block gets one column per grid time, one path its breakpoints only."""
     if not (threshold > 0.0 and unit > 0.0):
         raise InvalidArgumentError("threshold and unit must be positive")
     x = price.values
-    drift = x[:-1] - x[0]  # signal available at the next grid time
-    desired = np.zeros(x.size)
-    desired[1:] = unit * (drift > threshold).astype(np.float64)
-    desired[1:] -= unit * (drift < -threshold).astype(np.float64)
-    changes = np.flatnonzero(np.diff(np.concatenate(([0.0], desired))))
+    drift = x[..., :-1] - x[..., :1]  # signal available at the next grid time
+    desired = np.zeros(x.shape)
+    desired[..., 1:] = unit * ((drift > threshold).astype(np.float64) - (drift < -threshold))
+    if isinstance(price, Ensemble):
+        return Strategy(price.grid.times, desired)
+    changes = np.flatnonzero(np.diff(desired, prepend=0.0))
     return Strategy(price.grid.times[changes], desired[changes])

@@ -84,6 +84,12 @@ def _check_ladder(horizons, span: float | None = None) -> Array:
     return horizons
 
 
+def _check_window_end(horizon: float | None, span: float) -> None:
+    """Raises unless the window end (``None``: the span itself) lies within the span."""
+    if horizon is not None and horizon > span * (1.0 + 1e-12):
+        raise InvalidArgumentError(f"query horizon {horizon} exceeds grid horizon {span}")
+
+
 @dataclass(frozen=True)
 class StickinessQuery:
     """The (tau, T, epsilon, A) tuple plus the characterization to count by."""
@@ -234,10 +240,7 @@ def estimate_stickiness(ensemble: Ensemble, query: StickinessQuery) -> Stickines
     Deterministic given the ensemble: indicators are reduced in path order.
     """
     horizon = ensemble.grid.horizon
-    if query.horizon > horizon * (1.0 + 1e-12):
-        raise InvalidArgumentError(
-            f"query horizon {query.horizon} exceeds grid horizon {horizon}"
-        )
+    _check_window_end(query.horizon, horizon)
     if query.characterization == "prop-c" and query.ladder:
         _check_ladder(query.ladder, horizon)
     end_index = ensemble.grid.last_index_at_or_before(query.horizon)

@@ -140,17 +140,14 @@ def evaluate_rule(rule: StoppingRule, path: Path) -> StopResult:
         gap = x - rule.level
         hit = gap == 0.0
         hit[1:] |= gap[:-1] * gap[1:] < 0.0
-        if not hit.any():
-            return StopResult.not_stopped()
-        k = int(np.argmax(hit))
-        return StopResult.at(times[k], k)
-    if isinstance(rule, FirstAbsExceed):
-        exceeded = np.abs(x) >= rule.level
-        if not exceeded.any():
-            return StopResult.not_stopped()
-        k = int(np.argmax(exceeded))
-        return StopResult.at(times[k], k)
-    raise InvalidRuleError(f"unknown stopping rule: {rule!r}")
+    elif isinstance(rule, FirstAbsExceed):
+        hit = np.abs(x) >= rule.level
+    else:
+        raise InvalidRuleError(f"unknown stopping rule: {rule!r}")
+    if not hit.any():
+        return StopResult.not_stopped()
+    k = int(np.argmax(hit))
+    return StopResult.at(times[k], k)
 
 
 def passage_time(path: Path, level: float) -> StopResult:

@@ -330,6 +330,8 @@ def test_passage_preset_reads_the_window_end(tmp_path, monkeypatch, capsys):
         ["ladder", "--ladder", "0.5,2"],
         ["portfolio", "--strategy", "buyhold"],
         ["portfolio", "--k", "1.5"],
+        ["stickiness", "--big-t", "2", "--steps", "8192"],
+        ["experiment", "passage-counterexample", "--big-t", "0.75"],
     ],
 )
 def test_cli_bad_values_exit_2_before_any_ensemble_is_sampled(tmp_path, monkeypatch, capsys,
@@ -344,6 +346,34 @@ def test_cli_bad_values_exit_2_before_any_ensemble_is_sampled(tmp_path, monkeypa
     assert main([*argv, "--out", "x.csv"]) == 2
     assert "configuration error" in capsys.readouterr().err
     assert not (tmp_path / "x.csv").exists()
+
+
+def test_cli_portfolio_exits_2_when_the_price_overflows(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    with np.errstate(over="ignore"):
+        code = main(["portfolio", "--sigma", "1000", "--paths", "8", "--steps", "32",
+                     "--out", "x.csv"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "configuration error" in err and "must be finite" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_pooled_shuffle_matches_the_index_permutation():
+    # frozen copy of the shuffle that gathered through a permutation index
+    from stickylab.cli import _SHUFFLE_SALT, _pooled_shuffle
+    from stickylab.pathgen import FractionalBrownianMotion, SeedSpec
+
+    ensemble = sample_ensemble(FractionalBrownianMotion(0.75), make_uniform_grid(1.0, 64), 9, 37)
+    rng = SeedSpec((9 ^ _SHUFFLE_SALT) % 2**64, 0).generator()
+    increments = np.diff(ensemble.values, axis=1)
+    flat = increments.ravel()
+    redealt = flat[rng.permutation(flat.size)].reshape(increments.shape)
+    expected = np.concatenate((np.zeros((37, 1)), np.cumsum(redealt, axis=1)), axis=1)
+    shuffled = _pooled_shuffle(ensemble, 9)
+    assert np.array_equal(shuffled.values, expected)
+    assert np.array_equal(np.signbit(shuffled.values), np.signbit(expected))
 
 
 def test_cli_exit_code_2_on_bad_rule(tmp_path):

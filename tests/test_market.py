@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+from stickylab import cli
 from stickylab.errors import AlignmentError, InvalidArgumentError
 from stickylab.market import (
     CostModel,
+    LedgerPath,
     Strategy,
     admissibility_check,
     exp_price,
@@ -13,6 +15,8 @@ from stickylab.market import (
 )
 from stickylab.pathgen import (
     BrownianMotion,
+    Ensemble,
+    FractionalBrownianMotion,
     Path,
     SeedSpec,
     make_uniform_grid,
@@ -126,14 +130,21 @@ def test_admissibility_flat_ok():
 
 
 def test_admissibility_violation_and_first_time():
-    from stickylab.market import LedgerPath
-
     grid = make_uniform_grid(1.0, 4)
     values = np.array([0.0, -0.5, -2.0, -2.5, 0.0])
     zeros = np.zeros(5)
     ledger = LedgerPath(grid, values, zeros, zeros, values)
     ok, when = admissibility_check(ledger, CostModel(0.0, admissibility_floor=1.0))
     assert not ok and when == 0.5
+
+
+def test_admissibility_of_a_block_reports_the_first_row_to_dip():
+    grid = make_uniform_grid(1.0, 4)
+    values = np.array([[0.0, 0.0, 0.0, -2.0, 0.0], [0.0, -0.5, -2.0, 0.0, 0.0]])
+    zeros = np.zeros((2, 5))
+    ledger = LedgerPath(grid, values, zeros, zeros, values)
+    assert admissibility_check(ledger, CostModel(0.0, admissibility_floor=1.0)) == (False, 0.5)
+    assert admissibility_check(ledger, CostModel(0.0, admissibility_floor=3.0)) == (True, None)
 
 
 def test_buy_and_hold_admissible_with_generous_floor():
@@ -243,3 +254,145 @@ def test_paired_cost_erosion_small_sample():
     v0, v1 = np.array(v0), np.array(v1)
     assert np.all(v0 >= v1)
     assert v0.mean() > v1.mean()
+
+
+# ---------------------------------------------------------------- row blocks
+
+
+def _momentum_per_path(times, x, threshold, unit):
+    """Frozen copy of the one-path momentum rule: (breakpoints, holdings)."""
+    drift = x[:-1] - x[0]
+    desired = np.zeros(x.size)
+    desired[1:] = unit * (drift > threshold).astype(np.float64)
+    desired[1:] -= unit * (drift < -threshold).astype(np.float64)
+    changes = np.flatnonzero(np.diff(np.concatenate(([0.0], desired))))
+    return times[changes], desired[changes]
+
+
+def _ledger_per_path(times, x, breakpoints, holdings, rate):
+    """Frozen copy of the one-path ledger: holdings looked up per grid point,
+    trade costs scattered onto their grid points with ``np.add.at``. Returns
+    gains, cost flow, penalty and values."""
+    if breakpoints.size == 0:
+        holding, idx = np.zeros(times.size), np.array([], dtype=np.intp)
+    else:
+        idx = np.searchsorted(times, breakpoints, side="left")
+        pos = np.searchsorted(breakpoints, times, side="right") - 1
+        holding = np.where(pos >= 0, holdings[np.maximum(pos, 0)], 0.0)
+    gains = np.concatenate(([0.0], np.cumsum(holding[:-1] * np.diff(x))))
+    per_point_cost = np.zeros(times.size)
+    jumps = np.diff(np.concatenate(([0.0], holdings)))
+    np.add.at(per_point_cost, idx, rate * x[idx] * np.abs(jumps))
+    cost_flow = np.cumsum(per_point_cost)
+    penalty = rate * x * np.abs(holding)
+    return np.array([gains, cost_flow, penalty, gains - cost_flow - penalty])
+
+
+def _loop_ledgers(times, values, rate, threshold=0.1, unit=1.0):
+    """Per-path ledgers as ``(4, n_paths, n_points)``, plus the jump count."""
+    ledgers, jumps = [], 0
+    for x in values:
+        breakpoints, holdings = _momentum_per_path(times, x, threshold, unit)
+        ledgers.append(_ledger_per_path(times, x, breakpoints, holdings, rate))
+        jumps += breakpoints.size
+    return np.stack(ledgers, axis=1), jumps
+
+
+def _loop_terminals(times, values, rate):
+    return _loop_ledgers(times, values, rate)[0][3, :, -1]
+
+
+def _same_bits(a, b):
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+_PROCESSES = {
+    "bm": BrownianMotion(1.0),
+    "fbm-0.3": FractionalBrownianMotion(0.3),
+    "fbm-0.75": FractionalBrownianMotion(0.75),
+}
+
+
+def _block_with_idle_rows(process, n_paths, steps=128, seed=41):
+    ens = sample_ensemble(_PROCESSES[process], make_uniform_grid(1.0, steps), seed, n_paths)
+    values = ens.values.copy()
+    values[::5] = 0.0  # a flat row never trades
+    return Ensemble(ens.grid, values, seed)
+
+
+@pytest.mark.parametrize("process", sorted(_PROCESSES))
+@pytest.mark.parametrize("n_paths", [1, 63, 64, 65, 200])
+@pytest.mark.parametrize("rate", [0.0, 0.01])
+@pytest.mark.parametrize("price_kind", ["exp", "raw-negative"])
+def test_block_ledgers_equal_the_per_path_loop(process, n_paths, rate, price_kind):
+    signal = _block_with_idle_rows(process, n_paths)
+    if price_kind == "exp":
+        block = exp_price(signal)
+    else:  # below 0 throughout: rate * price * 0 is -0.0 at every untraded point
+        block = Ensemble(signal.grid, signal.values - 2.0, signal.master_seed)
+    times = block.grid.times
+    expected, jumps = _loop_ledgers(times, block.values, rate)
+    strategy = momentum_strategy(block, 0.1, 1.0)
+    assert strategy.holdings.shape == block.values.shape
+    assert strategy.n_jumps == jumps
+    ledger = liquidation_value(strategy, block, CostModel(rate))
+    for name, want in zip(("gains", "cost_flow", "liquidation_penalty", "values"), expected):
+        assert _same_bits(getattr(ledger, name), want), name
+    assert _same_bits(ledger.terminal, expected[3, :, -1])
+    # the one-path form keeps the compressed breakpoints and the same bits
+    last = block.path(n_paths - 1)
+    one = momentum_strategy(last, 0.1, 1.0)
+    frozen = _momentum_per_path(times, last.values, 0.1, 1.0)
+    assert np.array_equal(one.breakpoints, frozen[0])
+    assert np.array_equal(one.holdings, frozen[1])
+    one_terminal = liquidation_value(one, last, CostModel(rate)).terminal
+    assert isinstance(one_terminal, float)
+    assert _same_bits(np.array([one_terminal]), expected[3, -1:, -1])
+
+
+@pytest.mark.parametrize("n_paths", [1, 63, 64, 65, 200])
+def test_cli_market_blocks_equal_the_per_path_loop(n_paths):
+    signal = _block_with_idle_rows("fbm-0.75", n_paths)
+    times = signal.grid.times
+    terminals = cli._momentum_terminals(signal, 0.1, 1.0, (0.0, 0.01), exp=True)
+    for k, rate in enumerate((0.0, 0.01)):
+        assert _same_bits(terminals[k], _loop_terminals(times, np.exp(signal.values), rate))
+    (raw,) = cli._momentum_terminals(signal, 0.1, 1.0, (0.0,), exp=False)
+    assert _same_bits(raw, _loop_terminals(times, signal.values, 0.0))
+
+
+def test_cli_market_terminals_do_not_depend_on_the_block_size(monkeypatch):
+    signal = _block_with_idle_rows("fbm-0.3", 200)
+    by_size = []
+    for rows in (1, 7, 64, 200, 1000):
+        monkeypatch.setattr(cli, "_BLOCK_ROWS", rows)
+        by_size.append(cli._momentum_terminals(signal, 0.1, 1.0, (0.0, 0.01), exp=True))
+    assert all(_same_bits(terminals, by_size[0]) for terminals in by_size[1:])
+
+
+def test_block_strategy_holds_one_column_per_grid_time():
+    grid = make_uniform_grid(1.0, 4)
+    holdings = np.array([[0.0, 1.0, 1.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0, 0.0]])
+    strategy = Strategy(grid.times, holdings)
+    assert strategy.n_jumps == 2
+    assert strategy.jump_sizes().shape == holdings.shape
+    with pytest.raises(InvalidArgumentError):
+        Strategy(grid.times, holdings[:, :-1])
+    with pytest.raises(InvalidArgumentError):
+        Strategy(grid.times, np.zeros((2, 2, 5)))
+
+
+def test_overflowing_block_is_refused():
+    grid = make_uniform_grid(1.0, 4)
+    with np.errstate(over="ignore"):
+        with pytest.raises(InvalidArgumentError, match="must be finite"):
+            exp_price(Ensemble(grid, np.full((3, 5), 1000.0), 0))
+    # finite prices whose moves overflow the gains
+    swing = np.tile([0.0, 1e308, -1e308, 1e308, -1e308], (3, 1))
+    block = Ensemble(grid, swing, 0)
+    strategy = momentum_strategy(block, 0.1, 1.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(InvalidArgumentError, match="must be finite"):
+            liquidation_value(strategy, block, CostModel(0.0))
+    with pytest.raises(InvalidArgumentError, match="must be finite"):
+        LedgerPath(grid, *[np.full((3, 5), np.inf)] * 4)
