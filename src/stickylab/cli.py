@@ -13,17 +13,13 @@ import json
 import os
 import sys
 import tempfile
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import __version__
-from .errors import (
-    ConfigError,
-    NumericalFailureError,
-    StickyLabError,
-    TimeChangeRangeError,
-)
+from .errors import ConfigError, NumericalFailureError, StickyLabError, TimeChangeRangeError
 from .market import CostModel, exp_price, liquidation_value, momentum_strategy, terminal_stats
 from .pathgen import (
     BrownianMotion,
@@ -149,24 +145,22 @@ def _provenance(config: ExperimentConfig, **extra) -> dict:
 # ------------------------------ process registry ------------------------------ #
 
 
-def _process_spec(config: ExperimentConfig):
-    name = config.process
-    if name == "bm":
-        return BrownianMotion(config.sigma)
-    if name == "fbm":
-        return FractionalBrownianMotion(config.hurst)
-    if name == "nonsticky-martingale":
-        return example_process(NonStickyMartingale())
-    if name == "abs-cuberoot":
-        return example_process(AbsCubeRootOfMartingale(BrownianMotion(config.sigma)))
-    if name == "cos-drift":
-        return example_process(CosDriftExample())
-    raise ConfigError(f"unknown process name {name!r}")
+# process name -> the spec it samples
+_PROCESSES = {
+    "bm": lambda c: BrownianMotion(c.sigma),
+    "fbm": lambda c: FractionalBrownianMotion(c.hurst),
+    "nonsticky-martingale": lambda c: example_process(NonStickyMartingale()),
+    "abs-cuberoot": lambda c: example_process(AbsCubeRootOfMartingale(BrownianMotion(c.sigma))),
+    "cos-drift": lambda c: example_process(CosDriftExample()),
+}
 
 
 def _ensemble(config: ExperimentConfig) -> Ensemble:
     grid = make_uniform_grid(config.horizon, config.steps)
-    return sample_ensemble(_process_spec(config), grid, config.master_seed, config.n_paths)
+    if config.process not in _PROCESSES:
+        raise ConfigError(f"unknown process name {config.process!r}")
+    spec = _PROCESSES[config.process](config)
+    return sample_ensemble(spec, grid, config.master_seed, config.n_paths)
 
 
 def _hurst_cell(config: ExperimentConfig) -> object:
@@ -386,7 +380,12 @@ PRESETS: dict[str, ExperimentConfig] = {
     ),
 }
 
-_PRESET_RUNNERS = {
+# experiment name (a subcommand or a preset) -> its runner
+_RUNNERS = {
+    "generate": _run_generate,
+    "stickiness": _run_stickiness,
+    "ladder": _run_ladder,
+    "portfolio": _run_portfolio,
     "paper-nonsticky": _run_stickiness,
     "fbm-sticky": _run_stickiness,
     "timechange-cap": _preset_timechange_cap,
@@ -397,20 +396,12 @@ _PRESET_RUNNERS = {
     "costs-fbm-momentum": _preset_costs_momentum,
 }
 
-_EXPERIMENT_RUNNERS = {
-    "stickiness": _run_stickiness,
-    "ladder": _run_ladder,
-    "portfolio": _run_portfolio,
-    "generate": _run_generate,
-}
-
 
 def run_experiment(config: ExperimentConfig) -> ResultTable:
     """Run a subcommand experiment or a named preset; deterministic per config."""
-    runner = _EXPERIMENT_RUNNERS.get(config.experiment) or _PRESET_RUNNERS.get(config.experiment)
-    if runner is None:
+    if config.experiment not in _RUNNERS:
         raise ConfigError(f"unknown experiment {config.experiment!r}")
-    return runner(config)
+    return _RUNNERS[config.experiment](config)
 
 
 # ------------------------------ emission ------------------------------ #
@@ -453,7 +444,47 @@ def emit_csv(table: ResultTable, dest: str) -> None:
 # ------------------------------ config ingestion ------------------------------ #
 
 
+# Each setting once: its flag (None: config files only), ExperimentConfig field,
+# config-file section (None: top level) and key (None: flag only), JSON type
+# (tuple: a list of numbers; bool: a bare flag) and help. A section given as a
+# string sets its first key when that takes a string: "process": "fbm".
+_Setting = namedtuple("_Setting", "flag field section key kind help", defaults=(None,))
+_SETTINGS = (
+    _Setting("--process", "process", "process", "name", str),
+    _Setting("--hurst", "hurst", "process", "hurst", float),
+    _Setting("--sigma", "sigma", "process", "sigma", float),
+    _Setting("--horizon", "horizon", "grid", "horizon", float),
+    _Setting("--steps", "steps", "grid", "steps", int),
+    _Setting(None, "experiment", "experiment", "kind", str),
+    _Setting("--epsilon", "epsilon", "experiment", "epsilon", float),
+    _Setting("--big-t", "query_horizon", "experiment", "T", float,
+             "stickiness window end T (defaults to the grid horizon)"),
+    _Setting("--tau", "tau", "experiment", "tau", str),
+    _Setting("--event", "event", "experiment", "event", str),
+    _Setting("--k", "rate", "experiment", "rate", float),
+    _Setting("--strategy", "strategy", "experiment", "strategy", str),
+    _Setting("--delta", "delta", "experiment", "delta", float),
+    _Setting("--ladder", "ladder", "experiment", "ladder", tuple,
+             "comma-separated survival horizons"),
+    _Setting("--seed", "master_seed", None, "seed", int),
+    _Setting("--paths", "n_paths", None, "paths", int),
+    _Setting("--out", "output", None, "output", str),
+    _Setting("--raw-price", "raw_price", None, None, bool,
+             "trade the raw signal instead of its exponential"),
+)
+
+_JSON_TYPES = {int: "an integer", float: "a number", str: "a string", tuple: "a list of numbers"}
+
+
+def _has_type(value, kind: type) -> bool:
+    """Whether a JSON value has a setting's type; booleans are not numbers."""
+    if kind is tuple:
+        return type(value) is list and all(_has_type(h, float) for h in value)
+    return type(value) in ((int, float) if kind is float else (kind,))
+
+
 def _load_config_file(path: str) -> dict:
+    """The fields a JSON config file sets, each key looked up in ``_SETTINGS``."""
     try:
         with open(path) as fh:
             raw = json.load(fh)
@@ -461,132 +492,55 @@ def _load_config_file(path: str) -> dict:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     if not isinstance(raw, dict) or not raw:
         raise ConfigError(f"config file {path} must be a nonempty JSON object")
-    for section, kinds, what in (
-        ("process", (str, dict), "a string or a JSON object"),
-        ("grid", dict, "a JSON object"),
-        ("experiment", (str, dict), "a string or a JSON object"),
-    ):
-        if section in raw and not isinstance(raw[section], kinds):
-            raise ConfigError(f"config file {path}: {section!r} must be {what}")
-    try:
-        return _config_fields(raw)
-    except (ValueError, TypeError, OverflowError) as exc:
-        raise ConfigError(f"config file {path}: bad value: {exc}") from exc
-
-
-def _config_fields(raw: dict) -> dict:
-    merged: dict = {}
-    process = raw.get("process")
-    if isinstance(process, str):
-        merged["process"] = process
-    elif isinstance(process, dict):
-        merged["process"] = process.get("name", "bm")
-        if "hurst" in process:
-            merged["hurst"] = float(process["hurst"])
-        if "sigma" in process:
-            merged["sigma"] = float(process["sigma"])
-    grid = raw.get("grid", {})
-    if "horizon" in grid:
-        merged["horizon"] = float(grid["horizon"])
-    if "steps" in grid:
-        merged["steps"] = int(grid["steps"])
-    experiment = raw.get("experiment")
-    if isinstance(experiment, str):
-        merged["experiment"] = experiment
-    elif isinstance(experiment, dict):
-        merged["experiment"] = experiment.get("kind", "stickiness")
-        for key in ("epsilon", "rate", "delta"):
-            if key in experiment:
-                merged[key] = float(experiment[key])
-        for key in ("tau", "event", "strategy"):
-            if key in experiment:
-                merged[key] = str(experiment[key])
-        if "T" in experiment:
-            merged["query_horizon"] = float(experiment["T"])
-        if "ladder" in experiment:
-            merged["ladder"] = tuple(float(h) for h in experiment["ladder"])
-    if "seed" in raw:
-        merged["master_seed"] = int(raw["seed"])
-    if "paths" in raw:
-        merged["n_paths"] = int(raw["paths"])
-    if "output" in raw:
-        merged["output"] = str(raw["output"])
-    return merged
-
-
-_FLAG_FIELDS = {
-    "process": "process",
-    "hurst": "hurst",
-    "sigma": "sigma",
-    "epsilon": "epsilon",
-    "horizon": "horizon",
-    "steps": "steps",
-    "paths": "n_paths",
-    "seed": "master_seed",
-    "tau": "tau",
-    "event": "event",
-    "k": "rate",
-    "strategy": "strategy",
-    "delta": "delta",
-    "out": "output",
-    "big_t": "query_horizon",
-}
+    settings = {(s.section, s.key): s for s in _SETTINGS if s.key is not None}
+    values = {}
+    for section, value in raw.items():
+        first = next((s for s in _SETTINGS if s.section == section), None)
+        if first is None:  # a top-level key
+            section, value = None, {section: value}
+        elif isinstance(value, str) and first.kind is str:
+            value = {first.key: value}
+        elif not isinstance(value, dict):
+            raise ConfigError(f"config file {path}: {section!r} must be a JSON object")
+        for key, v in value.items():
+            s, name = settings.get((section, key)), ".".join(filter(None, (section, key)))
+            if s is None:
+                raise ConfigError(f"config file {path}: unknown key {name!r}")
+            if not _has_type(v, s.kind):
+                raise ConfigError(f"config file {path}: {name!r} must be {_JSON_TYPES[s.kind]}")
+            try:
+                values[s.field] = tuple(map(float, v)) if s.kind is tuple else s.kind(v)
+            except OverflowError as exc:  # an integer beyond the float range
+                raise ConfigError(f"config file {path}: {name!r}: {exc}") from exc
+    return values
 
 
 def _resolve_config(args: argparse.Namespace) -> ExperimentConfig:
-    """The experiment's base (a preset, or the subcommand's defaults) with the
-    config file's values and then the flags actually passed on top."""
-    preset = PRESETS[args.preset] if args.command == "experiment" else None
-    values: dict = {}
-    if getattr(args, "config", None):
-        values.update(_load_config_file(args.config))
-        values.pop("experiment", None)
-    if preset is not None:
+    """A preset or the subcommand's defaults, then the config file, then the flags passed."""
+    is_preset = args.command == "experiment"
+    base = PRESETS[args.preset] if is_preset else ExperimentConfig(experiment=args.command)
+    values = _load_config_file(args.config) if args.config else {}
+    kind = values.pop("experiment", base.experiment)
+    if kind != base.experiment:
+        raise ConfigError(f"config file {args.config} is for {kind!r}, not {base.experiment!r}")
+    if is_preset:
         # no preset reads these, so accepting them would silently ignore them
-        if getattr(args, "raw_price", False):
-            raise ConfigError(f"preset {preset.experiment!r} does not read --raw-price")
-        if getattr(args, "ladder", None):
-            raise ConfigError(f"preset {preset.experiment!r} does not read --ladder")
-        if "ladder" in values:
-            raise ConfigError(
-                f"preset {preset.experiment!r} does not read the config field 'ladder'"
-            )
-    for flag, fieldname in _FLAG_FIELDS.items():
-        value = getattr(args, flag, None)
-        if value is not None:
-            values[fieldname] = value
-    if getattr(args, "ladder", None):
-        try:
-            values["ladder"] = tuple(float(h) for h in args.ladder.split(","))
-        except ValueError as exc:
-            raise ConfigError(f"bad ladder {args.ladder!r}") from exc
-    if getattr(args, "raw_price", False):
-        values["raw_price"] = True
-    return dataclasses.replace(preset or ExperimentConfig(experiment=args.command), **values)
+        unread = [s.flag for s in _SETTINGS
+                  if s.field in ("raw_price", "ladder") and getattr(args, s.field) is not None]
+        unread += ["the config field 'ladder'"] if "ladder" in values else []
+        if unread:
+            raise ConfigError(f"preset {base.experiment!r} does not read {' or '.join(unread)}")
+    for s in _SETTINGS:
+        if s.flag is not None and getattr(args, s.field) is not None:
+            values[s.field] = getattr(args, s.field)
+    return dataclasses.replace(base, **values)
 
 
-def _add_common_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--process", choices=["bm", "fbm", "nonsticky-martingale",
-                                              "abs-cuberoot", "cos-drift"])
-    parser.add_argument("--hurst", type=float)
-    parser.add_argument("--sigma", type=float)
-    parser.add_argument("--epsilon", type=float)
-    parser.add_argument("--horizon", type=float)
-    parser.add_argument("--big-t", dest="big_t", type=float,
-                        help="stickiness window end T (defaults to the grid horizon)")
-    parser.add_argument("--steps", type=int)
-    parser.add_argument("--paths", type=int)
-    parser.add_argument("--seed", type=int)
-    parser.add_argument("--tau")
-    parser.add_argument("--event")
-    parser.add_argument("--k", type=float)
-    parser.add_argument("--strategy")
-    parser.add_argument("--delta", type=float)
-    parser.add_argument("--ladder", help="comma-separated survival horizons")
-    parser.add_argument("--raw-price", action="store_true",
-                        help="trade the raw signal instead of its exponential")
-    parser.add_argument("--out")
-    parser.add_argument("--config", help="JSON config file; flags override its values")
+def _horizons(text: str) -> tuple[float, ...]:
+    try:
+        return tuple(float(h) for h in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"bad ladder {text!r}") from None
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -595,11 +549,19 @@ def _parser() -> argparse.ArgumentParser:
         description="Monte Carlo experiments on sticky processes and cost-aware portfolios",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("generate", "stickiness", "ladder", "portfolio"):
-        _add_common_flags(sub.add_parser(name))
-    exp = sub.add_parser("experiment")
-    exp.add_argument("preset", choices=sorted(PRESETS))
-    _add_common_flags(exp)
+    for name in [name for name in _RUNNERS if name not in PRESETS] + ["experiment"]:
+        command = sub.add_parser(name)
+        if name == "experiment":
+            command.add_argument("preset", choices=sorted(PRESETS))
+        for s in _SETTINGS:
+            if s.kind is bool:
+                command.add_argument(s.flag, dest=s.field, action="store_true", default=None,
+                                     help=s.help)
+            elif s.flag is not None:
+                command.add_argument(s.flag, dest=s.field, help=s.help,
+                                     type={tuple: _horizons}.get(s.kind, s.kind),
+                                     choices=_PROCESSES if s.field == "process" else None)
+        command.add_argument("--config", help="JSON config file; flags override its values")
     return parser
 
 
@@ -608,7 +570,7 @@ def main(argv=None) -> int:
     try:
         config = _resolve_config(args)
         table = run_experiment(config)
-    except (ConfigError, StickyLabError) as exc:
+    except StickyLabError as exc:
         if isinstance(exc, NumericalFailureError):
             print(f"stickylab: numerical failure: {exc}", file=sys.stderr)
             return 3

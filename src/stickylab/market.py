@@ -119,9 +119,11 @@ class ArbitrageStats:
 def exp_price(path: Path | Ensemble) -> Path | Ensemble:
     """Exponential of the signal: the default, strictly positive asset price.
     The result's finiteness check refuses an overflowing price."""
+    with np.errstate(over="ignore"):
+        values = np.exp(path.values)
     if isinstance(path, Ensemble):
-        return Ensemble(path.grid, np.exp(path.values), path.master_seed, "exp")
-    return Path(path.grid, np.exp(path.values), label=f"exp({path.label})" if path.label else "exp")
+        return Ensemble(path.grid, values, path.master_seed, "exp")
+    return Path(path.grid, values, label=f"exp({path.label})" if path.label else "exp")
 
 
 def liquidation_value(strategy: Strategy, price: Path | Ensemble, cost: CostModel) -> LedgerPath:

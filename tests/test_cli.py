@@ -1,8 +1,12 @@
+import argparse
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,7 +22,7 @@ from stickylab.cli import (
     render_csv,
     run_experiment,
 )
-from stickylab.errors import ConfigError
+from stickylab.errors import ConfigError, StickyLabError
 from stickylab.pathgen import BrownianMotion, make_uniform_grid, sample_ensemble
 
 
@@ -350,13 +354,15 @@ def test_cli_bad_values_exit_2_before_any_ensemble_is_sampled(tmp_path, monkeypa
 
 def test_cli_portfolio_exits_2_when_the_price_overflows(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
-    with np.errstate(over="ignore"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy's overflow warning would raise here
         code = main(["portfolio", "--sigma", "1000", "--paths", "8", "--steps", "32",
                      "--out", "x.csv"])
     err = capsys.readouterr().err
     assert code == 2
     assert "configuration error" in err and "must be finite" in err
     assert "Traceback" not in err
+    assert "RuntimeWarning" not in err
     assert not (tmp_path / "x.csv").exists()
 
 
@@ -439,6 +445,114 @@ def test_cli_config_file_with_flag_override(tmp_path):
     assert result.returncode == 0, result.stderr
     row = dest.read_text().splitlines()[-1].split(",")
     assert row[6] == "10"  # flag overrides the file's path count
+
+
+def _main_with_config(tmp_path, argv, config):
+    (tmp_path / "c.json").write_text(json.dumps(config))
+    return main([*argv, "--config", "c.json", "--paths", "4", "--steps", "8", "--out", "x.csv"])
+
+
+def test_cli_config_process_object_without_a_name_keeps_the_preset_process(tmp_path,
+                                                                           monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    config = {"process": {"hurst": 0.6}}
+    assert _main_with_config(tmp_path, ["experiment", "fbm-sticky"], config) == 0
+    row = _csv_row(tmp_path / "x.csv")
+    assert (row["process"], float(row["H"])) == ("fbm", 0.6)
+
+
+@pytest.mark.parametrize(
+    "argv,config,named",
+    [
+        (["stickiness"], {"sead": 5, "grid": {"steps": 10}}, "unknown key 'sead'"),
+        (["stickiness"], {"grid": {"step": 10}}, "unknown key 'grid.step'"),
+        (["experiment", "fbm-sticky"], {"experiment": "ladder"}, "'ladder', not 'fbm-sticky'"),
+        (["stickiness"], {"experiment": {"kind": "ladder"}}, "'ladder', not 'stickiness'"),
+    ],
+)
+def test_cli_config_refuses_unknown_keys_and_another_experiments_kind(
+    tmp_path, monkeypatch, capsys, argv, config, named
+):
+    monkeypatch.chdir(tmp_path)
+    assert _main_with_config(tmp_path, argv, config) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and named in err
+    assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "config,named",
+    [
+        ({"grid": {"steps": 32.9}}, "'grid.steps' must be an integer"),
+        ({"paths": True}, "'paths' must be an integer"),
+        ({"seed": 2.7}, "'seed' must be an integer"),
+        ({"process": {"name": "fbm", "hurst": "0.75"}}, "'process.hurst' must be a number"),
+        ({"grid": {"horizon": True}}, "'grid.horizon' must be a number"),
+        ({"output": 5}, "'output' must be a string"),
+        ({"experiment": {"ladder": [0.5, True]}}, "'experiment.ladder' must be a list of numbers"),
+    ],
+)
+def test_cli_config_values_must_have_the_settings_json_type(tmp_path, monkeypatch, capsys,
+                                                            config, named):
+    monkeypatch.chdir(tmp_path)
+    assert _main_with_config(tmp_path, ["ladder"], config) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and named in err
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_cli_malformed_ladder_flag_exits_2_without_a_traceback(tmp_path):
+    result = run_cli(["ladder", "--ladder", "0.5,x", "--out", str(tmp_path / "x.csv")])
+    assert result.returncode == 2
+    assert "--ladder" in result.stderr and "Traceback" not in result.stderr
+    assert not (tmp_path / "x.csv").exists()
+
+
+# every subparser's options and help texts before the flags moved into one table
+FROZEN_OPTIONS = [
+    "--big-t", "--config", "--delta", "--epsilon", "--event", "--horizon", "--hurst", "--k",
+    "--ladder", "--out", "--paths", "--process", "--raw-price", "--seed", "--sigma", "--steps",
+    "--strategy", "--tau",
+]
+FROZEN_HELP = {
+    "--big-t": "stickiness window end T (defaults to the grid horizon)",
+    "--ladder": "comma-separated survival horizons",
+    "--raw-price": "trade the raw signal instead of its exponential",
+    "--config": "JSON config file; flags override its values",
+}
+
+
+def test_every_subcommand_takes_the_same_flags():
+    from stickylab.cli import _parser
+
+    (sub,) = [a for a in _parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    assert sorted(sub.choices) == ["experiment", "generate", "ladder", "portfolio", "stickiness"]
+    for command in sub.choices.values():
+        flags = [a for a in command._actions if a.option_strings not in ([], ["-h", "--help"])]
+        assert sorted(o for a in flags for o in a.option_strings) == FROZEN_OPTIONS
+        assert {a.option_strings[0]: a.help for a in flags if a.help} == FROZEN_HELP
+
+
+def test_readme_config_example_and_key_table_match_the_settings(tmp_path, monkeypatch):
+    from stickylab.cli import _JSON_TYPES, _SETTINGS, _parser, _resolve_config
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    (example,) = re.findall(r"```json\n(.*?)```", readme, re.S)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "c.json").write_text(example)
+    assert _resolve_config(_parser().parse_args(["stickiness", "--config", "c.json"])) == (
+        ExperimentConfig(experiment="stickiness", epsilon=0.5, tau="det:0", query_horizon=1.0,
+                         process="fbm", hurst=0.75, horizon=1.0, steps=1024, master_seed=7,
+                         n_paths=10000, output="out.csv")
+    )
+    assert main(["stickiness", "--config", "c.json", "--paths", "8", "--steps", "16",
+                 "--out", "x.csv"]) == 0
+    row = _csv_row(tmp_path / "x.csv")
+    assert (row["process"], row["H"], row["seed"], row["n"]) == ("fbm", "0.75", "7", "8")
+    table = re.findall(r"^\| `([\w.]+)` \| (?:`(--[\w-]+)`|—) \| ([\w ]+) \|$", readme, re.M)
+    expected = [(".".join(filter(None, (s.section, s.key))), s.flag or "",
+                 _JSON_TYPES[s.kind].partition(" ")[2]) for s in _SETTINGS if s.key is not None]
+    assert sorted(table) == sorted(expected)
 
 
 def test_cli_preset_deterministic_across_worker_counts(tmp_path):
@@ -601,3 +715,164 @@ def test_cli_fuzzed_configs_and_flags_exit_cleanly(tmp_path, command, preset, co
         cfg_path.write_text(json.dumps(config))
         argv.append(f"--config={cfg_path}")
     assert main(argv) in (0, 2, 3, 4)
+
+
+# ---------------------------------------------------------------- frozen config resolver
+# The flag parser, config-file reader and resolver as they were before the
+# settings moved into one table, trimmed to the input the old reader read
+# correctly (documented keys, values of the right JSON type, a named process,
+# a kind naming the experiment run): every such input must resolve to the same
+# configuration, or fail with the same error type.
+
+
+def _frozen_parser():
+    parser = argparse.ArgumentParser(prog="stickylab")
+    sub = parser.add_subparsers(dest="command", required=True)
+    commands = [sub.add_parser(name) for name in ("generate", "stickiness", "ladder", "portfolio")]
+    commands.append(sub.add_parser("experiment"))
+    commands[-1].add_argument("preset", choices=sorted(PRESETS))
+    for command in commands:
+        command.add_argument("--process", choices=["bm", "fbm", "nonsticky-martingale",
+                                                   "abs-cuberoot", "cos-drift"])
+        for flag in ("--hurst", "--sigma", "--epsilon", "--horizon", "--k", "--delta"):
+            command.add_argument(flag, type=float)
+        command.add_argument("--big-t", dest="big_t", type=float)
+        command.add_argument("--steps", type=int)
+        command.add_argument("--paths", type=int)
+        command.add_argument("--seed", type=int)
+        for flag in ("--tau", "--event", "--strategy", "--ladder", "--out", "--config"):
+            command.add_argument(flag)
+        command.add_argument("--raw-price", action="store_true")
+    return parser
+
+
+def _frozen_config_fields(raw: dict) -> dict:
+    merged: dict = {}
+    process = raw.get("process")
+    if isinstance(process, str):
+        merged["process"] = process
+    elif isinstance(process, dict):
+        merged["process"] = process.get("name", "bm")
+        if "hurst" in process:
+            merged["hurst"] = float(process["hurst"])
+        if "sigma" in process:
+            merged["sigma"] = float(process["sigma"])
+    grid = raw.get("grid", {})
+    if "horizon" in grid:
+        merged["horizon"] = float(grid["horizon"])
+    if "steps" in grid:
+        merged["steps"] = int(grid["steps"])
+    experiment = raw.get("experiment")
+    if isinstance(experiment, str):
+        merged["experiment"] = experiment
+    elif isinstance(experiment, dict):
+        merged["experiment"] = experiment.get("kind", "stickiness")
+        for key in ("epsilon", "rate", "delta"):
+            if key in experiment:
+                merged[key] = float(experiment[key])
+        for key in ("tau", "event", "strategy"):
+            if key in experiment:
+                merged[key] = str(experiment[key])
+        if "T" in experiment:
+            merged["query_horizon"] = float(experiment["T"])
+        if "ladder" in experiment:
+            merged["ladder"] = tuple(float(h) for h in experiment["ladder"])
+    if "seed" in raw:
+        merged["master_seed"] = int(raw["seed"])
+    if "paths" in raw:
+        merged["n_paths"] = int(raw["paths"])
+    if "output" in raw:
+        merged["output"] = str(raw["output"])
+    return merged
+
+
+_FROZEN_FLAG_FIELDS = {
+    "process": "process", "hurst": "hurst", "sigma": "sigma", "epsilon": "epsilon",
+    "horizon": "horizon", "steps": "steps", "paths": "n_paths", "seed": "master_seed",
+    "tau": "tau", "event": "event", "k": "rate", "strategy": "strategy", "delta": "delta",
+    "out": "output", "big_t": "query_horizon",
+}
+
+
+def _frozen_resolve_config(args) -> ExperimentConfig:
+    import dataclasses
+
+    preset = PRESETS[args.preset] if args.command == "experiment" else None
+    values: dict = {}
+    if args.config:
+        with open(args.config) as fh:
+            raw = json.load(fh)
+        if not raw:
+            raise ConfigError("empty config")
+        values.update(_frozen_config_fields(raw))
+        values.pop("experiment", None)
+    if preset is not None and (args.raw_price or args.ladder or "ladder" in values):
+        raise ConfigError("preset does not read it")
+    for flag, fieldname in _FROZEN_FLAG_FIELDS.items():
+        value = getattr(args, flag)
+        if value is not None:
+            values[fieldname] = value
+    if args.ladder:
+        values["ladder"] = tuple(float(h) for h in args.ladder.split(","))
+    if args.raw_price:
+        values["raw_price"] = True
+    return dataclasses.replace(preset or ExperimentConfig(experiment=args.command), **values)
+
+
+_FINE = st.floats(0.05, 1.0)
+_NUMBERS = st.one_of(_FINE, st.integers(1, 2), _ODD_FLOATS)
+_FINE_RULES = st.one_of(st.sampled_from(["det:0", "det:0.5", "hit:0.1"]), _RULES)
+_FINE_FLAGS = _optional({
+    **{flag: _FINE for flag in ("--hurst", "--sigma", "--epsilon", "--big-t", "--k", "--delta")},
+    "--horizon": st.floats(1.0, 2.0), "--seed": st.integers(0, 2**64 - 1), "--tau": _FINE_RULES,
+    "--event": st.sampled_from(["all", "before:0.5"]), "--process": _PROCESSES,
+    "--ladder": st.just("0.25,0.5,1"), "--raw-price": st.just(None),
+    "--paths": st.integers(1, 10**6), "--steps": st.integers(1, 4096), "--out": st.just("o.csv"),
+})
+
+
+def _documented_configs(kind: str):
+    named_process = st.one_of(_PROCESSES, st.fixed_dictionaries(
+        {"name": _PROCESSES}, optional={"hurst": _NUMBERS, "sigma": _NUMBERS}))
+    experiment = _optional({
+        "kind": st.just(kind), "epsilon": _NUMBERS, "rate": _NUMBERS, "delta": _NUMBERS,
+        "tau": _FINE_RULES, "event": _EVENTS, "strategy": _STRATEGIES, "T": _NUMBERS,
+        "ladder": st.one_of(st.just([0.25, 0.5, 1]), st.lists(_NUMBERS, max_size=4)),
+    })
+    return _optional({
+        "process": named_process,
+        "grid": _optional({"horizon": _NUMBERS, "steps": st.integers(-1, 4096)}),
+        "experiment": st.one_of(st.just(kind), experiment),
+        "seed": st.integers(-1, 2**64),
+        "paths": st.integers(-1, 10**6),
+        "output": st.sampled_from(["out.csv", "x/y.csv", ""]),
+    })
+
+
+def _outcome(parser, resolve, argv):
+    try:
+        return repr(resolve(parser().parse_args(argv)))
+    except StickyLabError as exc:
+        return type(exc).__name__
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data(), experiment=st.sampled_from(
+    ["generate", "stickiness", "ladder", "portfolio", *sorted(PRESETS)]),
+    flags=st.one_of(_FINE_FLAGS, _FLAGS))
+def test_resolve_config_matches_the_frozen_resolver_on_documented_configs(
+    tmp_path, data, experiment, flags
+):
+    from stickylab.cli import _parser, _resolve_config
+
+    argv = ["experiment", experiment] if experiment in PRESETS else [experiment]
+    for flag, value in flags.items():
+        argv.append(flag if value is None else f"{flag}={value}")
+    config = data.draw(st.one_of(st.none(), _documented_configs(experiment)))
+    if config is not None:
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(config))
+        argv.append(f"--config={cfg_path}")
+    expected = _outcome(_frozen_parser, _frozen_resolve_config, argv)
+    assert _outcome(_parser, _resolve_config, argv) == expected

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,6 +14,7 @@ from stickylab.errors import (
 from stickylab.pathgen import (
     BrownianMotion,
     DerivedProcess,
+    Ensemble,
     FractionalBrownianMotion,
     Path,
     SeedSpec,
@@ -265,6 +268,16 @@ def test_ensemble_variance_sigma2():
 def test_ensemble_rejects_zero_paths():
     with pytest.raises(InvalidArgumentError):
         sample_ensemble(BrownianMotion(1.0), make_uniform_grid(1.0, 4), 1, 0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_ensemble_refuses_one_non_finite_interior_cell(bad):
+    values = np.zeros((3, 9))
+    values[1, 4] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidArgumentError, match="must be finite"):
+            Ensemble(make_uniform_grid(1.0, 8), values, 0)
 
 
 def test_ensemble_paths_accessor():
