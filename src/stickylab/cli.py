@@ -14,18 +14,23 @@ import os
 import sys
 import tempfile
 from collections import namedtuple
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import __version__
-from .errors import ConfigError, NumericalFailureError, StickyLabError, TimeChangeRangeError
+from .errors import (ConfigError, InvalidArgumentError, NumericalFailureError, StickyLabError,
+                     TimeChangeRangeError)
 from .market import CostModel, exp_price, liquidation_value, momentum_strategy, terminal_stats
 from .pathgen import (
     BrownianMotion,
     Ensemble,
     FractionalBrownianMotion,
+    Path,
+    ProcessSpec,
     SeedSpec,
+    TimeGrid,
     make_uniform_grid,
     sample_ensemble,
 )
@@ -67,7 +72,8 @@ DDS_COLUMNS = (
     "seed", "steps",
 )
 
-# rows per market block: a 64 x 1025 float64 block (0.5 MB) and its temporaries fit in L2
+# rows per block of the market layer and the streamed presets: a 64 x 1025
+# float64 block (0.5 MB) and its temporaries fit in L2
 _BLOCK_ROWS = 64
 
 # salt for the independent shuffle stream of the momentum control
@@ -155,12 +161,42 @@ _PROCESSES = {
 }
 
 
-def _ensemble(config: ExperimentConfig) -> Ensemble:
+def _grid_and_spec(config: ExperimentConfig) -> tuple[TimeGrid, ProcessSpec]:
     grid = make_uniform_grid(config.horizon, config.steps)
     if config.process not in _PROCESSES:
         raise ConfigError(f"unknown process name {config.process!r}")
-    spec = _PROCESSES[config.process](config)
+    return grid, _PROCESSES[config.process](config)
+
+
+def _ensemble(config: ExperimentConfig) -> Ensemble:
+    grid, spec = _grid_and_spec(config)
     return sample_ensemble(spec, grid, config.master_seed, config.n_paths)
+
+
+def _ensemble_paths(config: ExperimentConfig) -> Iterator[tuple[int, Path]]:
+    """The config's ensemble as ``(i, path i)`` pairs in path order, sampled in
+    blocks of ``_BLOCK_ROWS`` rows. A block is drawn only once the previous one
+    has been consumed, so the whole ensemble is never held; each path is
+    bit-identical to that row of ``_ensemble(config)``."""
+    grid, spec = _grid_and_spec(config)
+    for start in range(0, config.n_paths, _BLOCK_ROWS):
+        n = min(_BLOCK_ROWS, config.n_paths - start)
+        block = sample_ensemble(spec, grid, config.master_seed, n, first=start)
+        for r in range(n):
+            yield start + r, block.path(r)
+
+
+def _per_path(config: ExperimentConfig, *shape: int) -> np.ndarray:
+    """An empty ``(n_paths, *shape)`` output, allocated before the first block is
+    drawn, so a request that cannot fit is refused before any sampling."""
+    if config.n_paths < 1:
+        raise InvalidArgumentError("n_paths must be at least 1")
+    try:
+        return np.empty((config.n_paths, *shape))
+    except (MemoryError, ValueError) as exc:
+        raise InvalidArgumentError(
+            f"cannot allocate the output of {config.n_paths} paths: {exc}"
+        ) from exc
 
 
 def _hurst_cell(config: ExperimentConfig) -> object:
@@ -215,9 +251,12 @@ def _parse_strategy(text: str):
     if parts[0] != "momentum" or len(parts) != 3:
         raise ConfigError(f"unknown strategy {text!r}; expected momentum:<threshold>:<unit>")
     try:
-        return float(parts[1]), float(parts[2])
+        threshold, unit = float(parts[1]), float(parts[2])
     except ValueError as exc:
         raise ConfigError(f"bad strategy parameters in {text!r}") from exc
+    if not all(np.isfinite(v) and v > 0.0 for v in (threshold, unit)):
+        raise ConfigError(f"strategy threshold and unit must be positive and finite in {text!r}")
+    return threshold, unit
 
 
 def _momentum_terminals(ensemble: Ensemble, threshold: float, unit: float,
@@ -269,38 +308,37 @@ def _preset_passage_counterexample(config: ExperimentConfig) -> ResultTable:
     # the exclusion count recorded in provenance.
     nu = PassageTimes(np.linspace(0.0, 0.5, 11))
     _check_window_end(config.query_horizon, nu.grid.horizon)
-    base = _ensemble(config)
-    rows = []
-    excluded = 0
-    for i in range(base.n_paths):
+    ramp = _per_path(config, nu.grid.n_points)
+    kept = np.ones(config.n_paths, dtype=bool)
+    for i, path in _ensemble_paths(config):
         try:
-            rows.append(time_change(base.path(i), nu).values)
+            ramp[i] = time_change(path, nu).values
         except TimeChangeRangeError:
-            excluded += 1
-    if not rows:
+            kept[i] = False
+    if not kept.any():
         raise NumericalFailureError("no path attained the full level schedule")
-    ramp = Ensemble(nu.grid, np.stack(rows), config.master_seed, "passage-ramp")
+    excluded = config.n_paths - int(np.count_nonzero(kept))
+    ramp = Ensemble(nu.grid, ramp[kept], config.master_seed, "passage-ramp")
     return _stickiness_table(
         config, ramp, "passage-ramp", requested_paths=config.n_paths, excluded_paths=excluded
     )
 
 
 def _preset_timechange_cap(config: ExperimentConfig) -> ResultTable:
-    base = _ensemble(config)
+    grid = make_uniform_grid(config.horizon, config.steps)
     cap = IdentityCap(0.5)
-    values = np.stack([time_change(base.path(i), cap).values for i in range(base.n_paths)])
+    values = _per_path(config, grid.n_points)
+    for i, path in _ensemble_paths(config):
+        values[i] = time_change(path, cap).values
     label = f"{config.process}-capped"
-    return _stickiness_table(config, Ensemble(base.grid, values, config.master_seed, label), label)
+    return _stickiness_table(config, Ensemble(grid, values, config.master_seed, label), label)
 
 
 def _preset_dds_check(config: ExperimentConfig) -> ResultTable:
     qv_steps = 256
-    ensemble = _ensemble(config)
-    ratios = np.empty(ensemble.n_paths)
-    unit_qv = np.empty(ensemble.n_paths)
-    dus = np.empty(ensemble.n_paths)
-    for i in range(ensemble.n_paths):
-        out = dds_brownianize(ensemble.path(i), qv_steps)
+    ratios, unit_qv, dus = (_per_path(config) for _ in range(3))
+    for i, path in _ensemble_paths(config):
+        out = dds_brownianize(path, qv_steps)
         du = out.grid.times[1] - out.grid.times[0]
         increments = np.diff(out.values)
         ratios[i] = increments.var() / du
@@ -308,7 +346,7 @@ def _preset_dds_check(config: ExperimentConfig) -> ResultTable:
         unit_qv[i] = float(np.sum(np.diff(out.values[: k + 1]) ** 2))
         dus[i] = du
     row = (
-        config.process, config.sigma, ensemble.n_paths, qv_steps, float(dus.mean()),
+        config.process, config.sigma, config.n_paths, qv_steps, float(dus.mean()),
         float(ratios.mean()), float(unit_qv.mean()), config.master_seed, config.steps,
     )
     return ResultTable(DDS_COLUMNS, (row,), _provenance(config))

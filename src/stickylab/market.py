@@ -140,14 +140,18 @@ def liquidation_value(strategy: Strategy, price: Path | Ensemble, cost: CostMode
     if idx.size < times.size:  # post-trade holding per grid point; column 0 holds the start's 0
         holding = np.concatenate((np.zeros(holding.shape[:-1] + (1,)), holding), axis=-1)
         holding = holding[..., np.searchsorted(strategy.breakpoints, times, side="right")]
-    gains = np.zeros(x.shape)
-    np.cumsum(holding[..., :-1] * np.diff(x, axis=-1), axis=-1, out=gains[..., 1:])
-    rate_x = cost.rate * x
-    trade_cost = rate_x * np.abs(np.diff(holding, axis=-1, prepend=0.0))
-    trade_cost += 0.0  # the -0.0 of a negative price times a zero trade becomes +0.0
-    cost_flow = np.cumsum(trade_cost, axis=-1)
-    penalty = rate_x * np.abs(holding)
-    return LedgerPath(price.grid, gains, cost_flow, penalty, gains - cost_flow - penalty)
+    # a huge holding can overflow below; the ledger's finiteness check refuses
+    # the result, so numpy's warnings are silenced
+    with np.errstate(over="ignore", invalid="ignore"):
+        gains = np.zeros(x.shape)
+        np.cumsum(holding[..., :-1] * np.diff(x, axis=-1), axis=-1, out=gains[..., 1:])
+        rate_x = cost.rate * x
+        trade_cost = rate_x * np.abs(np.diff(holding, axis=-1, prepend=0.0))
+        trade_cost += 0.0  # the -0.0 of a negative price times a zero trade becomes +0.0
+        cost_flow = np.cumsum(trade_cost, axis=-1)
+        penalty = rate_x * np.abs(holding)
+        values = gains - cost_flow - penalty
+    return LedgerPath(price.grid, gains, cost_flow, penalty, values)
 
 
 def admissibility_check(ledger: LedgerPath, cost: CostModel) -> tuple[bool, float | None]:

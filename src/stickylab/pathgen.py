@@ -199,8 +199,9 @@ class Path:
 class Ensemble:
     """A seeded collection of paths sharing one grid.
 
-    ``values`` has shape ``(n_paths, n_points)``; path ``i`` is reproducible
-    from ``SeedSpec(master_seed, i)``.
+    ``values`` has shape ``(n_paths, n_points)``. Row ``r`` of a block drawn by
+    ``sample_ensemble(..., first=a)`` is path ``a + r``, reproducible from
+    ``SeedSpec(master_seed, a + r)``; a whole ensemble has ``a = 0``.
     """
 
     grid: TimeGrid
@@ -390,25 +391,32 @@ def sample_ensemble(
     master_seed: int,
     n_paths: int,
     workers: int | None = None,
+    *,
+    first: int = 0,
 ) -> Ensemble:
-    """Sample ``n_paths`` paths; path ``i`` uses ``SeedSpec(master_seed, i)``.
+    """Sample paths ``first ... first + n_paths - 1``: row ``r`` is path
+    ``first + r`` and uses ``SeedSpec(master_seed, first + r)``.
 
-    Paths are generated serially into one preallocated array. ``workers`` is
-    still checked (at least 1) but has no effect; it stays for existing callers.
+    So a block of rows is bit-identical to the same rows of the whole
+    ensemble, and an ensemble can be drawn block by block. Paths are generated
+    serially into one preallocated array. ``workers`` is still checked (at
+    least 1) but has no effect; it stays for existing callers.
     """
     if int(n_paths) < 1:
         raise InvalidArgumentError("n_paths must be at least 1")
+    if int(first) < 0:
+        raise InvalidArgumentError("first must be nonnegative")
     if workers is not None and int(workers) < 1:
         raise InvalidArgumentError("workers must be at least 1")
-    n_paths = int(n_paths)
+    n_paths, first = int(n_paths), int(first)
     try:
         values = np.empty((n_paths, grid.n_points))
     except (MemoryError, ValueError) as exc:
         raise InvalidArgumentError(
             f"cannot allocate an ensemble of {n_paths} paths x {grid.n_points} points: {exc}"
         ) from exc
-    for i in range(n_paths):
-        values[i] = build_path(spec, grid, SeedSpec(master_seed, i)).values
+    for r in range(n_paths):
+        values[r] = build_path(spec, grid, SeedSpec(master_seed, first + r)).values
     return Ensemble(grid, values, master_seed, process_label=process_label(spec))
 
 

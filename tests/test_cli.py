@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -13,6 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import stickylab.cli as cli
 from stickylab.cli import (
     PRESETS,
     ExperimentConfig,
@@ -22,8 +24,10 @@ from stickylab.cli import (
     render_csv,
     run_experiment,
 )
-from stickylab.errors import ConfigError, StickyLabError
-from stickylab.pathgen import BrownianMotion, make_uniform_grid, sample_ensemble
+from stickylab.errors import (ConfigError, NumericalFailureError, StickyLabError,
+                              TimeChangeRangeError)
+from stickylab.pathgen import BrownianMotion, Ensemble, make_uniform_grid, sample_ensemble
+from stickylab.transforms import IdentityCap, PassageTimes, dds_brownianize, time_change
 
 
 def small(preset: str, **overrides) -> ExperimentConfig:
@@ -336,6 +340,9 @@ def test_passage_preset_reads_the_window_end(tmp_path, monkeypatch, capsys):
         ["portfolio", "--k", "1.5"],
         ["stickiness", "--big-t", "2", "--steps", "8192"],
         ["experiment", "passage-counterexample", "--big-t", "0.75"],
+        ["portfolio", "--strategy", "momentum:0.1:inf"],
+        ["portfolio", "--strategy", "momentum:nan:1"],
+        ["portfolio", "--strategy", "momentum:0:1"],
     ],
 )
 def test_cli_bad_values_exit_2_before_any_ensemble_is_sampled(tmp_path, monkeypatch, capsys,
@@ -363,6 +370,21 @@ def test_cli_portfolio_exits_2_when_the_price_overflows(tmp_path, monkeypatch, c
     assert "configuration error" in err and "must be finite" in err
     assert "Traceback" not in err
     assert "RuntimeWarning" not in err
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_cli_portfolio_exits_2_without_a_warning_when_the_unit_overflows(tmp_path, monkeypatch,
+                                                                        capsys):
+    # a finite unit of 1e308 passes the config check; its ledger overflows and
+    # the ledger's finiteness check refuses it, with numpy's warnings silenced
+    monkeypatch.chdir(tmp_path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["portfolio", "--strategy", "momentum:0.1:1e308", "--paths", "8",
+                     "--steps", "16", "--out", "x.csv"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == "stickylab: configuration error: cost_flow must be finite\n"
     assert not (tmp_path / "x.csv").exists()
 
 
@@ -399,13 +421,18 @@ def test_cli_exit_code_2_on_bad_rule(tmp_path):
         # neither ensemble fits any address space, so nothing is touched
         ["stickiness", "--steps", "1024", "--paths", "10000000000000"],
         ["stickiness", "--steps", "8", "--paths", "100000000000000000000000"],
+        # the streamed presets allocate their per-path output before the first block
+        ["experiment", "passage-counterexample", "--paths", "10000000000000"],
+        ["experiment", "timechange-cap", "--paths", "10000000000000"],
     ],
 )
 def test_cli_exit_code_2_on_non_finite_ladder_or_huge_ensemble(tmp_path, monkeypatch, capsys, flags):
     monkeypatch.chdir(tmp_path)
     code = main([*flags, "--out", "x.csv"])
+    err = capsys.readouterr().err
     assert code == 2
-    assert "configuration error" in capsys.readouterr().err
+    assert "configuration error" in err
+    assert "Traceback" not in err
     assert not (tmp_path / "x.csv").exists()
 
 
@@ -636,6 +663,111 @@ def test_cli_exit_code_2_when_the_dense_fbm_factor_cannot_be_allocated(
     assert "configuration error" in err and "4194304 x 4194304" in err
     assert "Traceback" not in err
     assert not (tmp_path / "x.csv").exists()
+
+
+# ---------------------------------------------------------------- streamed presets
+# The three per-path presets as they were before they were streamed over row
+# blocks: each sampled its whole ensemble first, then reduced it path by path.
+
+
+def _frozen_whole_ensemble(config):
+    grid = make_uniform_grid(config.horizon, config.steps)
+    return sample_ensemble(cli._PROCESSES[config.process](config), grid, config.master_seed,
+                           config.n_paths)
+
+
+def _frozen_passage_counterexample(config):
+    nu = PassageTimes(np.linspace(0.0, 0.5, 11))
+    base = _frozen_whole_ensemble(config)
+    rows = []
+    excluded = 0
+    for i in range(base.n_paths):
+        try:
+            rows.append(time_change(base.path(i), nu).values)
+        except TimeChangeRangeError:
+            excluded += 1
+    if not rows:
+        raise NumericalFailureError("no path attained the full level schedule")
+    ramp = Ensemble(nu.grid, np.stack(rows), config.master_seed, "passage-ramp")
+    return cli._stickiness_table(
+        config, ramp, "passage-ramp", requested_paths=config.n_paths, excluded_paths=excluded
+    )
+
+
+def _frozen_timechange_cap(config):
+    base = _frozen_whole_ensemble(config)
+    cap = IdentityCap(0.5)
+    values = np.stack([time_change(base.path(i), cap).values for i in range(base.n_paths)])
+    label = f"{config.process}-capped"
+    return cli._stickiness_table(config, Ensemble(base.grid, values, config.master_seed, label),
+                                 label)
+
+
+def _frozen_dds_check(config):
+    qv_steps = 256
+    ensemble = _frozen_whole_ensemble(config)
+    ratios = np.empty(ensemble.n_paths)
+    unit_qv = np.empty(ensemble.n_paths)
+    dus = np.empty(ensemble.n_paths)
+    for i in range(ensemble.n_paths):
+        out = dds_brownianize(ensemble.path(i), qv_steps)
+        du = out.grid.times[1] - out.grid.times[0]
+        increments = np.diff(out.values)
+        ratios[i] = increments.var() / du
+        k = out.grid.last_index_at_or_before(1.0)
+        unit_qv[i] = float(np.sum(np.diff(out.values[: k + 1]) ** 2))
+        dus[i] = du
+    row = (
+        config.process, config.sigma, ensemble.n_paths, qv_steps, float(dus.mean()),
+        float(ratios.mean()), float(unit_qv.mean()), config.master_seed, config.steps,
+    )
+    return ResultTable(cli.DDS_COLUMNS, (row,), cli._provenance(config))
+
+
+# preset -> (its frozen whole-ensemble runner, steps per path)
+_FROZEN_PRESETS = {
+    "passage-counterexample": (_frozen_passage_counterexample, 2048),
+    "timechange-cap": (_frozen_timechange_cap, 128),
+    "dds-check": (_frozen_dds_check, 512),
+}
+
+
+def _csv_or_error(run, config):
+    try:
+        return render_csv(run(config))
+    except StickyLabError as exc:
+        return type(exc).__name__, str(exc)
+
+
+@pytest.mark.parametrize("n_paths", [1, 63, 64, 65, 200])
+@pytest.mark.parametrize("preset", sorted(_FROZEN_PRESETS))
+def test_streamed_presets_match_the_whole_ensemble_code(monkeypatch, preset, n_paths):
+    frozen, steps = _FROZEN_PRESETS[preset]
+    config = small(preset, n_paths=n_paths, steps=steps, master_seed=11)
+    expected = _csv_or_error(frozen, config)
+    drawn = []
+
+    def spy(spec, grid, master_seed, n, *args, **kwargs):
+        drawn.append(n)
+        return sample_ensemble(spec, grid, master_seed, n, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "sample_ensemble", spy)
+    assert _csv_or_error(run_experiment, config) == expected
+    # drawn in blocks of at most 64 rows that together cover every path once
+    assert max(drawn) <= 64 and sum(drawn) == n_paths
+
+
+def test_passage_preset_never_holds_its_base_ensemble():
+    config = small("passage-counterexample", n_paths=2000, steps=2048)
+    base_bytes = 2000 * 2049 * 8  # the 32.8 MB ensemble it used to sample first
+    tracemalloc.start()
+    try:
+        table = run_experiment(config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert table.provenance["requested_paths"] == 2000
+    assert peak < base_bytes / 4
 
 
 # ---------------------------------------------------------------- config fuzzing

@@ -248,6 +248,24 @@ def test_ensemble_worker_count_invariance():
         assert np.array_equal(base.values, again.values)
 
 
+@pytest.mark.parametrize("spec", [BrownianMotion(1.5), FractionalBrownianMotion(0.3)],
+                         ids=["bm", "fbm"])
+def test_ensemble_block_rows_match_the_whole_ensemble(spec):
+    grid = make_uniform_grid(1.0, 64)
+    whole = sample_ensemble(spec, grid, 12, 70)
+    for first, n in ((0, 70), (0, 1), (3, 5), (63, 2), (64, 6), (69, 1)):
+        block = sample_ensemble(spec, grid, 12, n, first=first)
+        assert np.array_equal(block.values, whole.values[first:first + n])
+    # a block reaches past the whole ensemble's rows without any special case
+    tail = sample_ensemble(spec, grid, 12, 3, first=70)
+    assert np.array_equal(tail.values, sample_ensemble(spec, grid, 12, 73).values[70:])
+
+
+def test_ensemble_block_refuses_a_negative_first_path():
+    with pytest.raises(InvalidArgumentError, match="first must be nonnegative"):
+        sample_ensemble(BrownianMotion(1.0), make_uniform_grid(1.0, 4), 1, 2, first=-1)
+
+
 def test_ensemble_allocation_failure_is_an_argument_error():
     # 1e13 x 1025 doubles exceed any address space, so the request fails
     # before any memory is touched
