@@ -20,8 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .errors import (ConfigError, InvalidArgumentError, NumericalFailureError, StickyLabError,
-                     TimeChangeRangeError)
+from .errors import ConfigError, InvalidArgumentError, NumericalFailureError, StickyLabError
 from .market import CostModel, exp_price, liquidation_value, momentum_strategy, terminal_stats
 from .pathgen import (
     BrownianMotion,
@@ -173,17 +172,23 @@ def _ensemble(config: ExperimentConfig) -> Ensemble:
     return sample_ensemble(spec, grid, config.master_seed, config.n_paths)
 
 
-def _ensemble_paths(config: ExperimentConfig) -> Iterator[tuple[int, Path]]:
-    """The config's ensemble as ``(i, path i)`` pairs in path order, sampled in
-    blocks of ``_BLOCK_ROWS`` rows. A block is drawn only once the previous one
-    has been consumed, so the whole ensemble is never held; each path is
-    bit-identical to that row of ``_ensemble(config)``."""
+def _ensemble_blocks(config: ExperimentConfig) -> Iterator[tuple[slice, Ensemble]]:
+    """The config's ensemble as ``(rows, block)`` pairs in path order: blocks of
+    ``_BLOCK_ROWS`` rows, each drawn only once the previous one has been
+    consumed, so the whole ensemble is never held. Each block is bit-identical
+    to those rows of ``_ensemble(config)``."""
     grid, spec = _grid_and_spec(config)
     for start in range(0, config.n_paths, _BLOCK_ROWS):
         n = min(_BLOCK_ROWS, config.n_paths - start)
-        block = sample_ensemble(spec, grid, config.master_seed, n, first=start)
-        for r in range(n):
-            yield start + r, block.path(r)
+        yield slice(start, start + n), sample_ensemble(spec, grid, config.master_seed, n,
+                                                       first=start)
+
+
+def _ensemble_paths(config: ExperimentConfig) -> Iterator[tuple[int, Path]]:
+    """The config's ensemble as ``(i, path i)`` pairs, streamed as ``_ensemble_blocks``."""
+    for rows, block in _ensemble_blocks(config):
+        for r in range(block.n_paths):
+            yield rows.start + r, block.path(r)
 
 
 def _per_path(config: ExperimentConfig, *shape: int) -> np.ndarray:
@@ -309,12 +314,9 @@ def _preset_passage_counterexample(config: ExperimentConfig) -> ResultTable:
     nu = PassageTimes(np.linspace(0.0, 0.5, 11))
     _check_window_end(config.query_horizon, nu.grid.horizon)
     ramp = _per_path(config, nu.grid.n_points)
-    kept = np.ones(config.n_paths, dtype=bool)
-    for i, path in _ensemble_paths(config):
-        try:
-            ramp[i] = time_change(path, nu).values
-        except TimeChangeRangeError:
-            kept[i] = False
+    kept = np.empty(config.n_paths, dtype=bool)
+    for rows, block in _ensemble_blocks(config):
+        ramp[rows], kept[rows] = time_change(block, nu)
     if not kept.any():
         raise NumericalFailureError("no path attained the full level schedule")
     excluded = config.n_paths - int(np.count_nonzero(kept))

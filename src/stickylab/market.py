@@ -162,23 +162,42 @@ def admissibility_check(ledger: LedgerPath, cost: CostModel) -> tuple[bool, floa
     return False, float(ledger.grid.times[int(np.argmax(below))])
 
 
+def _mean_std(terminal: Array) -> tuple[float, float]:
+    std = float(terminal.std(ddof=1)) if terminal.size > 1 else 0.0
+    return float(terminal.mean()), std
+
+
 def terminal_stats(terminal: Array, tol: float = 1e-9) -> ArbitrageStats:
     """Arbitrage statistics from an array of terminal liquidation values.
 
     The flag is set iff every terminal value clears -tol and at least one
     clears +tol; it is a finite-sample surrogate for the arbitrage property.
+    Values near the float range, whose sum or squares overflow, get their
+    mean and standard deviation from the values divided by their largest
+    magnitude; a statistic that still exceeds the float range is refused.
     """
     terminal = np.asarray(terminal, dtype=np.float64)
     if terminal.size == 0:
         raise InvalidArgumentError("need at least one terminal value")
+    if not np.all(np.isfinite(terminal)):
+        raise InvalidArgumentError("terminal values must be finite")
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean, std = _mean_std(terminal)
+    if not (np.isfinite(mean) and np.isfinite(std)):
+        scale = float(np.abs(terminal).max())
+        mean, std = (scale * m for m in _mean_std(terminal / scale))
+        if not (np.isfinite(mean) and np.isfinite(std)):
+            raise InvalidArgumentError(
+                "the mean or standard deviation of the terminal values exceeds the float range"
+            )
     frac_nonneg = float((terminal >= -tol).mean())
     frac_pos = float((terminal > tol).mean())
     return ArbitrageStats(
         n=int(terminal.size),
         frac_nonnegative=frac_nonneg,
         frac_strictly_positive=frac_pos,
-        mean_terminal=float(terminal.mean()),
-        std_terminal=float(terminal.std(ddof=1)) if terminal.size > 1 else 0.0,
+        mean_terminal=mean,
+        std_terminal=std,
         min_terminal=float(terminal.min()),
         tolerance=tol,
         flag=bool(frac_nonneg == 1.0 and frac_pos > 0.0),

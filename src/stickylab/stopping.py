@@ -5,6 +5,10 @@ satisfying its condition, else reports that the horizon was reached first.
 Inequalities are deliberate: hitting uses strict ``> delta`` while absolute
 exceedance uses ``>= level``.
 
+Passages are found by comparing the path with the level (see
+``PassageToLevel``), for one ``Path`` or for every level over an
+``Ensemble`` row block, by the same kernel.
+
 Events approximate measurability at the stop time: every predicate depends
 only on the path up to and including the stop.
 """
@@ -17,7 +21,7 @@ from typing import Union
 import numpy as np
 
 from .errors import InvalidRuleError
-from .pathgen import Path
+from .pathgen import Array, Ensemble, Path
 
 __all__ = [
     "Deterministic",
@@ -67,7 +71,9 @@ class HittingFrom:
 
 @dataclass(frozen=True)
 class PassageToLevel:
-    """First grid point at or past a crossing of ``level`` (sign change or equality)."""
+    """First grid point on or past ``level`` from the side ``X_0`` starts on:
+    index 0 if ``X_0 == level``, else the first ``k`` with ``X_k >= level``
+    (``X_0 < level``) or ``X_k <= level`` (``X_0 > level``)."""
 
     level: float
 
@@ -121,6 +127,31 @@ def _first_exit(x, start: int, delta: float) -> int | None:
     return start + int(np.argmax(exceeded))
 
 
+def _passage_indices(x: Array, levels: Array) -> Array:
+    """``PassageToLevel`` index of each row of ``x`` to each level, ``(rows, levels)``;
+    ``x.shape[1]`` where a row never reaches a level.
+
+    Before that index no gap to the level is zero and none changes sign, so
+    it is the first crossing, found without multiplying gaps (a product of
+    tiny gaps underflows to -0.0). Each level is one comparison pass over the
+    rows that start on one side of it.
+    """
+    n = x.shape[1]
+    start = x[:, 0]
+    out = np.zeros((x.shape[0], levels.size), dtype=np.intp)
+    reached = np.empty(x.shape, dtype=bool)  # reused: one block-sized temporary per call
+    for j, level in enumerate(levels):
+        for rows, reaches in ((start < level, np.greater_equal), (start > level, np.less_equal)):
+            m = int(np.count_nonzero(rows))
+            if m == 0:
+                continue
+            hit = reaches(x if m == x.shape[0] else x[rows], level, out=reached[:m])
+            k = hit.argmax(axis=1)
+            k[~hit[np.arange(m), k]] = n
+            out[rows, j] = k
+    return out
+
+
 def evaluate_rule(rule: StoppingRule, path: Path) -> StopResult:
     """First grid index satisfying the rule, else not-stopped-by-horizon."""
     times = path.grid.times
@@ -137,22 +168,32 @@ def evaluate_rule(rule: StoppingRule, path: Path) -> StopResult:
         k = _first_exit(x, base.index, rule.delta) if base.stopped else None
         return StopResult.not_stopped() if k is None else StopResult.at(times[k], k)
     if isinstance(rule, PassageToLevel):
-        gap = x - rule.level
-        hit = gap == 0.0
-        hit[1:] |= gap[:-1] * gap[1:] < 0.0
-    elif isinstance(rule, FirstAbsExceed):
-        hit = np.abs(x) >= rule.level
-    else:
+        k = int(_passage_indices(x[None, :], np.array([rule.level]))[0, 0])
+        return StopResult.not_stopped() if k == x.size else StopResult.at(times[k], k)
+    if not isinstance(rule, FirstAbsExceed):
         raise InvalidRuleError(f"unknown stopping rule: {rule!r}")
+    hit = np.abs(x) >= rule.level
     if not hit.any():
         return StopResult.not_stopped()
     k = int(np.argmax(hit))
     return StopResult.at(times[k], k)
 
 
-def passage_time(path: Path, level: float) -> StopResult:
-    """Passage time of the path to ``level`` via crossing detection."""
-    return evaluate_rule(PassageToLevel(level), path)
+def passage_time(path: Path | Ensemble, level: float | Array) -> StopResult | Array:
+    """Passage of a path to ``level``, or of a row block to every level.
+
+    A ``Path`` and one level give the ``StopResult`` of ``PassageToLevel``.
+    An ``Ensemble`` block and an array of levels give the ``(rows, levels)``
+    passage indices, with ``grid.n_points`` where a row never reaches a
+    level; the block call bypasses ``evaluate_rule``, whose result is one
+    path's. Both run one comparison pass per level (see ``PassageToLevel``).
+    """
+    if isinstance(path, Path):
+        return evaluate_rule(PassageToLevel(level), path)
+    levels = np.asarray(level, dtype=np.float64)
+    if levels.ndim != 1 or not np.all(np.isfinite(levels)):
+        raise InvalidRuleError("passage levels must be a finite 1-D array")
+    return _passage_indices(path.values, levels)
 
 
 # ------------------------------ events ------------------------------ #

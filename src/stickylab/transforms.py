@@ -25,6 +25,7 @@ from .pathgen import (
     Array,
     BrownianMotion,
     DerivedProcess,
+    Ensemble,
     Path,
     ProcessSpec,
     SeedSpec,
@@ -142,7 +143,8 @@ class PassageTimes:
     """Level schedule mapped to passage times; deliberately unbounded.
 
     Exists to realize the time-changed ramp counterexample: the changed path
-    lives on the level schedule's own axis, not on the input grid.
+    lives on the level schedule's own axis, not on the input grid. Each
+    passage is ``stopping.PassageToLevel``'s, found by comparisons.
     """
 
     levels: Array
@@ -159,26 +161,33 @@ class PassageTimes:
 TimeChange = Union[IdentityCap, PassageTimes]
 
 
-def time_change(path: Path, nu: TimeChange) -> Path:
+def time_change(path: Path | Ensemble, nu: TimeChange) -> Path | tuple[Array, Array]:
     """Evaluate ``X(nu(t))``.
 
-    The capped clock keeps the input grid and interpolates linearly between
-    grid points. The passage-time variant returns the path read at detected
-    level crossings, on the level schedule's own axis; a level the path does
-    not reach within its grid raises ``TimeChangeRangeError``.
+    The capped clock keeps the input grid of one path and interpolates
+    linearly between grid points. The passage-time variant reads the path at
+    its passage to each level, on the level schedule's own axis. For one
+    path, a level the path does not reach within its grid raises
+    ``TimeChangeRangeError``. For an ``Ensemble`` row block it returns the
+    ``(rows, levels)`` ramp values and the mask of the rows that reach every
+    level; the other rows' values are NaN.
     """
     if isinstance(nu, PassageTimes):
-        levels = nu.levels
-        values = np.empty(levels.size)
-        for i, level in enumerate(levels):
-            stop = passage_time(path, float(level))
-            if not stop.stopped:
-                raise TimeChangeRangeError(
-                    f"level {level} not attained within the grid horizon"
-                )
-            values[i] = path.values[stop.index]
+        block = path if isinstance(path, Ensemble) else Ensemble(path.grid, path.values[None], 0)
+        index = passage_time(block, nu.levels)
+        missed = index == block.grid.n_points
+        kept = ~missed.any(axis=1)
+        values = np.take_along_axis(block.values, np.where(missed, 0, index), axis=1)
+        values[~kept] = np.nan
+        if isinstance(path, Ensemble):
+            return values, kept
+        if not kept[0]:
+            level = nu.levels[int(np.argmax(missed[0]))]
+            raise TimeChangeRangeError(f"level {level} not attained within the grid horizon")
         label = f"{path.label}@passage" if path.label else "passage-ramp"
-        return Path(nu.grid, values, label=label)
+        return Path(nu.grid, values[0], label=label)
+    if isinstance(path, Ensemble):
+        raise InvalidArgumentError("the capped time change takes one path, not a row block")
     # min(t, cap) stays within [0, horizon], so no range check is needed
     values = np.interp(nu(path.grid.times), path.grid.times, path.values)
     return Path(path.grid, values, label=path.label)

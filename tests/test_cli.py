@@ -388,6 +388,26 @@ def test_cli_portfolio_exits_2_without_a_warning_when_the_unit_overflows(tmp_pat
     assert not (tmp_path / "x.csv").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["portfolio", "--strategy", "momentum:0.1:1e300", "--raw-price"],
+    ["experiment", "costs-fbm-momentum", "--strategy", "momentum:0.1:1e308"],
+])
+def test_cli_market_statistics_of_huge_ledgers_stay_finite(tmp_path, monkeypatch, capsys, argv):
+    # the ledgers are finite, but their sum and squares overflow; the mean and
+    # standard deviation come from the scaled values instead of reading inf
+    monkeypatch.chdir(tmp_path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main([*argv, "--paths", "8", "--steps", "16", "--out", "x.csv"])
+    assert code == 0 and capsys.readouterr().err == ""
+    rows = (tmp_path / "x.csv").read_text().splitlines()[4:]
+    columns = cli.MARKET_COLUMNS
+    for row in rows:
+        cells = dict(zip(columns, row.split(",")))
+        stats = [float(cells[c]) for c in ("mean_VT", "std_VT", "min_VT")]
+        assert all(np.isfinite(stats)) and stats[1] > 0.0
+
+
 def test_pooled_shuffle_matches_the_index_permutation():
     # frozen copy of the shuffle that gathered through a permutation index
     from stickylab.cli import _SHUFFLE_SALT, _pooled_shuffle

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -191,6 +193,18 @@ def test_stats_tolerance_absorbs_noise():
 
 # ---------------------------------------------------------------- momentum
 
+
+
+def test_terminal_stats_rescue_an_overflowing_sum_and_refuse_an_overflowing_std():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        stats = terminal_stats(np.array([1e308, 1.5e308, 1.7e308]))
+        assert stats.mean_terminal == pytest.approx(1.4e308, rel=1e-12)
+        assert stats.std_terminal == pytest.approx(np.std([1.0, 1.5, 1.7], ddof=1) * 1e308)
+        with pytest.raises(InvalidArgumentError, match="exceeds the float range"):
+            terminal_stats(np.array([1.7e308, -1.7e308]))
+        with pytest.raises(InvalidArgumentError, match="must be finite"):
+            terminal_stats(np.array([1.0, np.inf]))
 
 def test_momentum_constant_price_never_trades():
     grid = make_uniform_grid(1.0, 16)

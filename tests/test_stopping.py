@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stickylab.errors import InvalidRuleError
-from stickylab.pathgen import Path, SeedSpec, TimeGrid, make_uniform_grid, sample_brownian
+from stickylab.pathgen import (Ensemble, Path, SeedSpec, TimeGrid, make_uniform_grid,
+                               sample_brownian)
 from stickylab.stopping import (
     Conjunction,
     Deterministic,
@@ -80,6 +81,56 @@ def test_passage_detects_sign_change_without_equality():
     assert stop.stopped and stop.index == 1
     stop_down = passage_time(p, -0.5)
     assert stop_down.stopped and stop_down.index == 2
+
+
+@pytest.mark.parametrize("values", [[1e-200, -1e-200], [-1e-200, 1e-200]])
+def test_passage_finds_a_crossing_whose_gap_product_underflows(values):
+    # 1e-200 * -1e-200 underflows to -0.0, which a product test reads as no sign change
+    stop = passage_time(Path(TimeGrid(np.array([0.0, 1.0])), np.array(values)), 0.0)
+    assert stop.stopped and stop.index == 1
+
+
+def _crossing_loop(x, level):
+    """First k with x[k] == level or a strict sign change of x - level between
+    k - 1 and k, by comparisons only; len(x) when there is none."""
+    for k in range(len(x)):
+        if x[k] == level:
+            return k
+        if k and ((x[k - 1] < level < x[k]) or (x[k - 1] > level > x[k])):
+            return k
+    return len(x)
+
+
+_LATTICE = st.integers(-24, 24).map(lambda k: k / 8.0)  # so that x[k] == level occurs
+
+
+@given(
+    st.integers(1, 5).flatmap(lambda rows: st.integers(2, 30).flatmap(
+        lambda n: st.lists(st.lists(_LATTICE, min_size=n, max_size=n),
+                           min_size=rows, max_size=rows))),
+    st.lists(_LATTICE, max_size=6),
+    st.data(),
+)
+@settings(max_examples=300, deadline=None)
+def test_passage_indices_match_the_crossing_loop(rows, levels, data):
+    x = np.array(rows)
+    start = x[data.draw(st.integers(0, x.shape[0] - 1)), 0]
+    # levels equal to, above and below a row's start, and beyond every value
+    levels = np.array(levels + [start, start + 0.125, start - 0.125, 4.0, -4.0])
+    block = Ensemble(TimeGrid(np.arange(x.shape[1], dtype=float)), x, 0)
+    want = np.array([[_crossing_loop(row, level) for level in levels] for row in x])
+    got = passage_time(block, levels)
+    assert np.array_equal(got, want)
+    for r in range(x.shape[0]):
+        for level, k in zip(levels, want[r]):
+            stop = passage_time(block.path(r), float(level))
+            assert stop.stopped == (k < x.shape[1]) and stop.index == (k if stop.stopped else None)
+
+
+def test_passage_time_refuses_block_levels_that_are_not_finite():
+    block = Ensemble(TimeGrid(np.array([0.0, 1.0])), np.zeros((2, 2)), 0)
+    with pytest.raises(InvalidRuleError):
+        passage_time(block, np.array([0.0, np.nan]))
 
 
 def test_rule_validation():

@@ -11,6 +11,7 @@ from stickylab.errors import (
 )
 from stickylab.pathgen import (
     BrownianMotion,
+    Ensemble,
     Path,
     SeedSpec,
     TimeGrid,
@@ -179,8 +180,39 @@ def test_time_change_range_error():
     # a level beyond the path's range has no passage time on the grid
     grid = TimeGrid(np.array([0.0, 1.0, 2.0]))
     p = Path(grid, np.array([0.0, 0.5, 0.25]))
-    with pytest.raises(TimeChangeRangeError):
-        time_change(p, PassageTimes(np.array([0.0, 0.5, 0.75])))
+    with pytest.raises(TimeChangeRangeError, match="^level 0.75 not attained within the grid"):
+        time_change(p, PassageTimes(np.array([0.0, 0.5, 0.75, 1.0])))
+
+
+_LATTICE = st.integers(-16, 16).map(lambda k: k / 8.0)  # so that x[k] == level occurs
+
+
+@given(
+    st.integers(1, 5).flatmap(lambda rows: st.integers(2, 30).flatmap(
+        lambda n: st.lists(st.lists(_LATTICE, min_size=n, max_size=n),
+                           min_size=rows, max_size=rows))),
+    st.sets(st.integers(1, 16).map(lambda k: k / 8.0), min_size=1, max_size=5),
+)
+@settings(max_examples=200, deadline=None)
+def test_block_passage_time_change_matches_each_row(rows, levels):
+    x = np.array(rows)
+    block = Ensemble(TimeGrid(np.arange(x.shape[1], dtype=float)), x, 0)
+    nu = PassageTimes(np.array([0.0, *sorted(levels)]))
+    values, kept = time_change(block, nu)
+    assert values.shape == (x.shape[0], nu.levels.size) and kept.shape == (x.shape[0],)
+    for r in range(x.shape[0]):
+        try:
+            one = time_change(block.path(r), nu)
+        except TimeChangeRangeError:
+            assert not kept[r] and np.all(np.isnan(values[r]))
+            continue
+        assert kept[r] and np.array_equal(values[r], one.values)
+
+
+def test_capped_time_change_refuses_a_block():
+    block = Ensemble(make_uniform_grid(1.0, 4), np.zeros((2, 5)), 0)
+    with pytest.raises(InvalidArgumentError):
+        time_change(block, IdentityCap(0.5))
 
 
 # ---------------------------------------------------------------- dds
