@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .errors import ConfigError, InvalidArgumentError, NumericalFailureError, StickyLabError
+from .errors import ConfigError, NumericalFailureError, StickyLabError
 from .market import CostModel, exp_price, liquidation_value, momentum_strategy, terminal_stats
 from .pathgen import (
     BrownianMotion,
@@ -30,6 +30,7 @@ from .pathgen import (
     ProcessSpec,
     SeedSpec,
     TimeGrid,
+    _empty,
     make_uniform_grid,
     sample_ensemble,
 )
@@ -191,19 +192,6 @@ def _ensemble_paths(config: ExperimentConfig) -> Iterator[tuple[int, Path]]:
             yield rows.start + r, block.path(r)
 
 
-def _per_path(config: ExperimentConfig, *shape: int) -> np.ndarray:
-    """An empty ``(n_paths, *shape)`` output, allocated before the first block is
-    drawn, so a request that cannot fit is refused before any sampling."""
-    if config.n_paths < 1:
-        raise InvalidArgumentError("n_paths must be at least 1")
-    try:
-        return np.empty((config.n_paths, *shape))
-    except (MemoryError, ValueError) as exc:
-        raise InvalidArgumentError(
-            f"cannot allocate the output of {config.n_paths} paths: {exc}"
-        ) from exc
-
-
 def _hurst_cell(config: ExperimentConfig) -> object:
     return config.hurst if config.process == "fbm" else ""
 
@@ -313,7 +301,7 @@ def _preset_passage_counterexample(config: ExperimentConfig) -> ResultTable:
     # the exclusion count recorded in provenance.
     nu = PassageTimes(np.linspace(0.0, 0.5, 11))
     _check_window_end(config.query_horizon, nu.grid.horizon)
-    ramp = _per_path(config, nu.grid.n_points)
+    ramp = _empty(config.n_paths, nu.grid.n_points)
     kept = np.empty(config.n_paths, dtype=bool)
     for rows, block in _ensemble_blocks(config):
         ramp[rows], kept[rows] = time_change(block, nu)
@@ -329,7 +317,7 @@ def _preset_passage_counterexample(config: ExperimentConfig) -> ResultTable:
 def _preset_timechange_cap(config: ExperimentConfig) -> ResultTable:
     grid = make_uniform_grid(config.horizon, config.steps)
     cap = IdentityCap(0.5)
-    values = _per_path(config, grid.n_points)
+    values = _empty(config.n_paths, grid.n_points)
     for i, path in _ensemble_paths(config):
         values[i] = time_change(path, cap).values
     label = f"{config.process}-capped"
@@ -338,7 +326,7 @@ def _preset_timechange_cap(config: ExperimentConfig) -> ResultTable:
 
 def _preset_dds_check(config: ExperimentConfig) -> ResultTable:
     qv_steps = 256
-    ratios, unit_qv, dus = (_per_path(config) for _ in range(3))
+    ratios, unit_qv, dus = (_empty(config.n_paths) for _ in range(3))
     for i, path in _ensemble_paths(config):
         out = dds_brownianize(path, qv_steps)
         du = out.grid.times[1] - out.grid.times[0]

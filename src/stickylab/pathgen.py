@@ -5,7 +5,9 @@ Conventions
 - Grids start at time 0 and carry strictly increasing, finite times.
 - Every path is a pure function of ``(master_seed, path_index)``: each path
   draws from its own counter-based Philox stream, so ensembles do not depend
-  on generation order. Ensembles are generated serially.
+  on generation order or block size. Generation is serial, over row blocks
+  with about ``_BLOCK_BYTES`` of temporaries (at least one row): the block's
+  normals from one re-keyed Philox, then one 2-D transform of the block.
 - Brownian increments over ``[t_i, t_{i+1}]`` are ``N(0, sigma^2 * dt_i)``.
 - Fractional Brownian motion is sampled by circulant embedding (Davies-Harte)
   on uniform grids, with a dense Cholesky factorization as fallback when the
@@ -19,9 +21,11 @@ Conventions
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Union
+from typing import Callable, Iterator, Union
 
 import numpy as np
 
@@ -152,21 +156,41 @@ class SeedSpec:
     """Identifies one path's random stream as ``(master_seed, path_index)``.
 
     The stream is counter-based (Philox keyed by both integers), so any path
-    can be regenerated in isolation and in any order.
+    can be regenerated in isolation and in any order. Both fields are read
+    with ``operator.index``, so ``1.5`` or ``'3'`` is refused, not truncated.
     """
 
     master_seed: int
     path_index: int = 0
 
     def __post_init__(self):
-        if not (0 <= int(self.master_seed) < 2**64):
-            raise InvalidArgumentError("master_seed must fit in 64 unsigned bits")
-        if int(self.path_index) < 0:
-            raise InvalidArgumentError("path_index must be nonnegative")
+        for name in ("master_seed", "path_index"):
+            value = getattr(self, name)
+            if not hasattr(value, "__index__") or not 0 <= operator.index(value) < 2**64:
+                raise InvalidArgumentError(f"{name} must be an integer in [0, 2**64), got {value!r}")
+            object.__setattr__(self, name, operator.index(value))
 
     def generator(self) -> np.random.Generator:
         key = np.array([self.master_seed, self.path_index], dtype=np.uint64)
         return np.random.Generator(np.random.Philox(key=key))
+
+
+def _streams(master_seed: int, first: int, rows: int) -> Iterator[np.random.Generator]:
+    """``SeedSpec(master_seed, i).generator()`` for ``i = first ... first + rows - 1``,
+    one Philox re-keyed per path (2.5 us against 14.3 us for a new generator)."""
+    SeedSpec(master_seed, first + rows - 1)  # the last key must fit in 64 bits too
+    rng = SeedSpec(master_seed, first).generator()
+    fresh = rng.bit_generator.state
+    for index in range(first, first + rows):
+        fresh["state"]["key"][1] = index
+        rng.bit_generator.state = fresh
+        yield rng
+
+
+def _normals(master_seed: int, first: int, out: Array) -> None:
+    """Fill row ``r`` of ``out`` with the standard normals of path ``first + r``."""
+    for row, rng in zip(out, _streams(master_seed, first, len(out))):
+        rng.standard_normal(out=row)
 
 
 # ------------------------------ paths ------------------------------ #
@@ -259,31 +283,59 @@ class DerivedProcess:
 ProcessSpec = Union[BrownianMotion, FractionalBrownianMotion, DerivedProcess]
 
 
-def process_label(spec: ProcessSpec) -> str:
-    if isinstance(spec, BrownianMotion):
-        return "bm"
-    if isinstance(spec, FractionalBrownianMotion):
-        return "fbm"
-    return spec.label
-
-
 # ------------------------------ generators ------------------------------ #
 
+#: a row block holds about this many bytes of temporaries, and at least one row
+_BLOCK_BYTES = 4 * 2**20
+#: Davies-Harte temporaries per step and row: normals, spectra and their FFT
+_FGN_ROW_BYTES = 128
 
-def sample_brownian(grid: TimeGrid, seed: SeedSpec, volatility: float = 1.0) -> Path:
+
+def _empty(n_paths: int, *shape: int) -> Array:
+    """An empty ``(n_paths, *shape)`` array; ``InvalidArgumentError`` when
+    ``n_paths < 1`` or the array cannot be allocated, before any sampling."""
+    if n_paths < 1:
+        raise InvalidArgumentError("n_paths must be at least 1")
+    try:
+        return np.empty((n_paths, *shape))
+    except (MemoryError, ValueError) as exc:
+        raise InvalidArgumentError(
+            f"cannot allocate {n_paths} paths x {math.prod(shape)} points: {exc}"
+        ) from exc
+
+
+def _output(grid: TimeGrid, n_paths: int | None) -> Array:
+    """The rows a generator fills, with ``values[:, 0] = 0``; one for a single path."""
+    values = _empty(1 if n_paths is None else operator.index(n_paths), grid.n_points)
+    values[:, 0] = 0.0
+    return values
+
+
+def _result(grid: TimeGrid, seed: SeedSpec, values: Array, n_paths: int | None,
+            path_label: str, ensemble_label: str) -> Union[Path, Ensemble]:
+    if n_paths is None:
+        return Path(grid, values[0], label=path_label)
+    return Ensemble(grid, values, seed.master_seed, process_label=ensemble_label)
+
+
+def sample_brownian(grid: TimeGrid, seed: SeedSpec, volatility: float = 1.0, *,
+                    n_paths: int | None = None) -> Union[Path, Ensemble]:
     """Brownian path with ``values[0] = 0`` and independent Gaussian increments.
 
     The increment over ``[t_i, t_{i+1}]`` has variance ``volatility^2 * dt_i``.
     Identical ``(grid, seed, volatility)`` yield a bit-identical path.
+    ``n_paths=k`` returns the k-row ``Ensemble`` of paths ``seed.path_index, ...``.
     """
     if not (np.isfinite(volatility) and volatility > 0.0):
         raise InvalidArgumentError("volatility must be positive")
-    rng = seed.generator()
-    z = rng.standard_normal(grid.n_steps)
-    values = np.empty(grid.n_points)
-    values[0] = 0.0
-    np.cumsum((volatility * grid._sqrt_spacings) * z, out=values[1:])
-    return Path(grid, values, label="bm")
+    values = _output(grid, n_paths)
+    step = max(1, _BLOCK_BYTES // (8 * grid.n_steps))  # the increments are the buffer
+    for a in range(0, len(values), step):
+        increments = values[a : a + step, 1:]
+        _normals(seed.master_seed, seed.path_index + a, increments)
+        increments *= volatility * grid._sqrt_spacings
+        np.cumsum(increments, axis=1, out=increments)
+    return _result(grid, seed, values, n_paths, "bm", "bm")
 
 
 @lru_cache(maxsize=16)
@@ -339,85 +391,70 @@ def _fbm_dense_factor(n_steps: int, dt: float, hurst: float) -> Array:
     )
 
 
-def _fgn_unit_sample(rng: np.random.Generator, weights: Array, n_steps: int) -> Array:
-    # Davies-Harte synthesis: hermitian spectrum from 2n normals, one FFT.
-    half = n_steps
-    z = rng.standard_normal(2 * half)
-    w = np.empty(2 * half, dtype=np.complex128)
-    w[0] = weights[0] * z[0]
-    w[half] = weights[half] * z[1]
-    interior = weights[1:half] * (z[2 : half + 1] + 1j * z[half + 1 :])
-    w[1:half] = interior
-    np.conj(interior[::-1], out=w[half + 1 :])
-    return np.fft.fft(w).real[:n_steps]
-
-
-def sample_fbm(grid: TimeGrid, seed: SeedSpec, hurst: float) -> Path:
+def sample_fbm(grid: TimeGrid, seed: SeedSpec, hurst: float, *,
+               n_paths: int | None = None) -> Union[Path, Ensemble]:
     """Fractional Brownian path with covariance ``(s^2H + t^2H - |t-s|^2H)/2``.
 
     Requires a uniform grid (the circulant embedding assumes equal spacing).
     Falls back to dense covariance factorization if the embedding fails.
+    ``n_paths=k`` returns a k-row ``Ensemble``, as for ``sample_brownian``.
     """
     if not (0.0 < hurst < 1.0):
         raise InvalidArgumentError("hurst must lie strictly inside (0, 1)")
     dt = grid.uniform_spacing()
     n = grid.n_steps
-    rng = seed.generator()
     weights = _fgn_sqrt_spectrum(n, float(hurst))
-    values = np.empty(n + 1)
-    values[0] = 0.0
-    if weights is not None:
-        np.cumsum(_fgn_unit_sample(rng, weights, n) * dt**hurst, out=values[1:])
-    else:
-        factor = _fbm_dense_factor(n, dt, float(hurst))
-        values[1:] = factor @ rng.standard_normal(n)
-    return Path(grid, values, label=f"fbm-H{hurst:g}")
+    values = _output(grid, n_paths)
+    step = max(1, _BLOCK_BYTES // (_FGN_ROW_BYTES * n))
+    for a in range(0, len(values), step):
+        block = values[a : a + step]
+        z = np.empty((len(block), n if weights is None else 2 * n))
+        _normals(seed.master_seed, seed.path_index + a, z)
+        if weights is None:
+            for r, row in enumerate(block):  # a block matmul may round differently
+                row[1:] = _fbm_dense_factor(n, dt, float(hurst)) @ z[r]
+        else:
+            # Davies-Harte: a Hermitian spectrum from 2n normals per row, one FFT
+            w = np.empty(z.shape, dtype=np.complex128)
+            w[:, 0] = weights[0] * z[:, 0]
+            w[:, n] = weights[n] * z[:, 1]
+            np.multiply(weights[1:n], z[:, 2 : n + 1] + 1j * z[:, n + 1 :], out=w[:, 1:n])
+            np.conj(w[:, n - 1 : 0 : -1], out=w[:, n + 1 :])
+            np.cumsum(np.fft.fft(w, axis=-1).real[:, :n] * dt**hurst, axis=1, out=block[:, 1:])
+    return _result(grid, seed, values, n_paths, f"fbm-H{hurst:g}", "fbm")
 
 
-def build_path(spec: ProcessSpec, grid: TimeGrid, seed: SeedSpec) -> Path:
-    """Generate one path of ``spec`` from its per-path seed."""
+def build_path(spec: ProcessSpec, grid: TimeGrid, seed: SeedSpec, *,
+               n_paths: int | None = None) -> Union[Path, Ensemble]:
+    """Generate one path of ``spec`` from its per-path seed, or with
+    ``n_paths=k`` a k-row ``Ensemble`` of paths ``seed.path_index, ...``."""
     if isinstance(spec, BrownianMotion):
-        return sample_brownian(grid, seed, spec.volatility)
+        return sample_brownian(grid, seed, spec.volatility, n_paths=n_paths)
     if isinstance(spec, FractionalBrownianMotion):
-        return sample_fbm(grid, seed, spec.hurst)
-    if isinstance(spec, DerivedProcess):
-        return spec.build(grid, seed)
-    raise InvalidArgumentError(f"unknown process spec: {spec!r}")
+        return sample_fbm(grid, seed, spec.hurst, n_paths=n_paths)
+    if not isinstance(spec, DerivedProcess):
+        raise InvalidArgumentError(f"unknown process spec: {spec!r}")
+    values = _output(grid, n_paths)
+    for r, row in enumerate(values):
+        row[:] = spec.build(grid, SeedSpec(seed.master_seed, seed.path_index + r)).values
+    return _result(grid, seed, values, n_paths, spec.label, spec.label)
 
 
-def sample_ensemble(
-    spec: ProcessSpec,
-    grid: TimeGrid,
-    master_seed: int,
-    n_paths: int,
-    workers: int | None = None,
-    *,
-    first: int = 0,
-) -> Ensemble:
+def sample_ensemble(spec: ProcessSpec, grid: TimeGrid, master_seed: int, n_paths: int,
+                    workers: int | None = None, *, first: int = 0) -> Ensemble:
     """Sample paths ``first ... first + n_paths - 1``: row ``r`` is path
     ``first + r`` and uses ``SeedSpec(master_seed, first + r)``.
 
     So a block of rows is bit-identical to the same rows of the whole
-    ensemble, and an ensemble can be drawn block by block. Paths are generated
-    serially into one preallocated array. ``workers`` is still checked (at
-    least 1) but has no effect; it stays for existing callers.
+    ensemble, and an ensemble can be drawn block by block. ``build_path``
+    fills one preallocated array a row block at a time. ``workers`` is still
+    checked (at least 1) but has no effect; it stays for existing callers.
     """
-    if int(n_paths) < 1:
-        raise InvalidArgumentError("n_paths must be at least 1")
     if int(first) < 0:
         raise InvalidArgumentError("first must be nonnegative")
     if workers is not None and int(workers) < 1:
         raise InvalidArgumentError("workers must be at least 1")
-    n_paths, first = int(n_paths), int(first)
-    try:
-        values = np.empty((n_paths, grid.n_points))
-    except (MemoryError, ValueError) as exc:
-        raise InvalidArgumentError(
-            f"cannot allocate an ensemble of {n_paths} paths x {grid.n_points} points: {exc}"
-        ) from exc
-    for r in range(n_paths):
-        values[r] = build_path(spec, grid, SeedSpec(master_seed, first + r)).values
-    return Ensemble(grid, values, master_seed, process_label=process_label(spec))
+    return build_path(spec, grid, SeedSpec(master_seed, first), n_paths=int(n_paths))
 
 
 # ------------------------------ discrete Ito ------------------------------ #

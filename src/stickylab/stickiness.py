@@ -37,9 +37,9 @@ from .pathgen import (
     FractionalBrownianMotion,
     Path,
     ProcessSpec,
-    SeedSpec,
     TimeGrid,
     _fbm_dense_factor,
+    _streams,
 )
 from .stopping import (
     Deterministic,
@@ -366,10 +366,9 @@ def estimate_stickiness_sis(
     start = grid.first_index_at_or_after(base.time)
     end_index = grid.last_index_at_or_before(query.horizon)
     uniforms = np.empty((n, m))
-    for i in range(m):
+    for i, rng in enumerate(_streams(master_seed, 0, m)):
         # midpoints of 2^52 equal cells: open (0, 1), so ndtri stays finite
-        draws = SeedSpec(master_seed, i).generator().integers(0, 2**52, n)
-        uniforms[:, i] = (draws + 0.5) / 2.0**52
+        uniforms[:, i] = (rng.integers(0, 2**52, n) + 0.5) / 2.0**52
 
     x = np.zeros((n + 1, m))  # row k holds every sample's value at grid index k
     z = np.empty((n, m))

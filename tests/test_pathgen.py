@@ -19,6 +19,7 @@ from stickylab.pathgen import (
     Path,
     SeedSpec,
     TimeGrid,
+    build_path,
     integrate_ito,
     make_uniform_grid,
     sample_brownian,
@@ -379,6 +380,193 @@ def test_brownian_bit_identical_to_reference(times):
             got = sample_brownian(grid, SeedSpec(master_seed, i), volatility)
             assert np.array_equal(got.values, want)
             assert np.array_equal(ens.values[i], want)
+
+
+# ------------------------------------------------ row blocks, bit for bit
+# The fBm generator before row blocks: one generator, one Davies-Harte FFT
+# and one cumsum per path, or the dense factor times one draw of normals.
+# Every row of every block must reproduce it (and _reference_brownian).
+
+
+def _per_path_fgn(rng, weights, n_steps):
+    half = n_steps
+    z = rng.standard_normal(2 * half)
+    w = np.empty(2 * half, dtype=np.complex128)
+    w[0] = weights[0] * z[0]
+    w[half] = weights[half] * z[1]
+    interior = weights[1:half] * (z[2 : half + 1] + 1j * z[half + 1 :])
+    w[1:half] = interior
+    np.conj(interior[::-1], out=w[half + 1 :])
+    return np.fft.fft(w).real[:n_steps]
+
+
+def _per_path_fbm(grid, seed, hurst):
+    import stickylab.pathgen as pg
+
+    dt = grid.uniform_spacing()
+    n = grid.n_steps
+    rng = seed.generator()
+    weights = pg._fgn_sqrt_spectrum(n, float(hurst))
+    values = np.empty(n + 1)
+    values[0] = 0.0
+    if weights is not None:
+        np.cumsum(_per_path_fgn(rng, weights, n) * dt**hurst, out=values[1:])
+    else:
+        values[1:] = pg._fbm_dense_factor(n, dt, float(hurst)) @ rng.standard_normal(n)
+    return values
+
+
+def _assert_rows_match_per_path(spec, grid, master_seed, n_paths, first):
+    ens = sample_ensemble(spec, grid, master_seed, n_paths, first=first)
+    for r, row in enumerate(ens.values):
+        seed = SeedSpec(master_seed, first + r)
+        if isinstance(spec, BrownianMotion):
+            want = _reference_brownian(grid, seed, spec.volatility)
+        else:
+            want = _per_path_fbm(grid, seed, spec.hurst)
+        assert np.array_equal(row, want), (n_paths, first, r)
+
+
+NONUNIFORM = TimeGrid(np.cumsum([0.0, *np.linspace(0.001, 0.02, 99)]))
+
+
+@pytest.mark.parametrize(
+    "spec,grid",
+    [
+        (BrownianMotion(0.7), NONUNIFORM),
+        (FractionalBrownianMotion(0.3), make_uniform_grid(1.0, 256)),
+        (FractionalBrownianMotion(0.75), make_uniform_grid(2.0, 777)),
+    ],
+    ids=["bm-nonuniform", "fbm-0.3", "fbm-0.75"],
+)
+@pytest.mark.parametrize("n_paths,first", [(1, 0), (7, 3), (64, 0), (65, 130), (1000, 2**40)])
+def test_ensemble_rows_equal_the_per_path_generators(spec, grid, n_paths, first):
+    _assert_rows_match_per_path(spec, grid, 2**63 + 9, n_paths, first)
+
+
+@pytest.mark.parametrize("n_paths,first", [(1, 5), (65, 0), (1000, 17)])
+def test_forced_dense_fallback_rows_equal_the_per_path_generator(monkeypatch, n_paths, first):
+    import stickylab.pathgen as pg
+
+    monkeypatch.setattr(pg, "_fgn_sqrt_spectrum", lambda n, h: None)
+    _assert_rows_match_per_path(FractionalBrownianMotion(0.75), make_uniform_grid(1.0, 32),
+                                4, n_paths, first)
+
+
+def test_natural_dense_fallback_rows_equal_the_per_path_generator():
+    import stickylab.pathgen as pg
+
+    grid = make_uniform_grid(1.0, 512)
+    assert pg._fgn_sqrt_spectrum(512, 0.9999999999) is None
+    _assert_rows_match_per_path(FractionalBrownianMotion(0.9999999999), grid, 8, 65, 3)
+
+
+@pytest.mark.parametrize("spec", [BrownianMotion(1.2), FractionalBrownianMotion(0.4)],
+                         ids=["bm", "fbm"])
+def test_rows_do_not_depend_on_the_block_size(monkeypatch, spec):
+    import stickylab.pathgen as pg
+
+    grid = make_uniform_grid(1.0, 100)
+    want = sample_ensemble(spec, grid, 3, 150, first=9).values
+    for block_bytes in (1, 5000, 10**5, 10**9):  # 1-row blocks up to one block
+        monkeypatch.setattr(pg, "_BLOCK_BYTES", block_bytes)
+        assert np.array_equal(sample_ensemble(spec, grid, 3, 150, first=9).values, want)
+
+
+def test_rekeyed_normals_equal_fresh_generators_at_the_top_of_the_key_range():
+    import stickylab.pathgen as pg
+
+    master, first = 2**64 - 1, 2**64 - 4
+    out = np.empty((4, 33))
+    pg._normals(master, first, out)
+    for r in range(4):
+        want = SeedSpec(master, first + r).generator().standard_normal(33)
+        assert np.array_equal(out[r], want)
+    # a stream left mid-buffer (integers draws) is reset, counter and all
+    for i, rng in enumerate(pg._streams(master, first, 4)):
+        got = rng.integers(0, 2**52, 5)
+        assert np.array_equal(got, SeedSpec(master, first + i).generator().integers(0, 2**52, 5))
+
+
+def test_last_block_index_past_the_key_range_is_refused():
+    grid = make_uniform_grid(1.0, 4)
+    top = sample_ensemble(BrownianMotion(1.0), grid, 1, 3, first=2**64 - 3)
+    assert np.array_equal(top.values[-1], _reference_brownian(grid, SeedSpec(1, 2**64 - 1), 1.0))
+    with pytest.raises(InvalidArgumentError, match="got 18446744073709551616"):
+        sample_ensemble(FractionalBrownianMotion(0.6), grid, 1, 3, first=2**64 - 2)
+
+
+def test_n_paths_keyword_returns_the_rows_of_the_one_path_calls():
+    grid = make_uniform_grid(1.0, 16)
+    seed = SeedSpec(21, 40)
+    cases = [
+        (sample_fbm, (0.6,), "fbm", lambda s: sample_fbm(grid, s, 0.6)),
+        (sample_brownian, (1.4,), "bm", lambda s: sample_brownian(grid, s, 1.4)),
+    ]
+    for generate, args, label, one in cases:
+        ens = generate(grid, seed, *args, n_paths=5)
+        assert isinstance(ens, Ensemble) and ens.process_label == label
+        assert ens.master_seed == 21 and ens.n_paths == 5
+        for r in range(5):
+            assert np.array_equal(ens.values[r], one(SeedSpec(21, 40 + r)).values)
+        with pytest.raises(InvalidArgumentError, match="n_paths must be at least 1"):
+            generate(grid, seed, *args, n_paths=0)
+    derived = DerivedProcess("idx", lambda g, s: Path(g, np.full(g.n_points, float(s.path_index))))
+    ens = build_path(derived, grid, seed, n_paths=3)
+    assert ens.process_label == "idx"
+    assert np.array_equal(ens.values[:, 0], [40.0, 41.0, 42.0])
+
+
+def test_fbm_block_temporaries_stay_bounded():
+    # 64 x 65,536 steps: one row's Davies-Harte temporaries exceed the block
+    # budget, so every block is one row and the peak stays near the output
+    import tracemalloc
+
+    import stickylab.pathgen as pg
+
+    grid = make_uniform_grid(1.0, 2**16)
+    pg._fgn_sqrt_spectrum.cache_clear()
+    tracemalloc.start()
+    try:
+        ens = sample_ensemble(FractionalBrownianMotion(0.7), grid, 1, 64)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    one_row = pg._FGN_ROW_BYTES * grid.n_steps
+    assert peak <= ens.values.nbytes + pg._BLOCK_BYTES + one_row
+
+
+# ---------------------------------------------------------------- seeds
+
+
+@pytest.mark.parametrize(
+    "args,match",
+    [
+        ((1.5,), "master_seed must be an integer"),
+        (("3",), "master_seed must be an integer"),
+        ((0, 2.0), "path_index must be an integer"),
+        ((0, 2**64), "path_index must be an integer in"),
+        ((0, -1), "path_index must be an integer in"),
+        ((2**64,), "master_seed must be an integer in"),
+        ((-1,), "master_seed must be an integer in"),
+    ],
+)
+def test_seed_spec_refuses_keys_that_would_collide_or_overflow(args, match):
+    with pytest.raises(InvalidArgumentError, match=match):
+        SeedSpec(*args)
+
+
+def test_ensemble_refuses_a_fractional_first_path():
+    # int(1.5) would silently reuse path 1's stream
+    with pytest.raises(InvalidArgumentError, match="path_index must be an integer"):
+        sample_ensemble(BrownianMotion(1.0), make_uniform_grid(1.0, 4), 1, 2, first=1.5)
+
+
+def test_seed_spec_reads_integer_likes_exactly():
+    spec = SeedSpec(np.uint64(2**64 - 1), np.int64(2**40))
+    assert (spec.master_seed, spec.path_index) == (2**64 - 1, 2**40)
+    assert type(spec.master_seed) is int and type(spec.path_index) is int
+    assert np.isfinite(SeedSpec(0, 2**64 - 1).generator().standard_normal())  # no overflow
 
 
 # ---------------------------------------------------------------- ito integration

@@ -393,6 +393,17 @@ def test_sis_reproducible_and_scaled_by_volatility():
     assert (doubled.log10_p_hat, doubled.ess) == (first.log10_p_hat, first.ess)
 
 
+def test_sis_uniforms_are_pinned_bit_for_bit():
+    # the per-sample uniforms come from re-keyed Philox streams; this value was
+    # computed when every sample built its own SeedSpec(master_seed, i) generator
+    grid = make_uniform_grid(1.0, 64)
+    query = q(0.5, tau=parse_rule("hit:0.1"))
+    est = estimate_stickiness_sis(FractionalBrownianMotion(0.75), grid, query, 5, 200)
+    assert est.log10_p_hat == float.fromhex("-0x1.60ef63cfd70fbp-1")
+    assert est.log10_lower == float.fromhex("-0x1.fd87ff2a696fcp+0")
+    assert est.ess == float.fromhex("0x1.9ee473947f2f2p+5")
+
+
 @pytest.mark.parametrize(
     "kwargs",
     [
