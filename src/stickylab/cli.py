@@ -173,16 +173,24 @@ def _ensemble(config: ExperimentConfig) -> Ensemble:
     return sample_ensemble(spec, grid, config.master_seed, config.n_paths)
 
 
+def _blocks(n_paths: int) -> Iterator[slice]:
+    """The rows of ``n_paths`` paths, ``_BLOCK_ROWS`` at a time."""
+    for start in range(0, n_paths, _BLOCK_ROWS):
+        yield slice(start, min(start + _BLOCK_ROWS, n_paths))
+
+
 def _ensemble_blocks(config: ExperimentConfig) -> Iterator[tuple[slice, Ensemble]]:
     """The config's ensemble as ``(rows, block)`` pairs in path order: blocks of
     ``_BLOCK_ROWS`` rows, each drawn only once the previous one has been
-    consumed, so the whole ensemble is never held. Each block is bit-identical
-    to those rows of ``_ensemble(config)``."""
+    consumed, into the same buffer, so the whole ensemble is never held and a
+    block's values last only until the next is drawn. Each block is
+    bit-identical to those rows of ``_ensemble(config)``."""
     grid, spec = _grid_and_spec(config)
-    for start in range(0, config.n_paths, _BLOCK_ROWS):
-        n = min(_BLOCK_ROWS, config.n_paths - start)
-        yield slice(start, start + n), sample_ensemble(spec, grid, config.master_seed, n,
-                                                       first=start)
+    buffer = _empty(min(_BLOCK_ROWS, config.n_paths), grid.n_points)
+    for rows in _blocks(config.n_paths):
+        n = rows.stop - rows.start
+        yield rows, sample_ensemble(spec, grid, config.master_seed, n, first=rows.start,
+                                    out=buffer[:n])
 
 
 def _ensemble_paths(config: ExperimentConfig) -> Iterator[tuple[int, Path]]:
@@ -252,18 +260,30 @@ def _parse_strategy(text: str):
     return threshold, unit
 
 
+def _market_work(n_paths: int, n_points: int) -> np.ndarray:
+    """The buffers ``_momentum_terminals`` computes a block of ``n_paths`` paths in."""
+    return np.empty((6, min(_BLOCK_ROWS, n_paths), n_points))
+
+
 def _momentum_terminals(ensemble: Ensemble, threshold: float, unit: float,
-                        rates: tuple[float, ...], exp: bool) -> np.ndarray:
+                        rates: tuple[float, ...], exp: bool,
+                        work: np.ndarray | None = None) -> np.ndarray:
     """Terminal liquidation values, ``(len(rates), n_paths)``, of momentum trading
-    each path (its exponential when ``exp``) at each cost rate, row block by block."""
+    each path (its exponential when ``exp``) at each cost rate, row block by block.
+    Every block's price, strategy and ledger are computed in ``work``
+    (``_market_work``; new when not given), so a streamed caller that passes
+    one ``work`` to each block allocates them once per run."""
     terminal = np.empty((len(rates), ensemble.n_paths))
-    for start in range(0, ensemble.n_paths, _BLOCK_ROWS):
-        rows = slice(start, start + _BLOCK_ROWS)
+    if work is None:
+        work = _market_work(ensemble.n_paths, ensemble.grid.n_points)
+    for rows in _blocks(ensemble.n_paths):
         block = Ensemble(ensemble.grid, ensemble.values[rows], ensemble.master_seed)
-        price = exp_price(block) if exp else block
-        strategy = momentum_strategy(price, threshold, unit)
+        buf = work[:, : block.n_paths]  # price, holdings and the four ledger arrays
+        price = exp_price(block, out=buf[0]) if exp else block
+        strategy = momentum_strategy(price, threshold, unit, out=buf[1])
         for k, rate in enumerate(rates):
-            terminal[k, rows] = liquidation_value(strategy, price, CostModel(rate)).terminal
+            terminal[k, rows] = liquidation_value(strategy, price, CostModel(rate),
+                                                  out=buf[2:]).terminal
     return terminal
 
 
@@ -278,9 +298,11 @@ def _market_row(strategy: str, rate: float, terminal: np.ndarray, seed: int) -> 
 
 def _run_portfolio(config: ExperimentConfig) -> ResultTable:
     threshold, unit = _parse_strategy(config.strategy)
-    (terminal,) = _momentum_terminals(
-        _ensemble(config), threshold, unit, (config.rate,), exp=not config.raw_price
-    )
+    terminal = _empty(config.n_paths)
+    work = _market_work(config.n_paths, config.steps + 1)
+    for rows, block in _ensemble_blocks(config):
+        (terminal[rows],) = _momentum_terminals(block, threshold, unit, (config.rate,),
+                                                exp=not config.raw_price, work=work)
     row = _market_row(config.strategy, config.rate, terminal, config.master_seed)
     return ResultTable(MARKET_COLUMNS, (row,), _provenance(config))
 
@@ -342,16 +364,31 @@ def _preset_dds_check(config: ExperimentConfig) -> ResultTable:
     return ResultTable(DDS_COLUMNS, (row,), _provenance(config))
 
 
-def _pooled_shuffle(ensemble: Ensemble, master_seed: int) -> Ensemble:
-    # Redeal the increments pooled across all paths: iid-like control that
-    # keeps the increment marginals but destroys serial correlation. A
-    # within-path permutation would preserve each path's terminal
-    # displacement, which trend-following captures regardless of correlation.
+def _control_blocks(grid: TimeGrid, increments: np.ndarray,
+                    master_seed: int) -> Iterator[tuple[slice, Ensemble]]:
+    """Shuffle ``increments``, ``(n_paths, n_steps)``, in place, pooled across all
+    paths, and yield the control paths they sum to as ``(rows, block)`` pairs
+    of ``_BLOCK_ROWS`` rows, each in the same buffer.
+
+    Redealing the pooled increments gives an iid-like control that keeps the
+    increment marginals but destroys serial correlation. A within-path
+    permutation would preserve each path's terminal displacement, which
+    trend-following captures regardless of correlation."""
     rng = SeedSpec((master_seed ^ _SHUFFLE_SALT) % 2**64, 0).generator()
-    increments = np.diff(ensemble.values, axis=1)
     rng.shuffle(increments.ravel())  # in place: rng.permutation of the flat array, no copy
-    values = np.zeros(ensemble.values.shape)
-    np.cumsum(increments, axis=1, out=values[:, 1:])
+    values = np.zeros((min(_BLOCK_ROWS, len(increments)), grid.n_points))
+    for rows in _blocks(len(increments)):
+        block = values[: rows.stop - rows.start]
+        np.cumsum(increments[rows], axis=1, out=block[:, 1:])
+        yield rows, Ensemble(grid, block, master_seed, "shuffled-control")
+
+
+def _pooled_shuffle(ensemble: Ensemble, master_seed: int) -> Ensemble:
+    """The whole control of ``_control_blocks`` for one held ensemble."""
+    values = np.empty(ensemble.values.shape)
+    for rows, block in _control_blocks(ensemble.grid, np.diff(ensemble.values, axis=1),
+                                       master_seed):
+        values[rows] = block.values
     return Ensemble(ensemble.grid, values, ensemble.master_seed, "shuffled-control")
 
 
@@ -359,13 +396,22 @@ def _preset_costs_momentum(config: ExperimentConfig) -> ResultTable:
     # Two experiments off one ensemble: the cost-erosion pair trades the
     # strictly positive exponential price; the correlation-edge pair trades
     # the raw signal (k = 0, so no cost terms) against the pooled-shuffle
-    # control whose mean is expected to sit at zero.
+    # control whose mean is expected to sit at zero. The ensemble is streamed
+    # in row blocks; only its increments, which the shuffle pools, are held.
     threshold, unit = _parse_strategy(config.strategy)
-    ensemble = _ensemble(config)
-    v_free, v_cost = _momentum_terminals(ensemble, threshold, unit, (0.0, config.rate), exp=True)
-    (v_raw,) = _momentum_terminals(ensemble, threshold, unit, (0.0,), exp=False)
-    control = _pooled_shuffle(ensemble, config.master_seed)
-    (v_control,) = _momentum_terminals(control, threshold, unit, (0.0,), exp=False)
+    increments = _empty(config.n_paths, config.steps)
+    v_free, v_cost, v_raw, v_control = terminals = np.empty((4, config.n_paths))
+    work = _market_work(config.n_paths, config.steps + 1)
+    for rows, block in _ensemble_blocks(config):
+        terminals[:2, rows] = _momentum_terminals(block, threshold, unit, (0.0, config.rate),
+                                                  exp=True, work=work)
+        terminals[2:3, rows] = _momentum_terminals(block, threshold, unit, (0.0,), exp=False,
+                                                   work=work)
+        np.subtract(block.values[:, 1:], block.values[:, :-1], out=increments[rows])
+    grid, _ = _grid_and_spec(config)
+    for rows, block in _control_blocks(grid, increments, config.master_seed):
+        terminals[3:, rows] = _momentum_terminals(block, threshold, unit, (0.0,), exp=False,
+                                                  work=work)
     rows = tuple(
         _market_row(name, rate, terminal, config.master_seed)
         for name, rate, terminal in (

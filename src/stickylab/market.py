@@ -8,6 +8,8 @@ units at price ``X`` costs ``rate * X * |d|`` on buys and sells alike, and
 liquidating at ``t`` costs ``rate * X_t * |holding_t|``.
 Prices, strategies and ledgers take one ``Path`` or a row block of an
 ``Ensemble`` (one row per path) through one code path along the last axis.
+Each takes an ``out`` buffer, so a loop over row blocks can reuse one set of
+arrays; without it every call returns new arrays.
 """
 
 from __future__ import annotations
@@ -116,22 +118,36 @@ class ArbitrageStats:
     flag: bool  # finite-sample surrogate, not a proof of arbitrage
 
 
-def exp_price(path: Path | Ensemble) -> Path | Ensemble:
-    """Exponential of the signal: the default, strictly positive asset price.
+def _buffer(out: Array | None, shape: tuple[int, ...]) -> Array:
+    """``out`` when it is a float64 array of this shape, a new array when it is None."""
+    if out is None:
+        return np.empty(shape)
+    if not (isinstance(out, np.ndarray) and out.dtype == np.float64 and out.shape == shape):
+        raise InvalidArgumentError(f"out must be a float64 array of shape {shape}")
+    return out
+
+
+def exp_price(path: Path | Ensemble, out: Array | None = None) -> Path | Ensemble:
+    """Exponential of the signal: the default, strictly positive asset price,
+    in ``out`` (shaped as ``path.values``) when given.
     The result's finiteness check refuses an overflowing price."""
     with np.errstate(over="ignore"):
-        values = np.exp(path.values)
+        values = np.exp(path.values, out=_buffer(out, path.values.shape))
     if isinstance(path, Ensemble):
         return Ensemble(path.grid, values, path.master_seed, "exp")
     return Path(path.grid, values, label=f"exp({path.label})" if path.label else "exp")
 
 
-def liquidation_value(strategy: Strategy, price: Path | Ensemble, cost: CostModel) -> LedgerPath:
+def liquidation_value(strategy: Strategy, price: Path | Ensemble, cost: CostModel,
+                      out: Array | None = None) -> LedgerPath:
     """Ledger of gains, trading costs, and liquidation penalty along the grid.
 
     gains[m]   = sum_{i<m} holding_i * (X_{i+1} - X_i)    (left-point Ito sum)
     cost[m]    = rate * sum_{jumps at s <= t_m} X_s * |trade|
     penalty[m] = rate * X_m * |holding_m|
+
+    ``out``, a ``(4, *price.values.shape)`` array, holds the gains, costs,
+    penalty and values when given; the ledger then shares its memory.
     """
     times, x, holding = price.grid.times, price.values, strategy.holdings
     idx = np.searchsorted(times, strategy.breakpoints, side="left")
@@ -140,17 +156,26 @@ def liquidation_value(strategy: Strategy, price: Path | Ensemble, cost: CostMode
     if idx.size < times.size:  # post-trade holding per grid point; column 0 holds the start's 0
         holding = np.concatenate((np.zeros(holding.shape[:-1] + (1,)), holding), axis=-1)
         holding = holding[..., np.searchsorted(strategy.breakpoints, times, side="right")]
-    # a huge holding can overflow below; the ledger's finiteness check refuses
-    # the result, so numpy's warnings are silenced
+    gains, cost_flow, penalty, values = _buffer(out, (4, *x.shape))
+    # each step writes into one of the four outputs, in an order that reads
+    # every scratch value before it is overwritten; a huge holding can
+    # overflow, which the ledger's finiteness check refuses, so numpy's
+    # warnings are silenced
     with np.errstate(over="ignore", invalid="ignore"):
-        gains = np.zeros(x.shape)
-        np.cumsum(holding[..., :-1] * np.diff(x, axis=-1), axis=-1, out=gains[..., 1:])
-        rate_x = cost.rate * x
-        trade_cost = rate_x * np.abs(np.diff(holding, axis=-1, prepend=0.0))
-        trade_cost += 0.0  # the -0.0 of a negative price times a zero trade becomes +0.0
-        cost_flow = np.cumsum(trade_cost, axis=-1)
-        penalty = rate_x * np.abs(holding)
-        values = gains - cost_flow - penalty
+        gains[..., 0] = 0.0
+        np.subtract(x[..., 1:], x[..., :-1], out=gains[..., 1:])
+        np.multiply(holding[..., :-1], gains[..., 1:], out=gains[..., 1:])
+        np.cumsum(gains[..., 1:], axis=-1, out=gains[..., 1:])
+        rate_x = np.multiply(cost.rate, x, out=penalty)
+        trade = cost_flow  # the trade sizes, with the first jump away from 0
+        np.subtract(holding[..., :1], 0.0, out=trade[..., :1])
+        np.subtract(holding[..., 1:], holding[..., :-1], out=trade[..., 1:])
+        np.multiply(rate_x, np.abs(trade, out=trade), out=trade)
+        trade += 0.0  # the -0.0 of a negative price times a zero trade becomes +0.0
+        np.cumsum(trade, axis=-1, out=cost_flow)
+        np.multiply(rate_x, np.abs(holding, out=values), out=penalty)
+        np.subtract(gains, cost_flow, out=values)
+        values -= penalty
     return LedgerPath(price.grid, gains, cost_flow, penalty, values)
 
 
@@ -204,16 +229,22 @@ def terminal_stats(terminal: Array, tol: float = 1e-9) -> ArbitrageStats:
     )
 
 
-def momentum_strategy(price: Path | Ensemble, threshold: float, unit: float) -> Strategy:
+def momentum_strategy(price: Path | Ensemble, threshold: float, unit: float,
+                      out: Array | None = None) -> Strategy:
     """Hold +unit / -unit when the last observed move from the start exceeds
     the threshold band; decisions at ``t`` use values strictly before ``t``.
-    A row block gets one column per grid time, one path its breakpoints only."""
+    A row block gets one column per grid time, one path its breakpoints only.
+    ``out`` (shaped as ``price.values``) holds the per-grid-time holdings when
+    given; a row block's strategy then shares its memory."""
     if not (threshold > 0.0 and unit > 0.0):
         raise InvalidArgumentError("threshold and unit must be positive")
     x = price.values
-    drift = x[..., :-1] - x[..., :1]  # signal available at the next grid time
-    desired = np.zeros(x.shape)
-    desired[..., 1:] = unit * ((drift > threshold).astype(np.float64) - (drift < -threshold))
+    desired = _buffer(out, x.shape)
+    desired[..., 0] = 0.0
+    drift = np.subtract(x[..., :-1], x[..., :1], out=desired[..., 1:])  # known at the next time
+    up, down = drift > threshold, drift < -threshold
+    np.subtract(up, down, out=desired[..., 1:], dtype=np.float64)
+    desired[..., 1:] *= unit
     if isinstance(price, Ensemble):
         return Strategy(price.grid.times, desired)
     changes = np.flatnonzero(np.diff(desired, prepend=0.0))

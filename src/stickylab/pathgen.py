@@ -8,6 +8,8 @@ Conventions
   on generation order or block size. Generation is serial, over row blocks
   with about ``_BLOCK_BYTES`` of temporaries (at least one row): the block's
   normals from one re-keyed Philox, then one 2-D transform of the block.
+  With ``out=`` the paths are written into the caller's buffer, so a caller
+  that draws an ensemble block by block can reuse one.
 - Brownian increments over ``[t_i, t_{i+1}]`` are ``N(0, sigma^2 * dt_i)``.
 - Fractional Brownian motion is sampled by circulant embedding (Davies-Harte)
   on uniform grids, with a dense Cholesky factorization as fallback when the
@@ -240,7 +242,8 @@ class Ensemble:
             raise InvalidArgumentError("ensemble values must be (n_paths, n_grid_points)")
         if values.shape[0] < 1:
             raise InvalidArgumentError("ensemble needs at least one path")
-        if not np.all(np.isfinite(values)):
+        # a NaN or an infinity shows in the extrema, with no array-sized temporary
+        if not (np.isfinite(values.min()) and np.isfinite(values.max())):
             raise InvalidArgumentError("ensemble values must be finite")
 
     @property
@@ -287,15 +290,26 @@ ProcessSpec = Union[BrownianMotion, FractionalBrownianMotion, DerivedProcess]
 
 #: a row block holds about this many bytes of temporaries, and at least one row
 _BLOCK_BYTES = 4 * 2**20
-#: Davies-Harte temporaries per step and row: normals, spectra and their FFT
+#: bytes of temporaries budgeted per step and row of a Davies-Harte block; its
+#: normals and spectra take 48, as the FFT runs in place
 _FGN_ROW_BYTES = 128
+
+
+def _path_count(n_paths: int) -> int:
+    """``n_paths`` read with ``operator.index``, so ``2.5`` is refused, not truncated."""
+    if not hasattr(n_paths, "__index__"):
+        raise InvalidArgumentError(f"n_paths must be an integer, got {n_paths!r}")
+    n = operator.index(n_paths)
+    if n < 1:
+        raise InvalidArgumentError("n_paths must be at least 1")
+    return n
 
 
 def _empty(n_paths: int, *shape: int) -> Array:
     """An empty ``(n_paths, *shape)`` array; ``InvalidArgumentError`` when
-    ``n_paths < 1`` or the array cannot be allocated, before any sampling."""
-    if n_paths < 1:
-        raise InvalidArgumentError("n_paths must be at least 1")
+    ``n_paths`` is not an integer of at least 1 or the array cannot be
+    allocated, before any sampling."""
+    n_paths = _path_count(n_paths)
     try:
         return np.empty((n_paths, *shape))
     except (MemoryError, ValueError) as exc:
@@ -304,9 +318,19 @@ def _empty(n_paths: int, *shape: int) -> Array:
         ) from exc
 
 
-def _output(grid: TimeGrid, n_paths: int | None) -> Array:
-    """The rows a generator fills, with ``values[:, 0] = 0``; one for a single path."""
-    values = _empty(1 if n_paths is None else operator.index(n_paths), grid.n_points)
+def _output(grid: TimeGrid, n_paths: int | None, out: Array | None) -> Array:
+    """The rows a generator fills, with ``values[:, 0] = 0``: ``out`` when given,
+    else a new array, of one row for a single path."""
+    if out is None:
+        values = _empty(1 if n_paths is None else n_paths, grid.n_points)
+    elif n_paths is None or not (isinstance(out, np.ndarray) and out.dtype == np.float64
+                                 and out.shape == (_path_count(n_paths), grid.n_points)
+                                 and out.flags.c_contiguous):
+        raise InvalidArgumentError(
+            "out must be a C-contiguous float64 (n_paths, n_grid_points) array"
+        )
+    else:
+        values = out
     values[:, 0] = 0.0
     return values
 
@@ -319,16 +343,17 @@ def _result(grid: TimeGrid, seed: SeedSpec, values: Array, n_paths: int | None,
 
 
 def sample_brownian(grid: TimeGrid, seed: SeedSpec, volatility: float = 1.0, *,
-                    n_paths: int | None = None) -> Union[Path, Ensemble]:
+                    n_paths: int | None = None, out: Array | None = None) -> Union[Path, Ensemble]:
     """Brownian path with ``values[0] = 0`` and independent Gaussian increments.
 
     The increment over ``[t_i, t_{i+1}]`` has variance ``volatility^2 * dt_i``.
     Identical ``(grid, seed, volatility)`` yield a bit-identical path.
-    ``n_paths=k`` returns the k-row ``Ensemble`` of paths ``seed.path_index, ...``.
+    ``n_paths=k`` returns the k-row ``Ensemble`` of paths ``seed.path_index, ...``,
+    written into ``out`` (a float64 ``(k, n_points)`` array) when it is given.
     """
     if not (np.isfinite(volatility) and volatility > 0.0):
         raise InvalidArgumentError("volatility must be positive")
-    values = _output(grid, n_paths)
+    values = _output(grid, n_paths, out)
     step = max(1, _BLOCK_BYTES // (8 * grid.n_steps))  # the increments are the buffer
     for a in range(0, len(values), step):
         increments = values[a : a + step, 1:]
@@ -392,69 +417,81 @@ def _fbm_dense_factor(n_steps: int, dt: float, hurst: float) -> Array:
 
 
 def sample_fbm(grid: TimeGrid, seed: SeedSpec, hurst: float, *,
-               n_paths: int | None = None) -> Union[Path, Ensemble]:
+               n_paths: int | None = None, out: Array | None = None) -> Union[Path, Ensemble]:
     """Fractional Brownian path with covariance ``(s^2H + t^2H - |t-s|^2H)/2``.
 
     Requires a uniform grid (the circulant embedding assumes equal spacing).
     Falls back to dense covariance factorization if the embedding fails.
-    ``n_paths=k`` returns a k-row ``Ensemble``, as for ``sample_brownian``.
+    ``n_paths`` and ``out`` work as for ``sample_brownian``.
     """
     if not (0.0 < hurst < 1.0):
         raise InvalidArgumentError("hurst must lie strictly inside (0, 1)")
     dt = grid.uniform_spacing()
     n = grid.n_steps
     weights = _fgn_sqrt_spectrum(n, float(hurst))
-    values = _output(grid, n_paths)
+    values = _output(grid, n_paths, out)
     step = max(1, _BLOCK_BYTES // (_FGN_ROW_BYTES * n))
+    # the normals and spectra of one block, reused by every block
+    z = np.empty((min(step, len(values)), n if weights is None else 2 * n))
+    w = None if weights is None else np.empty(z.shape, dtype=np.complex128)
     for a in range(0, len(values), step):
         block = values[a : a + step]
-        z = np.empty((len(block), n if weights is None else 2 * n))
-        _normals(seed.master_seed, seed.path_index + a, z)
+        zb = z[: len(block)]
+        _normals(seed.master_seed, seed.path_index + a, zb)
         if weights is None:
             for r, row in enumerate(block):  # a block matmul may round differently
-                row[1:] = _fbm_dense_factor(n, dt, float(hurst)) @ z[r]
-        else:
-            # Davies-Harte: a Hermitian spectrum from 2n normals per row, one FFT
-            w = np.empty(z.shape, dtype=np.complex128)
-            w[:, 0] = weights[0] * z[:, 0]
-            w[:, n] = weights[n] * z[:, 1]
-            np.multiply(weights[1:n], z[:, 2 : n + 1] + 1j * z[:, n + 1 :], out=w[:, 1:n])
-            np.conj(w[:, n - 1 : 0 : -1], out=w[:, n + 1 :])
-            np.cumsum(np.fft.fft(w, axis=-1).real[:, :n] * dt**hurst, axis=1, out=block[:, 1:])
+                row[1:] = _fbm_dense_factor(n, dt, float(hurst)) @ zb[r]
+            continue
+        # Davies-Harte: a Hermitian spectrum from 2n normals per row, one FFT in place
+        wb = w[: len(block)]
+        wb[:, 0] = weights[0] * zb[:, 0]
+        wb[:, n] = weights[n] * zb[:, 1]
+        inner = wb[:, 1:n]  # weights * (z_a + 1j * z_b), without temporaries
+        np.multiply(1j, zb[:, n + 1 :], out=inner)
+        np.add(zb[:, 2 : n + 1], inner, out=inner)
+        np.multiply(weights[1:n], inner, out=inner)
+        np.conj(wb[:, n - 1 : 0 : -1], out=wb[:, n + 1 :])
+        np.fft.fft(wb, axis=-1, out=wb)
+        np.multiply(wb.real[:, :n], dt**hurst, out=block[:, 1:])
+        np.cumsum(block[:, 1:], axis=1, out=block[:, 1:])
     return _result(grid, seed, values, n_paths, f"fbm-H{hurst:g}", "fbm")
 
 
 def build_path(spec: ProcessSpec, grid: TimeGrid, seed: SeedSpec, *,
-               n_paths: int | None = None) -> Union[Path, Ensemble]:
+               n_paths: int | None = None, out: Array | None = None) -> Union[Path, Ensemble]:
     """Generate one path of ``spec`` from its per-path seed, or with
-    ``n_paths=k`` a k-row ``Ensemble`` of paths ``seed.path_index, ...``."""
+    ``n_paths=k`` a k-row ``Ensemble`` of paths ``seed.path_index, ...``
+    (in ``out`` when given)."""
     if isinstance(spec, BrownianMotion):
-        return sample_brownian(grid, seed, spec.volatility, n_paths=n_paths)
+        return sample_brownian(grid, seed, spec.volatility, n_paths=n_paths, out=out)
     if isinstance(spec, FractionalBrownianMotion):
-        return sample_fbm(grid, seed, spec.hurst, n_paths=n_paths)
+        return sample_fbm(grid, seed, spec.hurst, n_paths=n_paths, out=out)
     if not isinstance(spec, DerivedProcess):
         raise InvalidArgumentError(f"unknown process spec: {spec!r}")
-    values = _output(grid, n_paths)
+    values = _output(grid, n_paths, out)
     for r, row in enumerate(values):
         row[:] = spec.build(grid, SeedSpec(seed.master_seed, seed.path_index + r)).values
     return _result(grid, seed, values, n_paths, spec.label, spec.label)
 
 
 def sample_ensemble(spec: ProcessSpec, grid: TimeGrid, master_seed: int, n_paths: int,
-                    workers: int | None = None, *, first: int = 0) -> Ensemble:
+                    workers: int | None = None, *, first: int = 0,
+                    out: Array | None = None) -> Ensemble:
     """Sample paths ``first ... first + n_paths - 1``: row ``r`` is path
     ``first + r`` and uses ``SeedSpec(master_seed, first + r)``.
 
     So a block of rows is bit-identical to the same rows of the whole
-    ensemble, and an ensemble can be drawn block by block. ``build_path``
-    fills one preallocated array a row block at a time. ``workers`` is still
-    checked (at least 1) but has no effect; it stays for existing callers.
+    ensemble, and an ensemble can be drawn block by block, each block into
+    the same ``out`` buffer. ``build_path`` fills one preallocated array a row
+    block at a time. ``workers`` is still checked (at least 1) but has no
+    effect; it stays for existing callers.
     """
     if int(first) < 0:
         raise InvalidArgumentError("first must be nonnegative")
     if workers is not None and int(workers) < 1:
         raise InvalidArgumentError("workers must be at least 1")
-    return build_path(spec, grid, SeedSpec(master_seed, first), n_paths=int(n_paths))
+    return build_path(spec, grid, SeedSpec(master_seed, first), n_paths=_path_count(n_paths),
+                      out=out)
 
 
 # ------------------------------ discrete Ito ------------------------------ #

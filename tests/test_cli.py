@@ -26,7 +26,9 @@ from stickylab.cli import (
 )
 from stickylab.errors import (ConfigError, NumericalFailureError, StickyLabError,
                               TimeChangeRangeError)
-from stickylab.pathgen import BrownianMotion, Ensemble, make_uniform_grid, sample_ensemble
+from stickylab.market import CostModel, exp_price, liquidation_value, momentum_strategy
+from stickylab.pathgen import (BrownianMotion, Ensemble, SeedSpec, make_uniform_grid,
+                                sample_ensemble)
 from stickylab.transforms import IdentityCap, PassageTimes, dds_brownianize, time_change
 
 
@@ -444,6 +446,8 @@ def test_cli_exit_code_2_on_bad_rule(tmp_path):
         # the streamed presets allocate their per-path output before the first block
         ["experiment", "passage-counterexample", "--paths", "10000000000000"],
         ["experiment", "timechange-cap", "--paths", "10000000000000"],
+        ["experiment", "costs-fbm-momentum", "--paths", "10000000000000"],
+        ["portfolio", "--paths", "10000000000000"],
     ],
 )
 def test_cli_exit_code_2_on_non_finite_ladder_or_huge_ensemble(tmp_path, monkeypatch, capsys, flags):
@@ -744,11 +748,62 @@ def _frozen_dds_check(config):
     return ResultTable(cli.DDS_COLUMNS, (row,), cli._provenance(config))
 
 
+# The market runs as they were before they were streamed: the whole ensemble
+# (and for the costs preset its whole shuffled control) first, then 64-row
+# blocks of it, each price, strategy and ledger in new arrays.
+
+
+def _frozen_momentum_terminals(ensemble, threshold, unit, rates, exp):
+    terminal = np.empty((len(rates), ensemble.n_paths))
+    for start in range(0, ensemble.n_paths, 64):
+        rows = slice(start, start + 64)
+        block = Ensemble(ensemble.grid, ensemble.values[rows], ensemble.master_seed)
+        price = exp_price(block) if exp else block
+        strategy = momentum_strategy(price, threshold, unit)
+        for k, rate in enumerate(rates):
+            terminal[k, rows] = liquidation_value(strategy, price, CostModel(rate)).terminal
+    return terminal
+
+
+def _frozen_portfolio(config):
+    threshold, unit = cli._parse_strategy(config.strategy)
+    (terminal,) = _frozen_momentum_terminals(_frozen_whole_ensemble(config), threshold, unit,
+                                             (config.rate,), exp=not config.raw_price)
+    row = cli._market_row(config.strategy, config.rate, terminal, config.master_seed)
+    return ResultTable(cli.MARKET_COLUMNS, (row,), cli._provenance(config))
+
+
+def _frozen_costs_momentum(config):
+    threshold, unit = cli._parse_strategy(config.strategy)
+    ensemble = _frozen_whole_ensemble(config)
+    v_free, v_cost = _frozen_momentum_terminals(ensemble, threshold, unit, (0.0, config.rate),
+                                                exp=True)
+    (v_raw,) = _frozen_momentum_terminals(ensemble, threshold, unit, (0.0,), exp=False)
+    rng = SeedSpec((config.master_seed ^ cli._SHUFFLE_SALT) % 2**64, 0).generator()
+    increments = np.diff(ensemble.values, axis=1)
+    rng.shuffle(increments.ravel())
+    values = np.zeros(ensemble.values.shape)
+    np.cumsum(increments, axis=1, out=values[:, 1:])
+    control = Ensemble(ensemble.grid, values, config.master_seed, "shuffled-control")
+    (v_control,) = _frozen_momentum_terminals(control, threshold, unit, (0.0,), exp=False)
+    rows = tuple(
+        cli._market_row(name, rate, terminal, config.master_seed)
+        for name, rate, terminal in (
+            ("momentum", 0.0, v_free),
+            ("momentum", config.rate, v_cost),
+            ("momentum-raw", 0.0, v_raw),
+            ("momentum-raw-shuffled", 0.0, v_control),
+        )
+    )
+    return ResultTable(cli.MARKET_COLUMNS, rows, cli._provenance(config))
+
+
 # preset -> (its frozen whole-ensemble runner, steps per path)
 _FROZEN_PRESETS = {
     "passage-counterexample": (_frozen_passage_counterexample, 2048),
     "timechange-cap": (_frozen_timechange_cap, 128),
     "dds-check": (_frozen_dds_check, 512),
+    "costs-fbm-momentum": (_frozen_costs_momentum, 128),
 }
 
 
@@ -759,11 +814,7 @@ def _csv_or_error(run, config):
         return type(exc).__name__, str(exc)
 
 
-@pytest.mark.parametrize("n_paths", [1, 63, 64, 65, 200])
-@pytest.mark.parametrize("preset", sorted(_FROZEN_PRESETS))
-def test_streamed_presets_match_the_whole_ensemble_code(monkeypatch, preset, n_paths):
-    frozen, steps = _FROZEN_PRESETS[preset]
-    config = small(preset, n_paths=n_paths, steps=steps, master_seed=11)
+def _assert_streamed_matches(monkeypatch, frozen, config):
     expected = _csv_or_error(frozen, config)
     drawn = []
 
@@ -774,7 +825,37 @@ def test_streamed_presets_match_the_whole_ensemble_code(monkeypatch, preset, n_p
     monkeypatch.setattr(cli, "sample_ensemble", spy)
     assert _csv_or_error(run_experiment, config) == expected
     # drawn in blocks of at most 64 rows that together cover every path once
-    assert max(drawn) <= 64 and sum(drawn) == n_paths
+    assert max(drawn) <= 64 and sum(drawn) == config.n_paths
+
+
+@pytest.mark.parametrize("n_paths", [1, 63, 64, 65, 200])
+@pytest.mark.parametrize("preset", sorted(_FROZEN_PRESETS))
+def test_streamed_presets_match_the_whole_ensemble_code(monkeypatch, preset, n_paths):
+    frozen, steps = _FROZEN_PRESETS[preset]
+    config = small(preset, n_paths=n_paths, steps=steps, master_seed=11)
+    _assert_streamed_matches(monkeypatch, frozen, config)
+
+
+@pytest.mark.parametrize("raw_price", [False, True])
+@pytest.mark.parametrize("n_paths", [1, 63, 64, 65, 200])
+def test_streamed_portfolio_matches_the_whole_ensemble_code(monkeypatch, n_paths, raw_price):
+    config = ExperimentConfig(experiment="portfolio", process="fbm", n_paths=n_paths, steps=128,
+                              rate=0.01, raw_price=raw_price, master_seed=11)
+    _assert_streamed_matches(monkeypatch, _frozen_portfolio, config)
+
+
+def test_costs_preset_holds_only_its_increments():
+    config = small("costs-fbm-momentum", n_paths=2000, steps=1024)
+    increments_bytes = 2000 * 1024 * 8  # what the pooled shuffle needs; 16.4 MB
+    tracemalloc.start()
+    try:
+        table = run_experiment(config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert [row[2] for row in table.rows] == [2000] * 4
+    # held whole, the ensemble, its increments and the control took about 3x
+    assert peak < 1.5 * increments_bytes
 
 
 def test_passage_preset_never_holds_its_base_ensemble():

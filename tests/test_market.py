@@ -384,6 +384,47 @@ def test_cli_market_terminals_do_not_depend_on_the_block_size(monkeypatch):
     assert all(_same_bits(terminals, by_size[0]) for terminals in by_size[1:])
 
 
+@pytest.mark.parametrize("price_kind", ["exp", "raw-negative"])
+def test_market_results_in_reused_buffers_equal_fresh_ones(price_kind):
+    signal = _block_with_idle_rows("fbm-0.75", 65)
+    work = np.full((6, 65, signal.grid.n_points), np.nan)
+    if price_kind == "exp":
+        fresh_price, price = exp_price(signal), exp_price(signal, out=work[0])
+    else:  # negative prices put -0.0 into the untraded cost terms
+        fresh_price = price = Ensemble(signal.grid, signal.values - 2.0, signal.master_seed)
+    fresh_strategy = momentum_strategy(fresh_price, 0.1, 1.0)
+    strategy = momentum_strategy(price, 0.1, 1.0, out=work[1])
+    assert _same_bits(price.values, fresh_price.values)
+    assert _same_bits(strategy.holdings, fresh_strategy.holdings)
+    for rate in (0.01, 0.0):  # the second ledger overwrites the first one's buffers
+        fresh = liquidation_value(fresh_strategy, fresh_price, CostModel(rate))
+        ledger = liquidation_value(strategy, price, CostModel(rate), out=work[2:])
+        for k, name in enumerate(("gains", "cost_flow", "liquidation_penalty", "values")):
+            assert _same_bits(getattr(ledger, name), getattr(fresh, name)), name
+            assert np.shares_memory(getattr(ledger, name), work[2 + k])
+    # one path, its strategy compressed to breakpoints, into a one-path buffer
+    last = price.path(64)
+    one = momentum_strategy(last, 0.1, 1.0)
+    into = liquidation_value(one, last, CostModel(0.01), out=work[2:, 0])
+    assert _same_bits(into.values, liquidation_value(one, last, CostModel(0.01)).values)
+
+
+def test_market_results_without_buffers_do_not_alias():
+    signal = _block_with_idle_rows("bm", 8)
+    prices = [exp_price(signal) for _ in range(2)]
+    strategies = [momentum_strategy(prices[0], 0.1, 1.0) for _ in range(2)]
+    ledgers = [liquidation_value(strategies[0], prices[0], CostModel(0.01)) for _ in range(2)]
+    assert not np.shares_memory(prices[0].values, prices[1].values)
+    assert not np.shares_memory(strategies[0].holdings, strategies[1].holdings)
+    arrays = [getattr(ledger, name) for ledger in ledgers
+              for name in ("gains", "cost_flow", "liquidation_penalty", "values")]
+    assert not any(np.shares_memory(a, b) for i, a in enumerate(arrays) for b in arrays[i + 1:])
+    with pytest.raises(InvalidArgumentError, match="out must be a float64 array"):
+        liquidation_value(strategies[0], prices[0], CostModel(0.01), out=np.empty((3, 8, 129)))
+    with pytest.raises(InvalidArgumentError, match="out must be a float64 array"):
+        exp_price(signal, out=np.empty((8, 129), dtype=np.float32))
+
+
 def test_block_strategy_holds_one_column_per_grid_time():
     grid = make_uniform_grid(1.0, 4)
     holdings = np.array([[0.0, 1.0, 1.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0, 0.0]])

@@ -517,6 +517,34 @@ def test_n_paths_keyword_returns_the_rows_of_the_one_path_calls():
     assert np.array_equal(ens.values[:, 0], [40.0, 41.0, 42.0])
 
 
+def test_fractional_path_counts_are_refused():
+    # int(2.5) would silently draw 2 paths
+    grid = make_uniform_grid(1.0, 4)
+    with pytest.raises(InvalidArgumentError, match="n_paths must be an integer, got 2.5"):
+        sample_ensemble(BrownianMotion(1.0), grid, 1, 2.5)
+    with pytest.raises(InvalidArgumentError, match="n_paths must be an integer, got 2.5"):
+        sample_fbm(grid, SeedSpec(1), 0.7, n_paths=2.5)
+    assert sample_ensemble(BrownianMotion(1.0), grid, 1, np.int64(3)).n_paths == 3
+
+
+@pytest.mark.parametrize(
+    "spec", [BrownianMotion(0.7), FractionalBrownianMotion(0.3), FractionalBrownianMotion(1 - 1e-12)]
+)
+def test_ensemble_drawn_into_a_reused_buffer_equals_a_fresh_one(spec):
+    grid = make_uniform_grid(1.0, 256)  # H = 1 - 1e-12 runs the dense fallback here
+    buffer = np.full((40, grid.n_points), np.nan)
+    for first, n in ((0, 40), (40, 17), (57, 40)):
+        fresh = sample_ensemble(spec, grid, 5, n, first=first)
+        into = sample_ensemble(spec, grid, 5, n, first=first, out=buffer[:n])
+        assert np.array_equal(into.values, fresh.values)
+        assert into.values.base is buffer and not np.shares_memory(fresh.values, buffer)
+    for bad in (buffer[:39], buffer[:, :-1], buffer.astype(np.float32), np.asfortranarray(buffer)):
+        with pytest.raises(InvalidArgumentError, match="out must be a C-contiguous float64"):
+            sample_ensemble(spec, grid, 5, 40, out=bad)
+    with pytest.raises(InvalidArgumentError, match="out must be a C-contiguous float64"):
+        build_path(spec, grid, SeedSpec(5), out=buffer[:1])  # one Path has no out
+
+
 def test_fbm_block_temporaries_stay_bounded():
     # 64 x 65,536 steps: one row's Davies-Harte temporaries exceed the block
     # budget, so every block is one row and the peak stays near the output
