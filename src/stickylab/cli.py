@@ -261,21 +261,19 @@ def _parse_strategy(text: str):
 
 
 def _market_work(n_paths: int, n_points: int) -> np.ndarray:
-    """The buffers ``_momentum_terminals`` computes a block of ``n_paths`` paths in."""
-    return np.empty((6, min(_BLOCK_ROWS, n_paths), n_points))
+    """The buffers ``_momentum_terminals`` computes a block of ``n_paths`` paths in;
+    ``InvalidArgumentError`` when they cannot be allocated, before any sampling."""
+    return _empty(6, min(_BLOCK_ROWS, n_paths), n_points)
 
 
 def _momentum_terminals(ensemble: Ensemble, threshold: float, unit: float,
-                        rates: tuple[float, ...], exp: bool,
-                        work: np.ndarray | None = None) -> np.ndarray:
+                        rates: tuple[float, ...], exp: bool, work: np.ndarray) -> np.ndarray:
     """Terminal liquidation values, ``(len(rates), n_paths)``, of momentum trading
     each path (its exponential when ``exp``) at each cost rate, row block by block.
     Every block's price, strategy and ledger are computed in ``work``
-    (``_market_work``; new when not given), so a streamed caller that passes
-    one ``work`` to each block allocates them once per run."""
+    (``_market_work``), so a streamed caller that passes one ``work`` to each
+    block allocates them once per run."""
     terminal = np.empty((len(rates), ensemble.n_paths))
-    if work is None:
-        work = _market_work(ensemble.n_paths, ensemble.grid.n_points)
     for rows in _blocks(ensemble.n_paths):
         block = Ensemble(ensemble.grid, ensemble.values[rows], ensemble.master_seed)
         buf = work[:, : block.n_paths]  # price, holdings and the four ledger arrays

@@ -442,7 +442,7 @@ def sample_fbm(grid: TimeGrid, seed: SeedSpec, hurst: float, *,
             for r, row in enumerate(block):  # a block matmul may round differently
                 row[1:] = _fbm_dense_factor(n, dt, float(hurst)) @ zb[r]
             continue
-        # Davies-Harte: a Hermitian spectrum from 2n normals per row, one FFT in place
+        # Davies-Harte: a Hermitian spectrum from 2n normals per row, one FFT
         wb = w[: len(block)]
         wb[:, 0] = weights[0] * zb[:, 0]
         wb[:, n] = weights[n] * zb[:, 1]
@@ -451,8 +451,7 @@ def sample_fbm(grid: TimeGrid, seed: SeedSpec, hurst: float, *,
         np.add(zb[:, 2 : n + 1], inner, out=inner)
         np.multiply(weights[1:n], inner, out=inner)
         np.conj(wb[:, n - 1 : 0 : -1], out=wb[:, n + 1 :])
-        np.fft.fft(wb, axis=-1, out=wb)
-        np.multiply(wb.real[:, :n], dt**hurst, out=block[:, 1:])
+        np.multiply(np.fft.fft(wb, axis=-1).real[:, :n], dt**hurst, out=block[:, 1:])
         np.cumsum(block[:, 1:], axis=1, out=block[:, 1:])
     return _result(grid, seed, values, n_paths, f"fbm-H{hurst:g}", "fbm")
 

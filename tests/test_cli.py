@@ -448,6 +448,9 @@ def test_cli_exit_code_2_on_bad_rule(tmp_path):
         ["experiment", "timechange-cap", "--paths", "10000000000000"],
         ["experiment", "costs-fbm-momentum", "--paths", "10000000000000"],
         ["portfolio", "--paths", "10000000000000"],
+        # a grid so long that no address space holds one block's market buffers
+        ["portfolio", "--steps", "100000000000"],
+        ["experiment", "costs-fbm-momentum", "--paths", "64", "--steps", "100000000000"],
     ],
 )
 def test_cli_exit_code_2_on_non_finite_ladder_or_huge_ensemble(tmp_path, monkeypatch, capsys, flags):

@@ -368,10 +368,11 @@ def test_block_ledgers_equal_the_per_path_loop(process, n_paths, rate, price_kin
 def test_cli_market_blocks_equal_the_per_path_loop(n_paths):
     signal = _block_with_idle_rows("fbm-0.75", n_paths)
     times = signal.grid.times
-    terminals = cli._momentum_terminals(signal, 0.1, 1.0, (0.0, 0.01), exp=True)
+    work = cli._market_work(signal.n_paths, signal.grid.n_points)
+    terminals = cli._momentum_terminals(signal, 0.1, 1.0, (0.0, 0.01), exp=True, work=work)
     for k, rate in enumerate((0.0, 0.01)):
         assert _same_bits(terminals[k], _loop_terminals(times, np.exp(signal.values), rate))
-    (raw,) = cli._momentum_terminals(signal, 0.1, 1.0, (0.0,), exp=False)
+    (raw,) = cli._momentum_terminals(signal, 0.1, 1.0, (0.0,), exp=False, work=work)
     assert _same_bits(raw, _loop_terminals(times, signal.values, 0.0))
 
 
@@ -380,7 +381,9 @@ def test_cli_market_terminals_do_not_depend_on_the_block_size(monkeypatch):
     by_size = []
     for rows in (1, 7, 64, 200, 1000):
         monkeypatch.setattr(cli, "_BLOCK_ROWS", rows)
-        by_size.append(cli._momentum_terminals(signal, 0.1, 1.0, (0.0, 0.01), exp=True))
+        work = cli._market_work(signal.n_paths, signal.grid.n_points)
+        by_size.append(cli._momentum_terminals(signal, 0.1, 1.0, (0.0, 0.01), exp=True,
+                                               work=work))
     assert all(_same_bits(terminals, by_size[0]) for terminals in by_size[1:])
 
 
