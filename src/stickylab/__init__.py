@@ -21,7 +21,6 @@ from .market import (
 )
 from .pathgen import (
     BrownianMotion,
-    DerivedProcess,
     Ensemble,
     FractionalBrownianMotion,
     Path,

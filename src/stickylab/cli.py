@@ -44,7 +44,6 @@ from .transforms import (
     NonStickyMartingale,
     PassageTimes,
     dds_brownianize,
-    example_process,
     time_change,
 )
 
@@ -155,9 +154,9 @@ def _provenance(config: ExperimentConfig, **extra) -> dict:
 _PROCESSES = {
     "bm": lambda c: BrownianMotion(c.sigma),
     "fbm": lambda c: FractionalBrownianMotion(c.hurst),
-    "nonsticky-martingale": lambda c: example_process(NonStickyMartingale()),
-    "abs-cuberoot": lambda c: example_process(AbsCubeRootOfMartingale(BrownianMotion(c.sigma))),
-    "cos-drift": lambda c: example_process(CosDriftExample()),
+    "nonsticky-martingale": lambda c: NonStickyMartingale(),
+    "abs-cuberoot": lambda c: AbsCubeRootOfMartingale(BrownianMotion(c.sigma)),
+    "cos-drift": lambda c: CosDriftExample(),
 }
 
 

@@ -25,9 +25,9 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterator, Union
+from typing import Iterator, Union
 
 import numpy as np
 
@@ -51,7 +51,6 @@ __all__ = [
     "Ensemble",
     "BrownianMotion",
     "FractionalBrownianMotion",
-    "DerivedProcess",
     "ProcessSpec",
     "make_uniform_grid",
     "sample_brownian",
@@ -147,7 +146,11 @@ def make_uniform_grid(horizon: float, steps: int) -> TimeGrid:
         raise InvalidArgumentError(f"horizon must be positive, got {horizon}")
     if int(steps) != steps or steps < 1:
         raise InvalidArgumentError(f"steps must be a positive integer, got {steps}")
-    return TimeGrid(np.linspace(0.0, float(horizon), int(steps) + 1))
+    try:  # refused before any sampling, as _empty refuses an ensemble
+        times = np.linspace(0.0, float(horizon), int(steps) + 1)
+    except (MemoryError, ValueError) as exc:
+        raise InvalidArgumentError(f"cannot allocate a grid of {int(steps)} steps: {exc}") from exc
+    return TimeGrid(times)
 
 
 # ------------------------------ randomness ------------------------------ #
@@ -275,15 +278,7 @@ class FractionalBrownianMotion:
             raise InvalidArgumentError("hurst must lie strictly inside (0, 1)")
 
 
-@dataclass(frozen=True)
-class DerivedProcess:
-    """A process built by another module; ``build(grid, seed) -> Path``."""
-
-    label: str
-    build: Callable[[TimeGrid, SeedSpec], Path] = field(compare=False)
-
-
-ProcessSpec = Union[BrownianMotion, FractionalBrownianMotion, DerivedProcess]
+ProcessSpec = Union[BrownianMotion, FractionalBrownianMotion]
 
 
 # ------------------------------ generators ------------------------------ #
@@ -355,11 +350,12 @@ def sample_brownian(grid: TimeGrid, seed: SeedSpec, volatility: float = 1.0, *,
         raise InvalidArgumentError("volatility must be positive")
     values = _output(grid, n_paths, out)
     step = max(1, _BLOCK_BYTES // (8 * grid.n_steps))  # the increments are the buffer
-    for a in range(0, len(values), step):
-        increments = values[a : a + step, 1:]
-        _normals(seed.master_seed, seed.path_index + a, increments)
-        increments *= volatility * grid._sqrt_spacings
-        np.cumsum(increments, axis=1, out=increments)
+    with np.errstate(over="ignore", invalid="ignore"):  # the finiteness check refuses overflow
+        for a in range(0, len(values), step):
+            increments = values[a : a + step, 1:]
+            _normals(seed.master_seed, seed.path_index + a, increments)
+            increments *= volatility * grid._sqrt_spacings
+            np.cumsum(increments, axis=1, out=increments)
     return _result(grid, seed, values, n_paths, "bm", "bm")
 
 
@@ -460,17 +456,13 @@ def build_path(spec: ProcessSpec, grid: TimeGrid, seed: SeedSpec, *,
                n_paths: int | None = None, out: Array | None = None) -> Union[Path, Ensemble]:
     """Generate one path of ``spec`` from its per-path seed, or with
     ``n_paths=k`` a k-row ``Ensemble`` of paths ``seed.path_index, ...``
-    (in ``out`` when given)."""
+    (in ``out`` when given). Any other spec is one of ``transforms``' examples."""
     if isinstance(spec, BrownianMotion):
         return sample_brownian(grid, seed, spec.volatility, n_paths=n_paths, out=out)
     if isinstance(spec, FractionalBrownianMotion):
         return sample_fbm(grid, seed, spec.hurst, n_paths=n_paths, out=out)
-    if not isinstance(spec, DerivedProcess):
-        raise InvalidArgumentError(f"unknown process spec: {spec!r}")
-    values = _output(grid, n_paths, out)
-    for r, row in enumerate(values):
-        row[:] = spec.build(grid, SeedSpec(seed.master_seed, seed.path_index + r)).values
-    return _result(grid, seed, values, n_paths, spec.label, spec.label)
+    from .transforms import build_example  # transforms builds on this module
+    return build_example(spec, grid, seed, n_paths=n_paths, out=out)
 
 
 def sample_ensemble(spec: ProcessSpec, grid: TimeGrid, master_seed: int, n_paths: int,
@@ -496,14 +488,18 @@ def sample_ensemble(spec: ProcessSpec, grid: TimeGrid, master_seed: int, n_paths
 # ------------------------------ discrete Ito ------------------------------ #
 
 
-def integrate_ito(integrand: Path, integrator: Path) -> Path:
-    """Left-point discrete Ito integral of ``integrand`` against ``integrator``.
+def integrate_ito(integrand: Path | Ensemble, integrator: Path | Ensemble) -> Path | Ensemble:
+    """Left-point discrete Ito integral of ``integrand`` against ``integrator``,
+    for one path or row by row for a row block, along the last axis.
 
     ``result[k] = sum_{i<k} integrand[i] * (integrator[i+1] - integrator[i])``
     with ``result[0] = 0``.
     """
-    if integrand.grid != integrator.grid:
-        raise GridMismatchError("integrand and integrator must share a grid")
-    increments = np.diff(integrator.values)
-    values = np.concatenate(([0.0], np.cumsum(integrand.values[:-1] * increments)))
+    if integrand.grid != integrator.grid or integrand.values.shape != integrator.values.shape:
+        raise GridMismatchError("integrand and integrator must share a grid and a shape")
+    values = np.zeros(integrator.values.shape)
+    np.cumsum(integrand.values[..., :-1] * np.diff(integrator.values), axis=-1,
+              out=values[..., 1:])
+    if isinstance(integrator, Ensemble):
+        return Ensemble(integrator.grid, values, integrator.master_seed, "ito")
     return Path(integrand.grid, values, label="ito")

@@ -116,15 +116,27 @@ class StopResult:
 def _first_exit(x, start: int, delta: float) -> int | None:
     """First ``k >= start`` with ``|x[k] - x[start]| > delta`` (strict), else None.
 
-    The one tube-exit scan behind the hitting rule, the prop-c count, the
-    survival ladder and the non-sticky example's barrier. Kept out of
-    ``__all__``: the benchmark's tracer wraps every exported function, so an
-    exported name would add a span to every traced call graph.
+    The one tube-exit scan behind the hitting rule, the prop-c count and the
+    survival ladder. Kept out of ``__all__``: the benchmark's tracer wraps
+    every exported function, so an exported name would add a span to every
+    traced call graph.
     """
     exceeded = np.abs(x[start:] - x[start]) > delta
     if not exceeded.any():
         return None
     return start + int(np.argmax(exceeded))
+
+
+def _first_true(hit: Array) -> Array:
+    """Index of the first true column of each row of ``hit``, ``hit.shape[1]`` where none is."""
+    k = hit.argmax(axis=1)
+    k[~hit[np.arange(len(hit)), k]] = hit.shape[1]
+    return k
+
+
+def _abs_exceed_indices(x: Array, level: float) -> Array:
+    """``FirstAbsExceed(level)`` index of each row of ``x``; ``x.shape[1]`` where none."""
+    return _first_true(np.abs(x) >= level)
 
 
 def _passage_indices(x: Array, levels: Array) -> Array:
@@ -136,7 +148,6 @@ def _passage_indices(x: Array, levels: Array) -> Array:
     tiny gaps underflows to -0.0). Each level is one comparison pass over the
     rows that start on one side of it.
     """
-    n = x.shape[1]
     start = x[:, 0]
     out = np.zeros((x.shape[0], levels.size), dtype=np.intp)
     reached = np.empty(x.shape, dtype=bool)  # reused: one block-sized temporary per call
@@ -145,10 +156,8 @@ def _passage_indices(x: Array, levels: Array) -> Array:
             m = int(np.count_nonzero(rows))
             if m == 0:
                 continue
-            hit = reaches(x if m == x.shape[0] else x[rows], level, out=reached[:m])
-            k = hit.argmax(axis=1)
-            k[~hit[np.arange(m), k]] = n
-            out[rows, j] = k
+            out[rows, j] = _first_true(reaches(x if m == x.shape[0] else x[rows], level,
+                                               out=reached[:m]))
     return out
 
 
@@ -172,11 +181,8 @@ def evaluate_rule(rule: StoppingRule, path: Path) -> StopResult:
         return StopResult.not_stopped() if k == x.size else StopResult.at(times[k], k)
     if not isinstance(rule, FirstAbsExceed):
         raise InvalidRuleError(f"unknown stopping rule: {rule!r}")
-    hit = np.abs(x) >= rule.level
-    if not hit.any():
-        return StopResult.not_stopped()
-    k = int(np.argmax(hit))
-    return StopResult.at(times[k], k)
+    k = int(_abs_exceed_indices(x[None, :], rule.level)[0])
+    return StopResult.not_stopped() if k == x.size else StopResult.at(times[k], k)
 
 
 def passage_time(path: Path | Ensemble, level: float | Array) -> StopResult | Array:

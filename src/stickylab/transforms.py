@@ -10,8 +10,8 @@ exact for the continuous processes in scope up to one grid modulus.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Union
+from dataclasses import dataclass, field, replace
+from typing import ClassVar, Union
 
 import numpy as np
 
@@ -22,19 +22,22 @@ from .errors import (
     TimeChangeRangeError,
 )
 from .pathgen import (
+    _BLOCK_BYTES,
     Array,
     BrownianMotion,
-    DerivedProcess,
     Ensemble,
     Path,
     ProcessSpec,
     SeedSpec,
     TimeGrid,
+    _normals,
+    _output,
+    _result,
     build_path,
     integrate_ito,
     sample_brownian,
 )
-from .stopping import FirstAbsExceed, _first_exit, evaluate_rule, passage_time
+from .stopping import _abs_exceed_indices, _first_true, passage_time
 
 __all__ = [
     "Identity",
@@ -56,7 +59,6 @@ __all__ = [
     "dds_brownianize",
     "drift_by_qv",
     "build_example",
-    "example_process",
 ]
 
 
@@ -116,9 +118,9 @@ class Affine:
 ScalarMap = Union[Identity, Abs, SignedPower, CosPiOverX, Affine]
 
 
-def apply_map(path: Path, f: ScalarMap) -> Path:
-    """Pointwise image of the path; grid unchanged."""
-    return Path(path.grid, f(path.values), label=path.label)
+def apply_map(path: Path | Ensemble, f: ScalarMap) -> Path | Ensemble:
+    """Pointwise image of the path, or of a row block; grid unchanged."""
+    return replace(path, values=f(path.values))
 
 
 # ------------------------------ time changes ------------------------------ #
@@ -216,8 +218,11 @@ def dds_brownianize(path: Path, qv_grid_steps: int) -> Path:
     """
     if int(qv_grid_steps) < 2:
         raise InvalidArgumentError("qv_grid_steps must be at least 2")
-    qv = quadratic_variation(path)
+    with np.errstate(over="ignore"):  # an overflowing variation is refused below
+        qv = quadratic_variation(path)
     total = float(qv[-1])
+    if not np.isfinite(total):
+        raise DegenerateInputError("terminal quadratic variation overflows the float range")
     if total <= 0.0:
         raise DegenerateInputError("terminal quadratic variation is zero")
     u = np.linspace(0.0, total, int(qv_grid_steps) + 1)[:-1]
@@ -242,6 +247,7 @@ class NonStickyMartingale:
     """Martingale driven by the exploding integrand 1/(1-s) until its running
     absolute value first exceeds ``barrier``, then by a unit integrand."""
 
+    label: ClassVar[str] = "nonsticky-martingale"
     barrier: float = 2.0
 
     def __post_init__(self):
@@ -253,6 +259,7 @@ class NonStickyMartingale:
 class AbsCubeRootOfMartingale:
     """Cube root of the absolute value of a base local-martingale path."""
 
+    label: ClassVar[str] = "abs-cuberoot"
     base: ProcessSpec = BrownianMotion(1.0)
 
 
@@ -261,6 +268,7 @@ class CosDriftExample:
     """Stopped-integrand stochastic integral minus ``x*cos(pi/x)`` of its
     pathwise variance clock."""
 
+    label: ClassVar[str] = "cos-drift"
     hit_level: float = 1.0
 
     def __post_init__(self):
@@ -270,68 +278,68 @@ class CosDriftExample:
 
 ExampleSpec = Union[NonStickyMartingale, AbsCubeRootOfMartingale, CosDriftExample]
 
+#: bytes of temporaries per grid point and row of an example block (cos-drift's ~10 arrays)
+_EXAMPLE_ROW_BYTES = 96
 
-def _build_nonsticky(spec: NonStickyMartingale, grid: TimeGrid, seed: SeedSpec) -> Path:
+
+def _nonsticky_block(spec: NonStickyMartingale, grid: TimeGrid, seed: SeedSpec, x: Array) -> None:
     # Time-change representation: before the exit, X_t = W(1/(1-t) - 1) for a
     # Brownian W; direct integration of 1/(1-s) has unbounded local variance
     # near s = 1 and cannot certify the exit event.
-    if grid.horizon < 1.0:
-        raise InvalidArgumentError("non-sticky example needs a grid horizon >= 1")
-    times = grid.times
-    n_steps = grid.n_steps
-    pre = times < 1.0
-    n_pre = int(pre.sum())  # >= 1, contains t = 0
-
-    rng = seed.generator()
-    z_clock = rng.standard_normal(n_steps)
-    z_unit = rng.standard_normal(n_steps)
-
-    u = 1.0 / (1.0 - times[:n_pre]) - 1.0
-    w = np.concatenate(([0.0], np.cumsum(np.sqrt(np.diff(u)) * z_clock[: n_pre - 1])))
-
-    x = np.empty(times.size)
-    x[:n_pre] = w
-    j = _first_exit(w, 0, spec.barrier)  # w[0] = 0, so this is the first |w| > barrier
-    if j is None:
-        j = n_pre - 1  # exit before t=1 is a.s.; clamp guards the measure-zero miss
-    dt = np.diff(times)
-    x[j + 1 :] = x[j] + np.cumsum(np.sqrt(dt[j:]) * z_unit[j:])
-    return Path(grid, x, label="nonsticky-martingale")
+    n = grid.n_steps
+    n_pre = int(np.count_nonzero(grid.times < 1.0))  # >= 1, contains t = 0
+    z = np.empty((len(x), 2 * n))  # per row: n normals for the clock, then n for the walk
+    _normals(seed.master_seed, seed.path_index, z)
+    clock = z[:, : n_pre - 1]
+    clock *= np.sqrt(np.diff(1.0 / (1.0 - grid.times[:n_pre]) - 1.0))
+    np.cumsum(clock, axis=1, out=x[:, 1:n_pre])
+    # first |W| > barrier; exit before t=1 is a.s., the clamp guards the measure-zero miss
+    j = np.minimum(_first_true(np.abs(x[:, :n_pre]) > spec.barrier), n_pre - 1)
+    # unit-integrand walk from the exit: a row sum of increments zeroed before it
+    walk = np.multiply(z[:, n:], grid._sqrt_spacings, out=z[:, n:])
+    before = np.arange(n) < j[:, None]
+    np.copyto(walk, 0.0, where=before)
+    np.cumsum(walk, axis=1, out=walk)
+    walk += x[np.arange(len(x)), j][:, None]
+    np.copyto(x[:, 1:], walk, where=~before)
 
 
-def _build_cos_drift(spec: CosDriftExample, grid: TimeGrid, seed: SeedSpec) -> Path:
-    b = sample_brownian(grid, seed, 1.0)
-    stop = evaluate_rule(FirstAbsExceed(spec.hit_level), b)
-    stopped = b.values.copy()
-    if stop.stopped:
-        stopped[stop.index :] = b.values[stop.index]
-    gains = integrate_ito(Path(grid, stopped), b)
+def _cos_drift_block(spec: CosDriftExample, grid: TimeGrid, seed: SeedSpec, x: Array) -> None:
+    b = sample_brownian(grid, seed, 1.0, n_paths=len(x), out=x)
+    k = _abs_exceed_indices(b.values, spec.hit_level)  # grid.n_points where never stopped
+    at_stop = b.values[np.arange(len(x)), np.minimum(k, grid.n_steps)][:, None]
+    stopped = np.where(np.arange(grid.n_points) >= k[:, None], at_stop, b.values)
+    gains = integrate_ito(Ensemble(grid, stopped, seed.master_seed), b)
     # trapezoidal ds-integral of the stopped squared integrand
     sq = stopped**2
-    dt = grid.spacings
-    clock = np.concatenate(([0.0], np.cumsum(0.5 * (sq[1:] + sq[:-1]) * dt)))
-    values = gains.values - CosPiOverX()(clock)
-    return Path(grid, values, label="cos-drift")
+    clock = np.zeros(x.shape)
+    np.cumsum(0.5 * (sq[:, 1:] + sq[:, :-1]) * grid.spacings, axis=1, out=clock[:, 1:])
+    np.subtract(gains.values, CosPiOverX()(clock), out=x)
 
 
-def build_example(spec: ExampleSpec, grid: TimeGrid, seed: SeedSpec) -> Path:
-    """Construct one path of an explicit example process."""
-    if isinstance(spec, NonStickyMartingale):
-        return _build_nonsticky(spec, grid, seed)
+def build_example(spec: ExampleSpec, grid: TimeGrid, seed: SeedSpec, *,
+                  n_paths: int | None = None, out: Array | None = None) -> Path | Ensemble:
+    """One path of an explicit example process, or with ``n_paths=k`` the k-row
+    ``Ensemble`` of paths ``seed.path_index, ...`` (in ``out`` when given), as
+    the generators return them. Rows are built a block at a time, with about
+    ``_BLOCK_BYTES`` of temporaries; each equals the path built on its own."""
+    if not isinstance(spec, ExampleSpec):
+        raise InvalidArgumentError(f"unknown process spec: {spec!r}")
+    if isinstance(spec, NonStickyMartingale) and grid.horizon < 1.0:
+        raise InvalidArgumentError("non-sticky example needs a grid horizon >= 1")
+    values = _output(grid, n_paths, out)
     if isinstance(spec, AbsCubeRootOfMartingale):
-        base = build_path(spec.base, grid, seed)
-        out = apply_map(apply_map(base, Abs()), SignedPower(1.0 / 3.0))
-        return Path(grid, out.values, label="abs-cuberoot")
-    if isinstance(spec, CosDriftExample):
-        return _build_cos_drift(spec, grid, seed)
-    raise InvalidArgumentError(f"unknown example spec: {spec!r}")
-
-
-def example_process(spec: ExampleSpec) -> DerivedProcess:
-    """Wrap an example spec as a process usable by ensemble sampling."""
-    label = {
-        NonStickyMartingale: "nonsticky-martingale",
-        AbsCubeRootOfMartingale: "abs-cuberoot",
-        CosDriftExample: "cos-drift",
-    }[type(spec)]
-    return DerivedProcess(label=label, build=lambda grid, seed: build_example(spec, grid, seed))
+        build_path(spec.base, grid, seed, n_paths=len(values), out=values)
+    step = max(1, _BLOCK_BYTES // (_EXAMPLE_ROW_BYTES * grid.n_points))
+    with np.errstate(over="ignore", invalid="ignore"):  # the finiteness check refuses overflow
+        for a in range(0, len(values), step):
+            block = values[a : a + step]
+            block_seed = SeedSpec(seed.master_seed, seed.path_index + a)
+            if isinstance(spec, NonStickyMartingale):
+                _nonsticky_block(spec, grid, block_seed, block)
+            elif isinstance(spec, CosDriftExample):
+                _cos_drift_block(spec, grid, block_seed, block)
+            else:
+                base = Ensemble(grid, block, seed.master_seed)
+                block[:] = apply_map(apply_map(base, Abs()), SignedPower(1.0 / 3.0)).values
+    return _result(grid, seed, values, n_paths, spec.label, spec.label)

@@ -390,6 +390,27 @@ def test_cli_portfolio_exits_2_without_a_warning_when_the_unit_overflows(tmp_pat
     assert not (tmp_path / "x.csv").exists()
 
 
+@pytest.mark.parametrize("flags,message", [
+    (["stickiness", "--process", "cos-drift", "--horizon", "1e200"],
+     "ensemble values must be finite"),
+    (["experiment", "dds-check", "--sigma", "1e200"],
+     "terminal quadratic variation overflows the float range"),
+    (["stickiness", "--process", "bm", "--horizon", "1e300", "--sigma", "1e300"],
+     "ensemble values must be finite"),
+], ids=["cos-drift-clock", "dds-variation", "bm-increments"])
+def test_cli_overflowing_inputs_exit_2_without_a_warning(tmp_path, monkeypatch, capsys, flags,
+                                                         message):
+    # the overflow is computed with numpy's warnings silenced, and refused by
+    # the finiteness check that follows
+    monkeypatch.chdir(tmp_path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main([*flags, "--paths", "3", "--steps", "8", "--out", "x.csv"])
+    assert code == 2
+    assert capsys.readouterr().err == f"stickylab: configuration error: {message}\n"
+    assert not (tmp_path / "x.csv").exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["portfolio", "--strategy", "momentum:0.1:1e300", "--raw-price"],
     ["experiment", "costs-fbm-momentum", "--strategy", "momentum:0.1:1e308"],
@@ -451,6 +472,11 @@ def test_cli_exit_code_2_on_bad_rule(tmp_path):
         # a grid so long that no address space holds one block's market buffers
         ["portfolio", "--steps", "100000000000"],
         ["experiment", "costs-fbm-momentum", "--paths", "64", "--steps", "100000000000"],
+        # a grid whose times alone take 745 GiB
+        ["stickiness", "--paths", "1", "--steps", "100000000000"],
+        ["generate", "--paths", "1", "--steps", "100000000000"],
+        ["ladder", "--paths", "1", "--steps", "100000000000"],
+        ["experiment", "dds-check", "--paths", "1", "--steps", "100000000000"],
     ],
 )
 def test_cli_exit_code_2_on_non_finite_ladder_or_huge_ensemble(tmp_path, monkeypatch, capsys, flags):

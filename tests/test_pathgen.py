@@ -13,7 +13,6 @@ from stickylab.errors import (
 )
 from stickylab.pathgen import (
     BrownianMotion,
-    DerivedProcess,
     Ensemble,
     FractionalBrownianMotion,
     Path,
@@ -43,7 +42,9 @@ def test_minimal_grid():
     assert np.array_equal(grid.times, [0.0, 2.0])
 
 
-@pytest.mark.parametrize("horizon,steps", [(0.0, 4), (-1.0, 4), (1.0, 0)])
+# 1e11 steps of times take 745 GiB; 1e20 exceed numpy's largest array
+@pytest.mark.parametrize("horizon,steps", [(0.0, 4), (-1.0, 4), (1.0, 0), (1.0, 10**11),
+                                           (1.0, 10**20)])
 def test_bad_grid_arguments(horizon, steps):
     with pytest.raises(InvalidArgumentError):
         make_uniform_grid(horizon, steps)
@@ -307,12 +308,18 @@ def test_ensemble_paths_accessor():
         assert p.grid == ens.grid
 
 
-def test_derived_process_dispatch():
+def test_example_spec_dispatch():
+    # sampling an example spec hands it to transforms.build_example
+    from stickylab.transforms import CosDriftExample, build_example
+
     grid = make_uniform_grid(1.0, 4)
-    spec = DerivedProcess("flat", lambda g, s: Path(g, np.zeros(g.n_points), label="flat"))
-    ens = sample_ensemble(spec, grid, 0, 3)
-    assert ens.process_label == "flat"
-    assert np.array_equal(ens.values, np.zeros((3, 5)))
+    ens = sample_ensemble(CosDriftExample(), grid, 0, 3, first=5)
+    assert ens.process_label == "cos-drift"
+    for r in range(3):
+        path = build_example(CosDriftExample(), grid, SeedSpec(0, 5 + r))
+        assert path.label == "cos-drift" and np.array_equal(ens.values[r], path.values)
+    with pytest.raises(InvalidArgumentError, match="unknown process spec"):
+        sample_ensemble("bm", grid, 0, 3)
 
 
 # ------------------------------------------- frozen per-path reference code
@@ -511,10 +518,13 @@ def test_n_paths_keyword_returns_the_rows_of_the_one_path_calls():
             assert np.array_equal(ens.values[r], one(SeedSpec(21, 40 + r)).values)
         with pytest.raises(InvalidArgumentError, match="n_paths must be at least 1"):
             generate(grid, seed, *args, n_paths=0)
-    derived = DerivedProcess("idx", lambda g, s: Path(g, np.full(g.n_points, float(s.path_index))))
-    ens = build_path(derived, grid, seed, n_paths=3)
-    assert ens.process_label == "idx"
-    assert np.array_equal(ens.values[:, 0], [40.0, 41.0, 42.0])
+    from stickylab.transforms import NonStickyMartingale
+
+    ens = build_path(NonStickyMartingale(), grid, seed, n_paths=3)
+    assert ens.process_label == "nonsticky-martingale"
+    for r in range(3):
+        one = build_path(NonStickyMartingale(), grid, SeedSpec(21, 40 + r))
+        assert one.label == "nonsticky-martingale" and np.array_equal(ens.values[r], one.values)
 
 
 def test_fractional_path_counts_are_refused():
@@ -628,6 +638,21 @@ def test_ito_grid_mismatch():
     b = Path(make_uniform_grid(2.0, 4), np.zeros(5))
     with pytest.raises(GridMismatchError):
         integrate_ito(a, b)
+
+
+def test_ito_of_a_row_block_integrates_each_row():
+    grid = make_uniform_grid(1.0, 64)
+    integrand = sample_fbm(grid, SeedSpec(3, 10), 0.7, n_paths=5)
+    integrator = sample_brownian(grid, SeedSpec(4, 10), n_paths=5)
+    out = integrate_ito(integrand, integrator)
+    assert isinstance(out, Ensemble) and out.master_seed == 4 and out.process_label == "ito"
+    for r in range(5):
+        one = integrate_ito(Path(grid, integrand.values[r]), Path(grid, integrator.values[r]))
+        assert np.array_equal(out.values[r], one.values)
+    with pytest.raises(GridMismatchError):  # a row block against one path, or fewer rows
+        integrate_ito(integrand, Path(grid, integrator.values[0]))
+    with pytest.raises(GridMismatchError):
+        integrate_ito(integrand, Ensemble(grid, integrator.values[:4], 4))
 
 
 dyadic = st.integers(-8, 8).map(lambda k: k / 4.0)

@@ -35,7 +35,7 @@ from stickylab.stopping import (
     evaluate_rule,
     parse_rule,
 )
-from stickylab.transforms import Affine, NonStickyMartingale, example_process, apply_map
+from stickylab.transforms import Affine, NonStickyMartingale, apply_map
 
 from oracles import (
     _killed_walk_stay_probability,
@@ -252,7 +252,7 @@ def test_ladder_nonincreasing():
 
 def test_ladder_nonsticky_exits_by_one():
     grid = make_uniform_grid(1.0, 512)
-    ens = sample_ensemble(example_process(NonStickyMartingale()), grid, 44, 500)
+    ens = sample_ensemble(NonStickyMartingale(), grid, 44, 500)
     fractions = survival_ladder(ens, Deterministic(0.0), 1.5, [1.0])
     assert fractions[0] == 0.0
 
@@ -332,7 +332,7 @@ def test_cross_check_constant_positive():
 
 def test_cross_check_nonsticky_zero():
     grid = make_uniform_grid(1.0, 512)
-    ens = sample_ensemble(example_process(NonStickyMartingale()), grid, 45, 1000)
+    ens = sample_ensemble(NonStickyMartingale(), grid, 45, 1000)
     report = cross_check_characterizations(ens, q(1.0))
     assert report.verdicts == {"def-a": "ZERO", "prop-b": "ZERO", "prop-c": "ZERO"}
     assert report.agree
@@ -412,7 +412,7 @@ def test_sis_uniforms_are_pinned_bit_for_bit():
         {"tau": "hit:0.1@hit:0.1"},
         {"event": ValueAtStopInRange(-0.1, 0.1)},
         {"characterization": "prop-b"},
-        {"spec": example_process(NonStickyMartingale())},
+        {"spec": NonStickyMartingale()},
         {"n": 0},
     ],
 )

@@ -57,6 +57,14 @@ def test_abs_map():
     assert np.array_equal(apply_map(p, Abs()).values, [0.0, 1.0, 2.0, 3.0])
 
 
+def test_map_of_a_row_block_maps_each_row():
+    block = sample_ensemble(BrownianMotion(1.0), make_uniform_grid(1.0, 32), 8, 4)
+    image = apply_map(block, SignedPower(0.5))
+    assert isinstance(image, Ensemble) and image.master_seed == 8 and image.process_label == "bm"
+    for r in range(4):
+        assert np.array_equal(image.values[r], apply_map(block.path(r), SignedPower(0.5)).values)
+
+
 def test_signed_power_third_realizes_cuberoot_of_abs():
     p = bm_path(seed=5)
     image = apply_map(apply_map(p, Abs()), SignedPower(1.0 / 3.0))
@@ -325,3 +333,144 @@ def test_examples_deterministic():
         a = build_example(spec, grid, SeedSpec(40, 4))
         b = build_example(spec, grid, SeedSpec(40, 4))
         assert np.array_equal(a.values, b.values)
+
+
+# ------------------------------------------- frozen per-path example builds
+# The three examples as they were built one path at a time, before they were
+# built in row blocks; every block row must equal them bit for bit.
+
+
+def _reference_nonsticky(spec, grid, seed):
+    times = grid.times
+    n_steps = grid.n_steps
+    n_pre = int((times < 1.0).sum())
+    rng = seed.generator()
+    z_clock = rng.standard_normal(n_steps)
+    z_unit = rng.standard_normal(n_steps)
+    u = 1.0 / (1.0 - times[:n_pre]) - 1.0
+    w = np.concatenate(([0.0], np.cumsum(np.sqrt(np.diff(u)) * z_clock[: n_pre - 1])))
+    x = np.empty(times.size)
+    x[:n_pre] = w
+    exceeded = np.abs(w - w[0]) > spec.barrier
+    j = int(np.argmax(exceeded)) if exceeded.any() else n_pre - 1
+    dt = np.diff(times)
+    x[j + 1 :] = x[j] + np.cumsum(np.sqrt(dt[j:]) * z_unit[j:])
+    return x
+
+
+def _reference_brownian(grid, seed, volatility):
+    z = seed.generator().standard_normal(grid.n_steps)
+    return np.concatenate(([0.0], np.cumsum(volatility * np.sqrt(np.diff(grid.times)) * z)))
+
+
+def _reference_cos_drift(spec, grid, seed):
+    b = _reference_brownian(grid, seed, 1.0)
+    hit = np.abs(b) >= spec.hit_level
+    stopped = b.copy()
+    if hit.any():
+        k = int(np.argmax(hit))
+        stopped[k:] = b[k]
+    gains = np.concatenate(([0.0], np.cumsum(stopped[:-1] * np.diff(b))))
+    sq = stopped**2
+    clock = np.concatenate(([0.0], np.cumsum(0.5 * (sq[1:] + sq[:-1]) * np.diff(grid.times))))
+    drift = np.zeros_like(clock)
+    nonzero = clock != 0.0
+    drift[nonzero] = clock[nonzero] * np.cos(np.pi / clock[nonzero])
+    return gains - drift
+
+
+def _reference_abs_cuberoot(spec, grid, seed):
+    x = np.abs(_reference_brownian(grid, seed, spec.base.volatility))
+    return np.sign(x) * np.abs(x) ** (1.0 / 3.0)
+
+
+_EXAMPLES = [
+    (NonStickyMartingale(), _reference_nonsticky),
+    (NonStickyMartingale(barrier=1e6), _reference_nonsticky),  # never exits: the clamp fires
+    (CosDriftExample(), _reference_cos_drift),
+    (CosDriftExample(hit_level=0.2), _reference_cos_drift),
+    (AbsCubeRootOfMartingale(BrownianMotion(1.3)), _reference_abs_cuberoot),
+]
+_EXAMPLE_IDS = ["nonsticky", "nonsticky-clamped", "cos-drift", "cos-drift-low", "abs-cuberoot"]
+
+
+def _assert_rows_match_reference(spec, reference, grid, n_paths, first):
+    ens = sample_ensemble(spec, grid, 17, n_paths, first=first)
+    assert ens.process_label == spec.label and ens.n_paths == n_paths
+    for r in range(n_paths):
+        want = reference(spec, grid, SeedSpec(17, first + r))
+        assert np.array_equal(ens.values[r], want)
+        assert np.array_equal(np.signbit(ens.values[r]), np.signbit(want))
+
+
+@pytest.mark.parametrize("steps", [1, 2, 512, 1024])
+@pytest.mark.parametrize("spec,reference", _EXAMPLES, ids=_EXAMPLE_IDS)
+def test_example_blocks_equal_the_per_path_builds(spec, reference, steps):
+    grid = make_uniform_grid(1.0, steps)
+    for n_paths, first in ((1, 0), (7, 3), (64, 64), (65, 1000), (1000, 2**40)):
+        _assert_rows_match_reference(spec, reference, grid, n_paths, first)
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [
+        TimeGrid(np.concatenate(([0.0], np.sort(np.random.default_rng(0).uniform(0, 1.7, 300)),
+                                 [1.7]))),
+        TimeGrid([0.0, 1.0, 2.0]),  # the only time below 1 is 0
+        make_uniform_grid(3.0, 96),
+    ],
+    ids=["nonuniform", "one-pre-exit-point", "horizon-3"],
+)
+@pytest.mark.parametrize("spec,reference", _EXAMPLES, ids=_EXAMPLE_IDS)
+def test_example_blocks_equal_the_per_path_builds_on_other_grids(spec, reference, grid):
+    _assert_rows_match_reference(spec, reference, grid, 65, 5)
+
+
+@pytest.mark.parametrize("spec,reference", _EXAMPLES, ids=_EXAMPLE_IDS)
+def test_example_rows_do_not_depend_on_the_block_size(monkeypatch, spec, reference):
+    import stickylab.transforms as tr
+
+    grid = make_uniform_grid(1.0, 16)
+    whole = sample_ensemble(spec, grid, 17, 9).values
+    monkeypatch.setattr(tr, "_BLOCK_BYTES", 1)  # one row per block
+    assert np.array_equal(sample_ensemble(spec, grid, 17, 9).values, whole)
+    _assert_rows_match_reference(spec, reference, grid, 9, 0)
+
+
+def test_high_barrier_clamps_the_exit_before_time_one():
+    grid = make_uniform_grid(1.0, 512)
+    ens = sample_ensemble(NonStickyMartingale(barrier=1e6), grid, 3, 20)
+    assert np.abs(ens.values).max() < 1e6  # no row exits, so every walk starts at t < 1
+
+
+def test_example_ensemble_temporaries_stay_bounded():
+    # 10,000 x 1,024 steps: each block's temporaries stay near _BLOCK_BYTES, so
+    # the peak is the output plus about one block
+    import tracemalloc
+
+    import stickylab.transforms as tr
+
+    grid = make_uniform_grid(1.0, 1024)
+    for spec in (NonStickyMartingale(), CosDriftExample(), AbsCubeRootOfMartingale()):
+        tracemalloc.start()
+        try:
+            ens = sample_ensemble(spec, grid, 1, 10_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= ens.values.nbytes + tr._BLOCK_BYTES, spec
+        del ens
+
+
+def test_example_into_a_buffer_and_as_one_path():
+    grid = make_uniform_grid(1.0, 64)
+    buffer = np.full((5, grid.n_points), np.nan)
+    for spec, _ in _EXAMPLES:
+        into = build_example(spec, grid, SeedSpec(2, 7), n_paths=5, out=buffer)
+        assert into.values is buffer
+        for r in range(5):
+            one = build_example(spec, grid, SeedSpec(2, 7 + r))
+            assert isinstance(one, Path) and one.label == spec.label
+            assert np.array_equal(into.values[r], one.values)
+    with pytest.raises(InvalidArgumentError, match="unknown process spec"):
+        build_example(Identity(), grid, SeedSpec(2))
