@@ -34,8 +34,8 @@ from .pathgen import (
     make_uniform_grid,
     sample_ensemble,
 )
-from .stickiness import (StickinessQuery, _check_ladder, _check_window_end, estimate_stickiness,
-                         survival_ladder)
+from .stickiness import (StickinessEstimate, StickinessQuery, _check_ladder, _check_window_end,
+                         _estimate, _successes, _survivors, estimate_stickiness)
 from .stopping import HittingFrom, parse_event, parse_rule
 from .transforms import (
     AbsCubeRootOfMartingale,
@@ -74,6 +74,11 @@ DDS_COLUMNS = (
 # rows per block of the market layer and the streamed presets: a 64 x 1025
 # float64 block (0.5 MB) and its temporaries fit in L2
 _BLOCK_ROWS = 64
+
+# the most bytes of path values one streamed run may draw, what a 47-bit address
+# space holds: the run never holds them, but a larger one would take days, and
+# it exited 2 for want of memory when the runs still held their ensembles
+_MAX_ENSEMBLE_BYTES = 2**47
 
 # salt for the independent shuffle stream of the momentum control
 _SHUFFLE_SALT = 0x9E3779B97F4A7C15
@@ -185,6 +190,9 @@ def _ensemble_blocks(config: ExperimentConfig) -> Iterator[tuple[slice, Ensemble
     block's values last only until the next is drawn. Each block is
     bit-identical to those rows of ``_ensemble(config)``."""
     grid, spec = _grid_and_spec(config)
+    if config.n_paths * grid.n_points * 8 > _MAX_ENSEMBLE_BYTES:
+        raise ConfigError(f"{config.n_paths} paths x {grid.n_points} points exceed the "
+                          f"{_MAX_ENSEMBLE_BYTES} bytes one run may draw")
     buffer = _empty(min(_BLOCK_ROWS, config.n_paths), grid.n_points)
     for rows in _blocks(config.n_paths):
         n = rows.stop - rows.start
@@ -206,42 +214,51 @@ def _hurst_cell(config: ExperimentConfig) -> object:
 # ------------------------------ experiment runners ------------------------------ #
 
 
-def _stickiness_table(
-    config: ExperimentConfig, ensemble: Ensemble, process: str, **extra
-) -> ResultTable:
+def _stickiness_query(config: ExperimentConfig, span: float) -> StickinessQuery:
+    """The config's query; T is the config's, else the grid ``span``."""
+    horizon = config.query_horizon if config.query_horizon is not None else span
+    return StickinessQuery(tau=parse_rule(config.tau), horizon=horizon, epsilon=config.epsilon,
+                           event=parse_event(config.event))
+
+
+def _stickiness_row(config: ExperimentConfig, est: StickinessEstimate, process: str,
+                    **extra) -> ResultTable:
     """One ``STICKINESS_COLUMNS`` row, with the verdict convention and ``extra``
-    in the provenance. T is the config's, else the grid's horizon."""
-    horizon = config.query_horizon if config.query_horizon is not None else ensemble.grid.horizon
-    query = StickinessQuery(
-        tau=parse_rule(config.tau),
-        horizon=horizon,
-        epsilon=config.epsilon,
-        event=parse_event(config.event),
-    )
-    est = estimate_stickiness(ensemble, query)
+    in the provenance."""
     # ZERO verdicts report the one-sided upper bound, per the convention
     upper = est.zero_upper if est.successes == 0 else est.ci_high
     row = (
         process, _hurst_cell(config), config.tau, config.event, config.epsilon,
-        horizon, est.n, est.successes, est.p_hat, est.ci_low, upper,
+        est.query.horizon, est.n, est.successes, est.p_hat, est.ci_low, upper,
         config.master_seed, config.steps, est.verdict,
     )
     prov = _provenance(config, verdict_convention=VERDICT_CONVENTION, **extra)
     return ResultTable(STICKINESS_COLUMNS, (row,), prov)
 
 
+def _stickiness_table(
+    config: ExperimentConfig, ensemble: Ensemble, process: str, **extra
+) -> ResultTable:
+    """The ``_stickiness_row`` of a held ensemble."""
+    query = _stickiness_query(config, ensemble.grid.horizon)
+    return _stickiness_row(config, estimate_stickiness(ensemble, query), process, **extra)
+
+
 def _run_stickiness(config: ExperimentConfig) -> ResultTable:
-    return _stickiness_table(config, _ensemble(config), config.process)
+    query = _stickiness_query(config, config.horizon)
+    successes = sum(_successes(query, block) for _, block in _ensemble_blocks(config))
+    return _stickiness_row(config, _estimate(query, successes, config.n_paths), config.process)
 
 
 def _run_ladder(config: ExperimentConfig) -> ResultTable:
-    ensemble = _ensemble(config)
     horizons = config.ladder or (config.horizon / 4.0, config.horizon / 2.0, config.horizon)
-    fractions = survival_ladder(ensemble, parse_rule(config.tau), config.delta, horizons)
+    horizons = _check_ladder(horizons, config.horizon)
+    restart = HittingFrom(parse_rule(config.tau), config.delta)
+    survivors = sum(_survivors(block, restart, horizons) for _, block in _ensemble_blocks(config))
     rows = tuple(
         (config.process, _hurst_cell(config), config.tau, config.delta, h, f,
-         ensemble.n_paths, config.master_seed, config.steps)
-        for h, f in zip(horizons, fractions)
+         config.n_paths, config.master_seed, config.steps)
+        for h, f in zip(horizons, survivors / config.n_paths)
     )
     return ResultTable(LADDER_COLUMNS, rows, _provenance(config))
 

@@ -22,6 +22,7 @@ fires before the horizon.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 from typing import Literal
 
@@ -38,6 +39,7 @@ from .pathgen import (
     Path,
     ProcessSpec,
     TimeGrid,
+    _BLOCK_BYTES,
     _fbm_dense_factor,
     _streams,
 )
@@ -48,7 +50,9 @@ from .stopping import (
     StoppingRule,
     StopResult,
     WholeSpace,
-    _first_exit,
+    _event_mask,
+    _exit_indices,
+    _stop_indices,
     evaluate_event,
     evaluate_rule,
 )
@@ -201,19 +205,40 @@ def _verdict(successes: int, ci_low: float) -> str:
     return "POSITIVE" if ci_low > 0.0 else "INCONCLUSIVE"
 
 
-# ------------------------------ per-path counting ------------------------------ #
+# ------------------------------ counting ------------------------------ #
+
+#: bytes of temporaries per path point of a counting chunk: the deviations from
+#: each row's tube centre and the exit mask
+_TUBE_POINT_BYTES = 9
 
 
-def _window_sup(x: Array, start: int, end: int) -> float:
-    # max |x_t - x_start| over grid indices start..end inclusive, without
-    # temporaries: a - c rounds monotonically in a and c - a = -(a - c), so
-    # the sup sits at the segment's max or min, bit for bit
-    seg = x[start : end + 1]
-    x_s = x[start]
-    return float(max(seg.max() - x_s, x_s - seg.min()))
+def _chunks(block: Ensemble) -> Iterator[tuple[int, Array, tuple[Array, Array]]]:
+    """``(a, rows, work)`` for the block's rows ``a, a + 1, ...`` in fixed chunks of
+    about ``_BLOCK_BYTES`` of temporaries (at least one row); ``work`` is the
+    ``_exit_indices`` buffers, allocated once for all chunks."""
+    n_points = block.grid.n_points
+    step = max(1, _BLOCK_BYTES // (_TUBE_POINT_BYTES * n_points))
+    size = min(step, block.n_paths) * n_points
+    work = (np.empty(size), np.empty(size, dtype=bool))
+    for a in range(0, block.n_paths, step):
+        yield a, block.values[a : a + step], work
 
 
-def _success(query: StickinessQuery, path, end_index: int) -> bool:
+def _stays(query: StickinessQuery, x: Array, grid: TimeGrid, k: Array, end_index: int,
+           work: tuple[Array, Array] | None = None) -> Array:
+    """Whether each row of ``x``, stopped at ``k``, passes the query's tube check."""
+    if query.characterization == "prop-c":
+        # the restart time from the capped stop survives the top of the ladder;
+        # the scan runs over the whole path, so a top before the stop survives
+        delta = query.delta if query.delta is not None else query.epsilon
+        top = query.ladder[-1] if query.ladder else query.horizon
+        return _exit_indices(x, k, delta, True, work) > grid.last_index_at_or_before(top)
+    # def-a and prop-b fail at a deviation >= epsilon over [tau, T], not at > delta
+    return _exit_indices(x, k, query.epsilon, False, work) > end_index
+
+
+def _success(query: StickinessQuery, path: Path, end_index: int) -> bool:
+    """One path's success, through ``evaluate_rule`` and ``evaluate_event``."""
     stop = evaluate_rule(query.tau, path)
     if query.characterization == "def-a":
         if not (stop.stopped and stop.time < query.horizon):
@@ -223,32 +248,41 @@ def _success(query: StickinessQuery, path, end_index: int) -> bool:
         stop = StopResult.at(path.grid.times[end_index], end_index)
     if not evaluate_event(query.event, path, stop):
         return False
-    if query.characterization == "prop-c":
-        # the restart time from the capped stop survives the top of the ladder;
-        # the scan runs over the whole path, so a top before the stop survives
-        delta = query.delta if query.delta is not None else query.epsilon
-        top = query.ladder[-1] if query.ladder else query.horizon
-        k = _first_exit(path.values, stop.index, delta)
-        return k is None or k > path.grid.last_index_at_or_before(top)
-    # def-a and prop-b fail at sup >= epsilon, not at the exit's > delta
-    return _window_sup(path.values, stop.index, end_index) < query.epsilon
+    return bool(_stays(query, path.values[None, :], path.grid, np.array([stop.index]),
+                       end_index)[0])
 
 
-def estimate_stickiness(ensemble: Ensemble, query: StickinessQuery) -> StickinessEstimate:
-    """Count per-path successes for the query and wrap them in a Wilson CI.
+def _success_mask(query: StickinessQuery, x: Array, grid: TimeGrid, end_index: int,
+                  work: tuple[Array, Array] | None = None) -> Array:
+    """``_success`` of every row of the block ``x``, with no loop over rows."""
+    k = _stop_indices(query.tau, x, grid, work)
+    if query.characterization == "def-a":
+        won = np.append(grid.times, np.inf)[k] < query.horizon  # stopped before T
+    else:
+        np.minimum(k, end_index, out=k)
+        won = np.ones(len(k), dtype=bool)
+    won &= _event_mask(query.event, x, grid, k)
+    return won & _stays(query, x, grid, k, end_index, work)
 
-    Deterministic given the ensemble: indicators are reduced in path order.
+
+def _successes(query: StickinessQuery, block: Ensemble) -> int:
+    """The number of the block's paths that succeed for the query.
+
+    Each chunk's first path is recounted through ``_success``; a disagreement
+    raises ``NumericalFailureError``.
     """
-    horizon = ensemble.grid.horizon
-    _check_window_end(query.horizon, horizon)
-    if query.characterization == "prop-c" and query.ladder:
-        _check_ladder(query.ladder, horizon)
-    end_index = ensemble.grid.last_index_at_or_before(query.horizon)
+    end_index = block.grid.last_index_at_or_before(query.horizon)
     successes = 0
-    for i in range(ensemble.n_paths):
-        if _success(query, ensemble.path(i), end_index):
-            successes += 1
-    n = ensemble.n_paths
+    for a, rows, work in _chunks(block):
+        won = _success_mask(query, rows, block.grid, end_index, work)
+        if _success(query, block.path(a), end_index) != won[0]:
+            raise NumericalFailureError(f"path {a}: the block count disagrees with one path's")
+        successes += int(np.count_nonzero(won))
+    return successes
+
+
+def _estimate(query: StickinessQuery, successes: int, n: int) -> StickinessEstimate:
+    """``successes`` of ``n`` paths with their Wilson interval and verdict."""
     low, high = wilson_ci(successes, n, query.confidence)
     return StickinessEstimate(
         p_hat=successes / n,
@@ -261,6 +295,35 @@ def estimate_stickiness(ensemble: Ensemble, query: StickinessQuery) -> Stickines
         zero_upper=zero_success_upper_bound(n, query.confidence) if successes == 0 else None,
         query=query,
     )
+
+
+def estimate_stickiness(ensemble: Ensemble, query: StickinessQuery) -> StickinessEstimate:
+    """Count the paths that succeed for the query and wrap them in a Wilson CI.
+
+    Deterministic given the ensemble: rows are counted in fixed chunks.
+    """
+    horizon = ensemble.grid.horizon
+    _check_window_end(query.horizon, horizon)
+    if query.characterization == "prop-c" and query.ladder:
+        _check_ladder(query.ladder, horizon)
+    return _estimate(query, _successes(query, ensemble), ensemble.n_paths)
+
+
+def _survivors(block: Ensemble, restart: HittingFrom, horizons: Array) -> Array:
+    """Per horizon, the number of the block's paths whose ``restart`` time exceeds
+    it; a restart that never triggers survives every horizon. Each chunk's
+    first path is recounted through ``evaluate_rule``; a disagreement raises
+    ``NumericalFailureError``."""
+    grid = block.grid
+    times = np.append(grid.times, np.inf)  # index n_points: never stopped
+    survivors = np.zeros(horizons.size, dtype=np.int64)
+    for a, rows, work in _chunks(block):
+        k = _stop_indices(restart, rows, grid, work)
+        stop = evaluate_rule(restart, block.path(a))
+        if (stop.index if stop.stopped else grid.n_points) != k[0]:
+            raise NumericalFailureError(f"path {a}: the block restart disagrees with one path's")
+        survivors += np.count_nonzero(times[k][:, None] > horizons, axis=0)
+    return survivors
 
 
 def survival_ladder(
@@ -277,13 +340,7 @@ def survival_ladder(
     horizons = _check_ladder(horizons, ensemble.grid.horizon)
     if not (np.isfinite(delta) and delta > 0.0):
         raise InvalidArgumentError("delta must be finite and positive")
-
-    restart = HittingFrom(tau0, delta)
-    survivors = np.zeros(horizons.size, dtype=np.int64)
-    for i in range(ensemble.n_paths):
-        stop = evaluate_rule(restart, ensemble.path(i))
-        survivors += stop.time > horizons if stop.stopped else 1
-    return survivors / ensemble.n_paths
+    return _survivors(ensemble, HittingFrom(tau0, delta), horizons) / ensemble.n_paths
 
 
 def cross_check_characterizations(
@@ -343,9 +400,9 @@ def estimate_stickiness_sis(
     inside the epsilon-tube of ``X_tau``, and the sample's weight is the
     product of the truncation masses (zero if tau does not fire before the
     horizon). Supports bm and fbm on uniform grids, the WholeSpace event, and
-    tau = ``det:t`` or ``hit:delta@det:t``. Every sample is rebuilt as a
-    ``Path`` and recounted with ``evaluate_rule`` and the window check; a
-    disagreement with the sampler raises ``NumericalFailureError``.
+    tau = ``det:t`` or ``hit:delta@det:t``. Every sample is recounted by the
+    block kernel of ``estimate_stickiness``; a disagreement with the sampler
+    raises ``NumericalFailureError``.
     """
     if query.characterization != "def-a":
         raise InvalidArgumentError("importance sampling supports the def-a characterization only")
@@ -393,16 +450,12 @@ def estimate_stickiness_sis(
     weighted = stop < grid.first_index_at_or_after(query.horizon)  # def-a: tau < T
     log_w[~weighted] = -np.inf
 
-    for i in range(m):
-        path = Path(grid, x[:, i])
-        index = int(stop[i]) if stop[i] < never else None
-        if (
-            evaluate_rule(tau, path).index != index
-            or _success(query, path, end_index) != weighted[i]
-        ):
-            raise NumericalFailureError(
-                f"importance sample {i} disagrees with the stopping rule or the tube check"
-            )
+    samples = Ensemble(grid, x.T, master_seed).values  # one row per sample
+    wrong = (_stop_indices(tau, samples, grid) != stop) | (
+        _success_mask(query, samples, grid, end_index) != weighted)
+    if wrong.any():
+        raise NumericalFailureError(f"importance sample {int(np.argmax(wrong))} disagrees "
+                                    "with the stopping rule or the tube check")
 
     if not weighted.any():
         return SISEstimate(-np.inf, -np.inf, 0.0, m, query.confidence, query)

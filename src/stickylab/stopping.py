@@ -5,9 +5,10 @@ satisfying its condition, else reports that the horizon was reached first.
 Inequalities are deliberate: hitting uses strict ``> delta`` while absolute
 exceedance uses ``>= level``.
 
-Passages are found by comparing the path with the level (see
-``PassageToLevel``), for one ``Path`` or for every level over an
-``Ensemble`` row block, by the same kernel.
+Rules and events are evaluated on row blocks (``_stop_indices``,
+``_exit_indices``, ``_event_mask``); ``evaluate_rule`` and ``evaluate_event``
+are the same kernel on one row. Passages are found by comparing the path
+with the level (see ``PassageToLevel``), for every level over a block.
 
 Events approximate measurability at the stop time: every predicate depends
 only on the path up to and including the stop.
@@ -21,7 +22,7 @@ from typing import Union
 import numpy as np
 
 from .errors import InvalidRuleError
-from .pathgen import Array, Ensemble, Path
+from .pathgen import Array, Ensemble, Path, TimeGrid
 
 __all__ = [
     "Deterministic",
@@ -113,20 +114,6 @@ class StopResult:
         return cls(False)
 
 
-def _first_exit(x, start: int, delta: float) -> int | None:
-    """First ``k >= start`` with ``|x[k] - x[start]| > delta`` (strict), else None.
-
-    The one tube-exit scan behind the hitting rule, the prop-c count and the
-    survival ladder. Kept out of ``__all__``: the benchmark's tracer wraps
-    every exported function, so an exported name would add a span to every
-    traced call graph.
-    """
-    exceeded = np.abs(x[start:] - x[start]) > delta
-    if not exceeded.any():
-        return None
-    return start + int(np.argmax(exceeded))
-
-
 def _first_true(hit: Array) -> Array:
     """Index of the first true column of each row of ``hit``, ``hit.shape[1]`` where none is."""
     k = hit.argmax(axis=1)
@@ -161,28 +148,63 @@ def _passage_indices(x: Array, levels: Array) -> Array:
     return out
 
 
-def evaluate_rule(rule: StoppingRule, path: Path) -> StopResult:
-    """First grid index satisfying the rule, else not-stopped-by-horizon."""
-    times = path.grid.times
-    x = path.values
+def _exit_indices(x: Array, start: Array, delta: float, strict: bool,
+                  work: tuple[Array, Array] | None = None) -> Array:
+    """First ``k >= start[r]`` with ``|x[r, k] - x[r, start[r]]| > delta`` (strict) or
+    ``>= delta`` (not strict) in each row ``r`` of ``x``; ``x.shape[1]`` where no
+    such ``k`` exists, as for a start of ``x.shape[1]``.
+
+    The one tube-exit scan behind the hitting rule, the survival ladder and
+    every characterization's tube check. ``delta`` is positive, so the zeroed
+    columns before each start never exit. A window ``[s, e]`` has
+    ``max |x_k - x_s| >= delta`` exactly when the non-strict exit is at most
+    ``e``: ``fl(a - c)`` rounds monotonically in ``a`` and ``fl(c - a) = -fl(a - c)``.
+    ``work`` is a flat float64 and a flat bool array of at least ``x.size``
+    entries to compute in; without it both are allocated.
+    """
+    rows, n = x.shape
+    # columns before lo are skipped; those in [lo, hi) are masked row by row
+    lo, hi = int(start.min()), int(min(start.max(), n))
+    if lo >= n:
+        return np.full(rows, n, dtype=np.intp)
+    dev, hit = work if work is not None else (np.empty(x.size), np.empty(x.size, dtype=bool))
+    # contiguous, so the row reductions below copy nothing
+    dev, hit = (a[: rows * (n - lo)].reshape(rows, n - lo) for a in (dev, hit))
+    np.subtract(x[:, lo:], x[np.arange(rows), np.minimum(start, n - 1)][:, None], out=dev)
+    np.abs(dev, out=dev)
+    if hi > lo:
+        before = hit[:, : hi - lo]
+        np.less(np.arange(lo, hi), start[:, None], out=before)
+        np.copyto(dev[:, : hi - lo], 0.0, where=before)
+    (np.greater if strict else np.greater_equal)(dev, delta, out=hit)
+    return lo + _first_true(hit)
+
+
+def _stop_indices(rule: StoppingRule, x: Array, grid: TimeGrid,
+                  work: tuple[Array, Array] | None = None) -> Array:
+    """Stop index of ``rule`` on each row of the block ``x`` on ``grid``;
+    ``grid.n_points`` where the rule never stops. ``work`` is ``_exit_indices``'."""
     if isinstance(rule, Deterministic):
-        if rule.time > path.grid.horizon:
+        if rule.time > grid.horizon:
             raise InvalidRuleError(
-                f"deterministic time {rule.time} exceeds grid horizon {path.grid.horizon}"
+                f"deterministic time {rule.time} exceeds grid horizon {grid.horizon}"
             )
-        k = path.grid.first_index_at_or_after(rule.time)
-        return StopResult.at(times[k], k)
+        return np.full(len(x), grid.first_index_at_or_after(rule.time), dtype=np.intp)
     if isinstance(rule, HittingFrom):
-        base = evaluate_rule(rule.start, path)
-        k = _first_exit(x, base.index, rule.delta) if base.stopped else None
-        return StopResult.not_stopped() if k is None else StopResult.at(times[k], k)
+        return _exit_indices(x, _stop_indices(rule.start, x, grid, work), rule.delta, True, work)
     if isinstance(rule, PassageToLevel):
-        k = int(_passage_indices(x[None, :], np.array([rule.level]))[0, 0])
-        return StopResult.not_stopped() if k == x.size else StopResult.at(times[k], k)
+        return _passage_indices(x, np.array([rule.level]))[:, 0]
     if not isinstance(rule, FirstAbsExceed):
         raise InvalidRuleError(f"unknown stopping rule: {rule!r}")
-    k = int(_abs_exceed_indices(x[None, :], rule.level)[0])
-    return StopResult.not_stopped() if k == x.size else StopResult.at(times[k], k)
+    return _abs_exceed_indices(x, rule.level)
+
+
+def evaluate_rule(rule: StoppingRule, path: Path) -> StopResult:
+    """First grid index satisfying the rule, else not-stopped-by-horizon: the
+    block kernel on one row."""
+    grid = path.grid
+    k = int(_stop_indices(rule, path.values[None, :], grid)[0])
+    return StopResult.not_stopped() if k == grid.n_points else StopResult.at(grid.times[k], k)
 
 
 def passage_time(path: Path | Ensemble, level: float | Array) -> StopResult | Array:
@@ -237,21 +259,31 @@ class Conjunction:
 EventDescriptor = Union[WholeSpace, ValueAtStopInRange, StoppedBeforeHorizon, Conjunction]
 
 
+def _event_mask(event: EventDescriptor, x: Array, grid: TimeGrid, k: Array) -> Array:
+    """The event on each row of the block ``x`` stopped at index ``k[r]``
+    (``grid.n_points``: not stopped); predicates on the stop are false there."""
+    stopped = k < grid.n_points
+    at = np.minimum(k, grid.n_points - 1)
+    if isinstance(event, WholeSpace):
+        return np.ones(len(k), dtype=bool)
+    if isinstance(event, ValueAtStopInRange):
+        value = x[np.arange(len(k)), at]
+        return stopped & (event.low <= value) & (value <= event.high)
+    if isinstance(event, StoppedBeforeHorizon):
+        return stopped & (grid.times[at] < event.horizon)
+    if isinstance(event, Conjunction):
+        mask = np.ones(len(k), dtype=bool)
+        for e in event.events:
+            mask &= _event_mask(e, x, grid, k)
+        return mask
+    raise InvalidRuleError(f"unknown event descriptor: {event!r}")
+
+
 def evaluate_event(event: EventDescriptor, path: Path, stop: StopResult) -> bool:
     """Predicate value; predicates referencing the stop value are false when
-    the rule never stopped."""
-    if isinstance(event, WholeSpace):
-        return True
-    if isinstance(event, ValueAtStopInRange):
-        if not stop.stopped:
-            return False
-        value = path.values[stop.index]
-        return bool(event.low <= value <= event.high)
-    if isinstance(event, StoppedBeforeHorizon):
-        return bool(stop.stopped and stop.time < event.horizon)
-    if isinstance(event, Conjunction):
-        return all(evaluate_event(e, path, stop) for e in event.events)
-    raise InvalidRuleError(f"unknown event descriptor: {event!r}")
+    the rule never stopped. The block kernel on one row."""
+    k = np.array([stop.index if stop.stopped else path.grid.n_points])
+    return bool(_event_mask(event, path.values[None, :], path.grid, k)[0])
 
 
 # ------------------------------ text syntax ------------------------------ #

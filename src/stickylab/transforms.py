@@ -200,8 +200,13 @@ def time_change(path: Path | Ensemble, nu: TimeChange) -> Path | tuple[Array, Ar
 
 def quadratic_variation(path: Path) -> Array:
     """Realized quadratic variation: 0, then the cumulative sum of squared
-    increments along the grid."""
-    return np.concatenate(([0.0], np.cumsum(np.diff(path.values) ** 2)))
+    increments along the grid. A variation beyond the float range raises
+    ``InvalidArgumentError``."""
+    with np.errstate(over="ignore"):  # an overflowing variation is refused below
+        qv = np.concatenate(([0.0], np.cumsum(np.diff(path.values) ** 2)))
+    if not np.isfinite(qv[-1]):
+        raise InvalidArgumentError("terminal quadratic variation overflows the float range")
+    return qv
 
 
 def dds_brownianize(path: Path, qv_grid_steps: int) -> Path:
@@ -218,11 +223,8 @@ def dds_brownianize(path: Path, qv_grid_steps: int) -> Path:
     """
     if int(qv_grid_steps) < 2:
         raise InvalidArgumentError("qv_grid_steps must be at least 2")
-    with np.errstate(over="ignore"):  # an overflowing variation is refused below
-        qv = quadratic_variation(path)
+    qv = quadratic_variation(path)
     total = float(qv[-1])
-    if not np.isfinite(total):
-        raise DegenerateInputError("terminal quadratic variation overflows the float range")
     if total <= 0.0:
         raise DegenerateInputError("terminal quadratic variation is zero")
     u = np.linspace(0.0, total, int(qv_grid_steps) + 1)[:-1]

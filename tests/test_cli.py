@@ -29,6 +29,7 @@ from stickylab.errors import (ConfigError, NumericalFailureError, StickyLabError
 from stickylab.market import CostModel, exp_price, liquidation_value, momentum_strategy
 from stickylab.pathgen import (BrownianMotion, Ensemble, SeedSpec, make_uniform_grid,
                                 sample_ensemble)
+from stickylab.stickiness import survival_ladder
 from stickylab.transforms import IdentityCap, PassageTimes, dds_brownianize, time_change
 
 
@@ -871,6 +872,48 @@ def test_streamed_portfolio_matches_the_whole_ensemble_code(monkeypatch, n_paths
     config = ExperimentConfig(experiment="portfolio", process="fbm", n_paths=n_paths, steps=128,
                               rate=0.01, raw_price=raw_price, master_seed=11)
     _assert_streamed_matches(monkeypatch, _frozen_portfolio, config)
+
+
+def _frozen_stickiness(config):
+    return cli._stickiness_table(config, _frozen_whole_ensemble(config), config.process)
+
+
+def _frozen_ladder(config):
+    ensemble = _frozen_whole_ensemble(config)
+    horizons = config.ladder or (config.horizon / 4.0, config.horizon / 2.0, config.horizon)
+    fractions = survival_ladder(ensemble, cli.parse_rule(config.tau), config.delta, horizons)
+    rows = tuple(
+        (config.process, cli._hurst_cell(config), config.tau, config.delta, h, f,
+         ensemble.n_paths, config.master_seed, config.steps)
+        for h, f in zip(horizons, fractions)
+    )
+    return ResultTable(cli.LADDER_COLUMNS, rows, cli._provenance(config))
+
+
+@pytest.mark.parametrize("n_paths", [1, 63, 64, 65, 200])
+@pytest.mark.parametrize("experiment, frozen, fields", [
+    ("stickiness", _frozen_stickiness, {"tau": "hit:0.1", "epsilon": 0.5}),
+    ("ladder", _frozen_ladder, {"tau": "hit:0.2", "delta": 0.4, "ladder": (0.1, 0.3, 1.0)}),
+], ids=["stickiness", "ladder"])
+def test_streamed_subcommands_match_the_whole_ensemble_code(monkeypatch, experiment, frozen,
+                                                            fields, n_paths):
+    config = ExperimentConfig(experiment=experiment, process="fbm", n_paths=n_paths, steps=128,
+                              master_seed=11, **fields)
+    _assert_streamed_matches(monkeypatch, frozen, config)
+
+
+@pytest.mark.parametrize("command", ["stickiness", "ladder"])
+def test_stickiness_and_ladder_never_hold_their_ensemble(tmp_path, monkeypatch, command):
+    monkeypatch.chdir(tmp_path)
+    ensemble_bytes = 20_000 * 1025 * 8  # 164 MB
+    tracemalloc.start()
+    try:
+        code = main([command, "--paths", "20000", "--steps", "1024", "--out", "x.csv"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < ensemble_bytes / 10
 
 
 def test_costs_preset_holds_only_its_increments():

@@ -1,9 +1,12 @@
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stickylab.errors import InvalidArgumentError
+import stickylab.stickiness as stickiness
+from stickylab.errors import InvalidArgumentError, NumericalFailureError
 from stickylab.pathgen import (
     BrownianMotion,
     Ensemble,
@@ -15,7 +18,6 @@ from stickylab.pathgen import (
 from stickylab.stickiness import (
     StickinessQuery,
     _success,
-    _window_sup,
     cross_check_characterizations,
     estimate_stickiness,
     estimate_stickiness_sis,
@@ -31,6 +33,7 @@ from stickylab.stopping import (
     StopResult,
     ValueAtStopInRange,
     WholeSpace,
+    _exit_indices,
     evaluate_event,
     evaluate_rule,
     parse_rule,
@@ -132,12 +135,17 @@ def test_zero_success_upper_bound_scale():
     st.data(),
 )
 @settings(max_examples=200, deadline=None)
-def test_window_sup_equals_max_abs_deviation(values, data):
+def test_nonstrict_exit_agrees_with_the_window_sup(values, data):
+    # the window [start, end] has max |x - x_start| >= delta exactly when the
+    # non-strict exit lies in it: at delta = the sup and just above it
     x = np.array(values)
     start = data.draw(st.integers(0, x.size - 1))
     end = data.draw(st.integers(start, x.size - 1))
-    want = np.max(np.abs(x[start : end + 1] - x[start]))
-    assert _window_sup(x, start, end) == want
+    sup = np.max(np.abs(x[start : end + 1] - x[start]))
+    for delta in (sup, np.nextafter(sup, np.inf)):
+        if delta > 0.0:
+            exit_index = _exit_indices(x[None, :], np.array([start]), delta, strict=False)[0]
+            assert (exit_index <= end) == (sup >= delta)
 
 
 def test_constant_ensemble_is_fully_sticky():
@@ -523,26 +531,35 @@ REFERENCE_EVENTS = (
 PROP_C_VARIANTS = ((None, None), (0.25, None), (0.375, (0.1, 0.25)), (0.25, (0.5, 0.75)))
 
 
+def _reference_queries(grid):
+    """``(end index, queries)`` for every rule, epsilon, event and horizon, the
+    queries covering each characterization and prop-c variant."""
+    for rule in REFERENCE_RULES:
+        for epsilon in (0.125, 0.25, 0.5):
+            for event in REFERENCE_EVENTS:
+                for horizon in (0.75, 1.0):
+                    yield grid.last_index_at_or_before(horizon), [
+                        q(epsilon, parse_rule(rule), horizon, event=event, characterization=c)
+                        for c in ("def-a", "prop-b")
+                    ] + [
+                        q(epsilon, parse_rule(rule), horizon, event=event,
+                          characterization="prop-c", delta=d, ladder=lad)
+                        for d, lad in PROP_C_VARIANTS
+                    ]
+
+
+
 @pytest.mark.parametrize("kind", ["lattice", "bm", "0.3", "0.75"])
 def test_characterizations_match_reference(kind):
     ens = _reference_ensemble(kind)
     if kind == "lattice":
         assert np.any(np.abs(ens.values - ens.values[:, :1]) == 0.25)
     paths = [ens.path(i) for i in range(ens.n_paths)]
-    for rule in REFERENCE_RULES:
-        for epsilon in (0.125, 0.25, 0.5):
-            for event in REFERENCE_EVENTS:
-                for horizon in (0.75, 1.0):
-                    end_index = ens.grid.last_index_at_or_before(horizon)
-                    queries = [q(epsilon, parse_rule(rule), horizon, event=event,
-                                 characterization=c) for c in ("def-a", "prop-b")]
-                    queries += [q(epsilon, parse_rule(rule), horizon, event=event,
-                                  characterization="prop-c", delta=d, ladder=lad)
-                                for d, lad in PROP_C_VARIANTS]
-                    for query in queries:
-                        got = [_success(query, p, end_index) for p in paths]
-                        want = [_reference_success(query, p, end_index) for p in paths]
-                        assert got == want, query
+    for end_index, queries in _reference_queries(ens.grid):
+        for query in queries:
+            got = [_success(query, p, end_index) for p in paths]
+            want = [_reference_success(query, p, end_index) for p in paths]
+            assert got == want, query
 
 
 @pytest.mark.parametrize("kind", ["lattice", "bm", "0.3", "0.75"])
@@ -554,3 +571,76 @@ def test_survival_ladder_matches_reference(kind):
             got = survival_ladder(ens, parse_rule(rule), delta, horizons)
             want = _reference_ladder(ens, parse_rule(rule), delta, horizons)
             assert np.array_equal(got, want), (rule, delta)
+
+
+@functools.lru_cache(maxsize=None)
+def _reference_counts(kind):
+    ens = _reference_ensemble(kind)
+    paths = [ens.path(i) for i in range(ens.n_paths)]
+    return {
+        query: sum(_reference_success(query, p, end_index) for p in paths)
+        for end_index, queries in _reference_queries(ens.grid)
+        for query in queries
+    }
+
+
+@pytest.mark.parametrize("rows", [1, 7, None])
+@pytest.mark.parametrize("kind", ["lattice", "bm", "0.3", "0.75"])
+def test_block_counts_match_reference(monkeypatch, kind, rows):
+    # every query and ladder counted over chunks of 1 and 7 rows and the
+    # default (one chunk of the 60 rows) equals the frozen per-path code
+    ens = _reference_ensemble(kind)
+    if rows is not None:
+        chunk_bytes = rows * stickiness._TUBE_POINT_BYTES * ens.grid.n_points
+        monkeypatch.setattr(stickiness, "_BLOCK_BYTES", chunk_bytes)
+    for query, want in _reference_counts(kind).items():
+        assert estimate_stickiness(ens, query).successes == want, query
+    horizons = (0.1, 0.25, 0.5, 0.75, 1.0)
+    for rule in REFERENCE_RULES:
+        for delta in (0.125, 0.25, 0.5):
+            got = survival_ladder(ens, parse_rule(rule), delta, horizons)
+            want = _reference_ladder(ens, parse_rule(rule), delta, horizons)
+            assert np.array_equal(got, want), (rule, delta)
+
+
+def test_block_and_one_path_disagreement_raises(monkeypatch):
+    # each chunk's first path is recounted through evaluate_rule; a one-path
+    # route that disagrees with the block is a numerical failure, not a count
+    ens = constant_ensemble()
+    monkeypatch.setattr(stickiness, "evaluate_rule", lambda rule, path: StopResult.not_stopped())
+    with pytest.raises(NumericalFailureError, match="path 0"):
+        estimate_stickiness(ens, q(0.5))  # every block row succeeds
+    monkeypatch.setattr(stickiness, "evaluate_rule", lambda rule, path: StopResult.at(0.0, 0))
+    with pytest.raises(NumericalFailureError, match="path 0"):
+        survival_ladder(ens, Deterministic(0.0), 0.5, [1.0])  # no block row restarts
+
+
+def test_count_temporaries_stay_bounded():
+    # the counts compute in chunk buffers of about _BLOCK_BYTES, allocated once
+    import tracemalloc
+
+    ens = sample_ensemble(FractionalBrownianMotion(0.75), make_uniform_grid(1.0, 1024), 3, 2000)
+    hit = parse_rule("hit:0.1@hit:0.1")
+    counts = (
+        lambda: estimate_stickiness(ens, q(0.5, tau=hit)),
+        lambda: estimate_stickiness(ens, q(0.5, tau=hit, characterization="prop-c")),
+        lambda: survival_ladder(ens, hit, 0.5, [0.5, 1.0]),
+    )
+    for count in counts:
+        tracemalloc.start()
+        try:
+            count()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # slack: numpy's 64 KB iteration buffers and the one-row recount, well
+        # under one more chunk-sized bool mask (465 KB)
+        assert peak <= stickiness._BLOCK_BYTES + 2**18
+
+
+def test_sis_recount_disagreement_raises(monkeypatch):
+    # the samples are recounted by the block kernel, apart from the sampler's own stops
+    monkeypatch.setattr(stickiness, "_stop_indices",
+                        lambda rule, x, grid, work=None: np.full(len(x), grid.n_points))
+    with pytest.raises(NumericalFailureError, match="importance sample 0"):
+        sis(0.5, n=20)

@@ -15,7 +15,7 @@ from stickylab.stopping import (
     StoppedBeforeHorizon,
     ValueAtStopInRange,
     WholeSpace,
-    _first_exit,
+    _exit_indices,
     evaluate_event,
     evaluate_rule,
     parse_event,
@@ -160,10 +160,15 @@ def test_hitting_monotone_in_delta(values, d1, d2):
 )
 @settings(max_examples=300, deadline=None)
 def test_first_exit_matches_loop(values, delta, data):
-    x = np.array(values)
-    start = data.draw(st.integers(0, x.size - 1))
-    want = next((k for k in range(start, x.size) if abs(x[k] - x[start]) > delta), None)
-    assert _first_exit(x, start, delta) == want
+    # each row of a block from its own start, strict and not, against a loop
+    x = np.array([values, values[::-1]])
+    start = np.array([data.draw(st.integers(0, x.shape[1])) for _ in range(2)])
+    for strict in (True, False):
+        want = [next((k for k in range(s, x.shape[1])
+                      if (abs(row[k] - row[s]) > delta if strict else
+                          abs(row[k] - row[s]) >= delta)), x.shape[1])
+                for row, s in zip(x, start)]
+        assert list(_exit_indices(x, start, delta, strict)) == want
 
 
 @given(st.lists(st.floats(-3, 3), min_size=4, max_size=20), st.floats(0.1, 1.5))

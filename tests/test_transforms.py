@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -287,6 +289,15 @@ def test_drift_requires_null_at_zero():
     p = bm_path(seed=1)
     with pytest.raises(ContractViolationError):
         drift_by_qv(p, Affine(1.0, 0.5))
+
+
+def test_drift_refuses_an_overflowing_variation_without_a_warning():
+    p = Path(make_uniform_grid(1.0, 8), 1e200 * np.arange(9.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy's overflow warning would raise here
+        for call in (lambda: quadratic_variation(p), lambda: drift_by_qv(p, Identity())):
+            with pytest.raises(InvalidArgumentError, match="overflows the float range"):
+                call()
 
 
 def test_drift_cos_map_accepted():
