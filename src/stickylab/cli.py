@@ -26,10 +26,10 @@ from .pathgen import (
     BrownianMotion,
     Ensemble,
     FractionalBrownianMotion,
-    Path,
     ProcessSpec,
     SeedSpec,
     TimeGrid,
+    _brownian_rows,
     _empty,
     make_uniform_grid,
     sample_ensemble,
@@ -169,12 +169,10 @@ def _grid_and_spec(config: ExperimentConfig) -> tuple[TimeGrid, ProcessSpec]:
     grid = make_uniform_grid(config.horizon, config.steps)
     if config.process not in _PROCESSES:
         raise ConfigError(f"unknown process name {config.process!r}")
+    if config.n_paths * grid.n_points * 8 > _MAX_ENSEMBLE_BYTES:
+        raise ConfigError(f"{config.n_paths} paths x {grid.n_points} points exceed the "
+                          f"{_MAX_ENSEMBLE_BYTES} bytes one run may draw")
     return grid, _PROCESSES[config.process](config)
-
-
-def _ensemble(config: ExperimentConfig) -> Ensemble:
-    grid, spec = _grid_and_spec(config)
-    return sample_ensemble(spec, grid, config.master_seed, config.n_paths)
 
 
 def _blocks(n_paths: int) -> Iterator[slice]:
@@ -183,28 +181,21 @@ def _blocks(n_paths: int) -> Iterator[slice]:
         yield slice(start, min(start + _BLOCK_ROWS, n_paths))
 
 
-def _ensemble_blocks(config: ExperimentConfig) -> Iterator[tuple[slice, Ensemble]]:
+def _ensemble_blocks(config: ExperimentConfig,
+                     head: TimeGrid | None = None) -> Iterator[tuple[slice, Ensemble]]:
     """The config's ensemble as ``(rows, block)`` pairs in path order: blocks of
     ``_BLOCK_ROWS`` rows, each drawn only once the previous one has been
     consumed, into the same buffer, so the whole ensemble is never held and a
     block's values last only until the next is drawn. Each block is
-    bit-identical to those rows of ``_ensemble(config)``."""
+    bit-identical to those rows of the whole ensemble; drawn on ``head``, a
+    start of the config's grid, when given."""
     grid, spec = _grid_and_spec(config)
-    if config.n_paths * grid.n_points * 8 > _MAX_ENSEMBLE_BYTES:
-        raise ConfigError(f"{config.n_paths} paths x {grid.n_points} points exceed the "
-                          f"{_MAX_ENSEMBLE_BYTES} bytes one run may draw")
+    grid = grid if head is None else head
     buffer = _empty(min(_BLOCK_ROWS, config.n_paths), grid.n_points)
     for rows in _blocks(config.n_paths):
         n = rows.stop - rows.start
         yield rows, sample_ensemble(spec, grid, config.master_seed, n, first=rows.start,
                                     out=buffer[:n])
-
-
-def _ensemble_paths(config: ExperimentConfig) -> Iterator[tuple[int, Path]]:
-    """The config's ensemble as ``(i, path i)`` pairs, streamed as ``_ensemble_blocks``."""
-    for rows, block in _ensemble_blocks(config):
-        for r in range(block.n_paths):
-            yield rows.start + r, block.path(r)
 
 
 def _hurst_cell(config: ExperimentConfig) -> object:
@@ -246,7 +237,7 @@ def _stickiness_table(
 
 def _run_stickiness(config: ExperimentConfig) -> ResultTable:
     query = _stickiness_query(config, config.horizon)
-    successes = sum(_successes(query, block) for _, block in _ensemble_blocks(config))
+    successes = sum(int(_successes(block, query)[0]) for _, block in _ensemble_blocks(config))
     return _stickiness_row(config, _estimate(query, successes, config.n_paths), config.process)
 
 
@@ -322,7 +313,8 @@ def _run_portfolio(config: ExperimentConfig) -> ResultTable:
 
 
 def _run_generate(config: ExperimentConfig) -> ResultTable:
-    ensemble = _ensemble(config)
+    grid, spec = _grid_and_spec(config)
+    ensemble = sample_ensemble(spec, grid, config.master_seed, config.n_paths)
     columns = ("t",) + tuple(f"x_{i}" for i in range(ensemble.n_paths))
     rows = tuple(zip(ensemble.grid.times, *ensemble.values))
     return ResultTable(columns, rows, _provenance(config))
@@ -339,8 +331,28 @@ def _preset_passage_counterexample(config: ExperimentConfig) -> ResultTable:
     _check_window_end(config.query_horizon, nu.grid.horizon)
     ramp = _empty(config.n_paths, nu.grid.n_points)
     kept = np.empty(config.n_paths, dtype=bool)
-    for rows, block in _ensemble_blocks(config):
+    grid, spec = _grid_and_spec(config)
+    # A Brownian path is drawn until it passes the top level: 256 steps (62% of the
+    # preset's paths pass), then, for the rows short of it, twice the steps a round
+    # (the first redraws the 256). These are the whole path's first points.
+    steps = [min(256, grid.n_steps) if isinstance(spec, BrownianMotion) else grid.n_steps]
+    while steps[-1] < grid.n_steps:
+        steps.append(min(2 * steps[-1], grid.n_steps))
+    head, *rounds = (TimeGrid(grid.times[: k + 1]) for k in steps)
+    for rows, block in _ensemble_blocks(config, head):
         ramp[rows], kept[rows] = time_change(block, nu)
+        paths = rows.start + np.flatnonzero(~kept[rows])
+        values, states = np.zeros((len(paths), 1)), np.empty(len(paths), dtype=object)
+        for part_grid in rounds:
+            if not len(paths):
+                break
+            part = _empty(len(paths), part_grid.n_points)
+            part[:, : values.shape[1]] = values
+            _brownian_rows(part_grid, config.master_seed, spec.volatility, paths, part,
+                           values.shape[1], states)
+            ramp[paths], passed = time_change(Ensemble(part_grid, part, config.master_seed), nu)
+            kept[paths] = passed
+            paths, values, states = paths[~passed], part[~passed], states[~passed]
     if not kept.any():
         raise NumericalFailureError("no path attained the full level schedule")
     excluded = config.n_paths - int(np.count_nonzero(kept))
@@ -354,8 +366,9 @@ def _preset_timechange_cap(config: ExperimentConfig) -> ResultTable:
     grid = make_uniform_grid(config.horizon, config.steps)
     cap = IdentityCap(0.5)
     values = _empty(config.n_paths, grid.n_points)
-    for i, path in _ensemble_paths(config):
-        values[i] = time_change(path, cap).values
+    for rows, block in _ensemble_blocks(config):
+        for r in range(block.n_paths):
+            values[rows.start + r] = time_change(block.path(r), cap).values
     label = f"{config.process}-capped"
     return _stickiness_table(config, Ensemble(grid, values, config.master_seed, label), label)
 
@@ -363,14 +376,15 @@ def _preset_timechange_cap(config: ExperimentConfig) -> ResultTable:
 def _preset_dds_check(config: ExperimentConfig) -> ResultTable:
     qv_steps = 256
     ratios, unit_qv, dus = (_empty(config.n_paths) for _ in range(3))
-    for i, path in _ensemble_paths(config):
-        out = dds_brownianize(path, qv_steps)
-        du = out.grid.times[1] - out.grid.times[0]
-        increments = np.diff(out.values)
-        ratios[i] = increments.var() / du
-        k = out.grid.last_index_at_or_before(1.0)
-        unit_qv[i] = float(np.sum(np.diff(out.values[: k + 1]) ** 2))
-        dus[i] = du
+    for rows, block in _ensemble_blocks(config):
+        for i in range(rows.start, rows.stop):
+            out = dds_brownianize(block.path(i - rows.start), qv_steps)
+            du = out.grid.times[1] - out.grid.times[0]
+            increments = np.diff(out.values)
+            ratios[i] = increments.var() / du
+            k = out.grid.last_index_at_or_before(1.0)
+            unit_qv[i] = float(np.sum(np.diff(out.values[: k + 1]) ** 2))
+            dus[i] = du
     row = (
         config.process, config.sigma, config.n_paths, qv_steps, float(dus.mean()),
         float(ratios.mean()), float(unit_qv.mean()), config.master_seed, config.steps,

@@ -10,7 +10,11 @@ Conventions
   normals from one re-keyed Philox, then one 2-D transform of the block.
   With ``out=`` the paths are written into the caller's buffer, so a caller
   that draws an ensemble block by block can reuse one.
-- Brownian increments over ``[t_i, t_{i+1}]`` are ``N(0, sigma^2 * dt_i)``.
+- Brownian increments over ``[t_i, t_{i+1}]`` are ``N(0, sigma^2 * dt_i)``, and
+  independent: a path's first ``K + 1`` points are, bit for bit, the path drawn
+  on ``TimeGrid(grid.times[:K + 1])``. A stream drawn in segments gives the
+  normals of one draw, so ``_brownian_rows`` continues such a head where each
+  row's stream stopped (``_normals`` records and resumes the states).
 - Fractional Brownian motion is sampled by circulant embedding (Davies-Harte)
   on uniform grids, with a dense Cholesky factorization as fallback when the
   embedding produces negative eigenvalues beyond tolerance. The embedding is
@@ -180,22 +184,28 @@ class SeedSpec:
         return np.random.Generator(np.random.Philox(key=key))
 
 
-def _streams(master_seed: int, first: int, rows: int) -> Iterator[np.random.Generator]:
-    """``SeedSpec(master_seed, i).generator()`` for ``i = first ... first + rows - 1``,
+def _streams(master_seed: int, indices) -> Iterator[np.random.Generator]:
+    """``SeedSpec(master_seed, i).generator()`` for each ``i`` of the increasing ``indices``,
     one Philox re-keyed per path (2.5 us against 14.3 us for a new generator)."""
-    SeedSpec(master_seed, first + rows - 1)  # the last key must fit in 64 bits too
-    rng = SeedSpec(master_seed, first).generator()
+    SeedSpec(master_seed, indices[-1])  # the last key must fit in 64 bits too
+    rng = SeedSpec(master_seed, indices[0]).generator()
     fresh = rng.bit_generator.state
-    for index in range(first, first + rows):
+    for index in indices:
         fresh["state"]["key"][1] = index
         rng.bit_generator.state = fresh
         yield rng
 
 
-def _normals(master_seed: int, first: int, out: Array) -> None:
-    """Fill row ``r`` of ``out`` with the standard normals of path ``first + r``."""
-    for row, rng in zip(out, _streams(master_seed, first, len(out))):
-        rng.standard_normal(out=row)
+def _normals(master_seed: int, indices, out: Array, states: Array | None = None) -> None:
+    """Fill row ``r`` of ``out`` with the next standard normals of path
+    ``indices[r]``: from the start of its stream, or where the object array
+    ``states`` left it (``states[r]`` not None), which then records where it stops."""
+    for r, rng in enumerate(_streams(master_seed, indices)):
+        if states is not None and states[r] is not None:
+            rng.bit_generator.state = states[r]
+        rng.standard_normal(out=out[r])
+        if states is not None:
+            states[r] = rng.bit_generator.state
 
 
 # ------------------------------ paths ------------------------------ #
@@ -350,13 +360,24 @@ def sample_brownian(grid: TimeGrid, seed: SeedSpec, volatility: float = 1.0, *,
         raise InvalidArgumentError("volatility must be positive")
     values = _output(grid, n_paths, out)
     step = max(1, _BLOCK_BYTES // (8 * grid.n_steps))  # the increments are the buffer
-    with np.errstate(over="ignore", invalid="ignore"):  # the finiteness check refuses overflow
-        for a in range(0, len(values), step):
-            increments = values[a : a + step, 1:]
-            _normals(seed.master_seed, seed.path_index + a, increments)
-            increments *= volatility * grid._sqrt_spacings
-            np.cumsum(increments, axis=1, out=increments)
+    for a in range(0, len(values), step):
+        block, first = values[a : a + step], seed.path_index + a
+        _brownian_rows(grid, seed.master_seed, volatility, range(first, first + len(block)), block)
     return _result(grid, seed, values, n_paths, "bm", "bm")
+
+
+def _brownian_rows(grid: TimeGrid, master_seed: int, volatility: float, indices, values: Array,
+                   start: int = 1, states: Array | None = None) -> None:
+    """Fill ``values[:, start:]`` with paths ``indices`` past their first ``start``
+    points: the streams' next normals, scaled and summed onto ``values[:, start - 1]``,
+    which goes into the first increment so the sums are the whole path's ``cumsum``."""
+    increments = values[:, start:]
+    _normals(master_seed, indices, increments, states)
+    with np.errstate(over="ignore", invalid="ignore"):  # the finiteness check refuses overflow
+        increments *= volatility * grid._sqrt_spacings[start - 1 :]
+        if start > 1:
+            increments[:, 0] += values[:, start - 1]
+        np.cumsum(increments, axis=1, out=increments)
 
 
 @lru_cache(maxsize=16)
@@ -433,7 +454,7 @@ def sample_fbm(grid: TimeGrid, seed: SeedSpec, hurst: float, *,
     for a in range(0, len(values), step):
         block = values[a : a + step]
         zb = z[: len(block)]
-        _normals(seed.master_seed, seed.path_index + a, zb)
+        _normals(seed.master_seed, range(seed.path_index + a, seed.path_index + a + len(zb)), zb)
         if weights is None:
             for r, row in enumerate(block):  # a block matmul may round differently
                 row[1:] = _fbm_dense_factor(n, dt, float(hurst)) @ zb[r]

@@ -253,31 +253,32 @@ def _success(query: StickinessQuery, path: Path, end_index: int) -> bool:
 
 
 def _success_mask(query: StickinessQuery, x: Array, grid: TimeGrid, end_index: int,
-                  work: tuple[Array, Array] | None = None) -> Array:
-    """``_success`` of every row of the block ``x``, with no loop over rows."""
-    k = _stop_indices(query.tau, x, grid, work)
+                  stop: Array, work: tuple[Array, Array] | None = None) -> Array:
+    """``_success`` of every row of the block ``x``, whose tau stops at ``stop``
+    (``_stop_indices``), with no loop over rows."""
     if query.characterization == "def-a":
-        won = np.append(grid.times, np.inf)[k] < query.horizon  # stopped before T
+        k, won = stop, np.append(grid.times, np.inf)[stop] < query.horizon  # stopped before T
     else:
-        np.minimum(k, end_index, out=k)
-        won = np.ones(len(k), dtype=bool)
+        k, won = np.minimum(stop, end_index), np.ones(len(stop), dtype=bool)
     won &= _event_mask(query.event, x, grid, k)
     return won & _stays(query, x, grid, k, end_index, work)
 
 
-def _successes(query: StickinessQuery, block: Ensemble) -> int:
-    """The number of the block's paths that succeed for the query.
-
-    Each chunk's first path is recounted through ``_success``; a disagreement
-    raises ``NumericalFailureError``.
-    """
-    end_index = block.grid.last_index_at_or_before(query.horizon)
-    successes = 0
+def _successes(block: Ensemble, *queries: StickinessQuery) -> Array:
+    """Per query, the number of the block's paths that succeed; the queries share
+    tau and T, so tau's stop indices are found once per chunk. Each chunk's first
+    path is recounted through ``_success`` for every query; a disagreement raises
+    ``NumericalFailureError``."""
+    grid = block.grid
+    end_index = grid.last_index_at_or_before(queries[0].horizon)
+    successes = np.zeros(len(queries), dtype=np.int64)
     for a, rows, work in _chunks(block):
-        won = _success_mask(query, rows, block.grid, end_index, work)
-        if _success(query, block.path(a), end_index) != won[0]:
-            raise NumericalFailureError(f"path {a}: the block count disagrees with one path's")
-        successes += int(np.count_nonzero(won))
+        stop = _stop_indices(queries[0].tau, rows, grid, work)
+        for j, query in enumerate(queries):
+            won = _success_mask(query, rows, grid, end_index, stop, work)
+            if _success(query, block.path(a), end_index) != won[0]:
+                raise NumericalFailureError(f"path {a}: the block count disagrees with one path's")
+            successes[j] += np.count_nonzero(won)
     return successes
 
 
@@ -306,7 +307,7 @@ def estimate_stickiness(ensemble: Ensemble, query: StickinessQuery) -> Stickines
     _check_window_end(query.horizon, horizon)
     if query.characterization == "prop-c" and query.ladder:
         _check_ladder(query.ladder, horizon)
-    return _estimate(query, _successes(query, ensemble), ensemble.n_paths)
+    return _estimate(query, int(_successes(ensemble, query)[0]), ensemble.n_paths)
 
 
 def _survivors(block: Ensemble, restart: HittingFrom, horizons: Array) -> Array:
@@ -348,9 +349,12 @@ def cross_check_characterizations(
 ) -> CrossCheckReport:
     """Run all three characterizations on the same ensemble and compare
     positivity verdicts; disagreement is reported, never reconciled."""
-    est_a = estimate_stickiness(ensemble, replace(query, characterization="def-a"))
-    est_b = estimate_stickiness(ensemble, replace(query, characterization="prop-b"))
-    est_c = estimate_stickiness(ensemble, replace(query, characterization="prop-c"))
+    queries = [replace(query, characterization=c) for c in ("def-a", "prop-b", "prop-c")]
+    _check_window_end(query.horizon, ensemble.grid.horizon)
+    if query.ladder:  # prop-c's
+        _check_ladder(query.ladder, ensemble.grid.horizon)
+    est_a, est_b, est_c = (_estimate(q, int(s), ensemble.n_paths)
+                           for q, s in zip(queries, _successes(ensemble, *queries)))
     verdicts = {est_a.verdict, est_b.verdict, est_c.verdict}
     return CrossCheckReport(est_a, est_b, est_c, agree=len(verdicts) == 1)
 
@@ -423,7 +427,7 @@ def estimate_stickiness_sis(
     start = grid.first_index_at_or_after(base.time)
     end_index = grid.last_index_at_or_before(query.horizon)
     uniforms = np.empty((n, m))
-    for i, rng in enumerate(_streams(master_seed, 0, m)):
+    for i, rng in enumerate(_streams(master_seed, range(m))):
         # midpoints of 2^52 equal cells: open (0, 1), so ndtri stays finite
         uniforms[:, i] = (rng.integers(0, 2**52, n) + 0.5) / 2.0**52
 
@@ -451,8 +455,8 @@ def estimate_stickiness_sis(
     log_w[~weighted] = -np.inf
 
     samples = Ensemble(grid, x.T, master_seed).values  # one row per sample
-    wrong = (_stop_indices(tau, samples, grid) != stop) | (
-        _success_mask(query, samples, grid, end_index) != weighted)
+    found = _stop_indices(tau, samples, grid)
+    wrong = (found != stop) | (_success_mask(query, samples, grid, end_index, found) != weighted)
     if wrong.any():
         raise NumericalFailureError(f"importance sample {int(np.argmax(wrong))} disagrees "
                                     "with the stopping rule or the tube check")

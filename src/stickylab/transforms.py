@@ -291,7 +291,7 @@ def _nonsticky_block(spec: NonStickyMartingale, grid: TimeGrid, seed: SeedSpec, 
     n = grid.n_steps
     n_pre = int(np.count_nonzero(grid.times < 1.0))  # >= 1, contains t = 0
     z = np.empty((len(x), 2 * n))  # per row: n normals for the clock, then n for the walk
-    _normals(seed.master_seed, seed.path_index, z)
+    _normals(seed.master_seed, range(seed.path_index, seed.path_index + len(x)), z)
     clock = z[:, : n_pre - 1]
     clock *= np.sqrt(np.diff(1.0 / (1.0 - grid.times[:n_pre]) - 1.0))
     np.cumsum(clock, axis=1, out=x[:, 1:n_pre])

@@ -636,17 +636,16 @@ def test_readme_config_example_and_key_table_match_the_settings(tmp_path, monkey
     assert sorted(table) == sorted(expected)
 
 
-def test_cli_preset_deterministic_across_worker_counts(tmp_path):
-    texts = {}
-    for workers in ("1", "4", "8"):
-        dest = tmp_path / f"w{workers}.csv"
+def test_cli_preset_bytes_equal_across_interpreter_runs(tmp_path):
+    texts = []
+    for run in range(3):
+        dest = tmp_path / f"run{run}.csv"
         result = run_cli(
-            ["experiment", "fbm-sticky", "--paths", "64", "--steps", "64", "--out", str(dest)],
-            env_extra={"STICKYLAB_THREADS": workers},
+            ["experiment", "fbm-sticky", "--paths", "64", "--steps", "64", "--out", str(dest)]
         )
         assert result.returncode == 0, result.stderr
-        texts[workers] = dest.read_bytes()
-    assert texts["1"] == texts["4"] == texts["8"]
+        texts.append(dest.read_bytes())
+    assert texts[0] == texts[1] == texts[2]
 
 
 def test_cli_portfolio_raw_price(tmp_path):
@@ -864,6 +863,37 @@ def test_streamed_presets_match_the_whole_ensemble_code(monkeypatch, preset, n_p
     frozen, steps = _FROZEN_PRESETS[preset]
     config = small(preset, n_paths=n_paths, steps=steps, master_seed=11)
     _assert_streamed_matches(monkeypatch, frozen, config)
+
+
+# 64 steps lie within one head; at 2048 the Brownian rows short of level 0.5
+# continue over several rounds. Horizon 0.5 excludes about half the paths, and
+# its one bm path at seed 11 passes no full schedule (NumericalFailureError).
+@pytest.mark.parametrize("n_paths", [1, 130])
+@pytest.mark.parametrize("horizon", [32.0, 0.5])
+@pytest.mark.parametrize("steps", [64, 2048])
+@pytest.mark.parametrize("process", ["bm", "fbm", "abs-cuberoot"])
+def test_streamed_passage_preset_matches_the_whole_ensemble_code(monkeypatch, process, steps,
+                                                                 horizon, n_paths):
+    config = small("passage-counterexample", n_paths=n_paths, steps=steps, process=process,
+                   horizon=horizon, master_seed=11)
+    _assert_streamed_matches(monkeypatch, _frozen_passage_counterexample, config)
+
+
+def test_passage_preset_draws_each_path_only_until_it_passes_the_top_level(monkeypatch):
+    import stickylab.pathgen as pg
+
+    config = small("passage-counterexample", n_paths=2000, steps=8192)
+    drawn = []
+
+    def spy(master_seed, indices, out, states=None):
+        drawn.append(out.size)
+        return normals(master_seed, indices, out, states)
+
+    normals = pg._normals
+    monkeypatch.setattr(pg, "_normals", spy)
+    table = run_experiment(config)
+    assert table.provenance["excluded_paths"] > 0  # some rows ran the whole grid
+    assert sum(drawn) <= 0.25 * config.n_paths * config.steps
 
 
 @pytest.mark.parametrize("raw_price", [False, True])

@@ -485,14 +485,55 @@ def test_rekeyed_normals_equal_fresh_generators_at_the_top_of_the_key_range():
 
     master, first = 2**64 - 1, 2**64 - 4
     out = np.empty((4, 33))
-    pg._normals(master, first, out)
+    pg._normals(master, range(first, first + 4), out)
     for r in range(4):
         want = SeedSpec(master, first + r).generator().standard_normal(33)
         assert np.array_equal(out[r], want)
     # a stream left mid-buffer (integers draws) is reset, counter and all
-    for i, rng in enumerate(pg._streams(master, first, 4)):
+    for i, rng in enumerate(pg._streams(master, range(first, first + 4))):
         got = rng.integers(0, 2**52, 5)
         assert np.array_equal(got, SeedSpec(master, first + i).generator().integers(0, 2**52, 5))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    indices=st.lists(st.one_of(st.integers(0, 300), st.integers(2**64 - 300, 2**64 - 1)),
+                     min_size=1, max_size=6, unique=True).map(sorted),
+    n=st.integers(0, 300),
+    data=st.data(),
+)
+def test_normals_drawn_in_resumed_segments_equal_one_draw(indices, n, data):
+    import stickylab.pathgen as pg
+
+    cuts = sorted(data.draw(st.lists(st.integers(0, n), max_size=5)))  # repeats: empty segments
+    out = np.empty((len(indices), n))
+    states = np.empty(len(indices), dtype=object)
+    for a, b in zip([0, *cuts], [*cuts, n]):
+        segment = np.empty((len(indices), b - a))
+        pg._normals(7, indices, segment, states)
+        out[:, a:b] = segment
+    for row, i in zip(out, indices):
+        assert np.array_equal(row, SeedSpec(7, i).generator().standard_normal(n))
+
+
+@pytest.mark.parametrize("grid", [NONUNIFORM, make_uniform_grid(4.0, 300)],
+                         ids=["nonuniform", "uniform"])
+def test_extended_brownian_rows_equal_the_whole_grid_paths(grid):
+    import stickylab.pathgen as pg
+
+    whole = sample_ensemble(BrownianMotion(0.7), grid, 5, 40).values
+    indices = np.array([0, 3, 4, 17, 39])
+    states = np.empty(len(indices), dtype=object)
+    values = np.zeros((len(indices), 1))  # each stream from its start
+    for k in (1, 2, 7, 8, grid.n_steps):
+        head = TimeGrid(grid.times[: k + 1])
+        assert np.array_equal(sample_ensemble(BrownianMotion(0.7), head, 5, 40).values,
+                              whole[:, : k + 1])
+        part = np.empty((len(indices), k + 1))
+        part[:, : values.shape[1]] = values
+        pg._brownian_rows(head, 5, 0.7, indices, part, values.shape[1], states)
+        assert np.array_equal(part, whole[indices, : k + 1])
+        values = part
 
 
 def test_last_block_index_past_the_key_range_is_refused():
