@@ -35,7 +35,7 @@ from .pathgen import (
     sample_ensemble,
 )
 from .stickiness import (StickinessEstimate, StickinessQuery, _check_ladder, _check_window_end,
-                         _estimate, _successes, _survivors, estimate_stickiness)
+                         _estimate, _successes, _survivors)
 from .stopping import HittingFrom, parse_event, parse_rule
 from .transforms import (
     AbsCubeRootOfMartingale,
@@ -227,14 +227,6 @@ def _stickiness_row(config: ExperimentConfig, est: StickinessEstimate, process: 
     return ResultTable(STICKINESS_COLUMNS, (row,), prov)
 
 
-def _stickiness_table(
-    config: ExperimentConfig, ensemble: Ensemble, process: str, **extra
-) -> ResultTable:
-    """The ``_stickiness_row`` of a held ensemble."""
-    query = _stickiness_query(config, ensemble.grid.horizon)
-    return _stickiness_row(config, estimate_stickiness(ensemble, query), process, **extra)
-
-
 def _run_stickiness(config: ExperimentConfig) -> ResultTable:
     query = _stickiness_query(config, config.horizon)
     successes = sum(int(_successes(block, query)[0]) for _, block in _ensemble_blocks(config))
@@ -329,8 +321,7 @@ def _preset_passage_counterexample(config: ExperimentConfig) -> ResultTable:
     # the exclusion count recorded in provenance.
     nu = PassageTimes(np.linspace(0.0, 0.5, 11))
     _check_window_end(config.query_horizon, nu.grid.horizon)
-    ramp = _empty(config.n_paths, nu.grid.n_points)
-    kept = np.empty(config.n_paths, dtype=bool)
+    query = _stickiness_query(config, nu.grid.horizon)
     grid, spec = _grid_and_spec(config)
     # A Brownian path is drawn until it passes the top level: 256 steps (62% of the
     # preset's paths pass), then, for the rows short of it, twice the steps a round
@@ -339,38 +330,37 @@ def _preset_passage_counterexample(config: ExperimentConfig) -> ResultTable:
     while steps[-1] < grid.n_steps:
         steps.append(min(2 * steps[-1], grid.n_steps))
     head, *rounds = (TimeGrid(grid.times[: k + 1]) for k in steps)
+    successes = n_kept = 0
     for rows, block in _ensemble_blocks(config, head):
-        ramp[rows], kept[rows] = time_change(block, nu)
-        paths = rows.start + np.flatnonzero(~kept[rows])
-        values, states = np.zeros((len(paths), 1)), np.empty(len(paths), dtype=object)
+        ramp, kept = time_change(block, nu)
+        short = np.flatnonzero(~kept)  # the block's rows short of the top level
+        values, states = np.zeros((len(short), 1)), np.empty(len(short), dtype=object)
         for part_grid in rounds:
-            if not len(paths):
+            if not len(short):
                 break
-            part = _empty(len(paths), part_grid.n_points)
+            part = _empty(len(short), part_grid.n_points)
             part[:, : values.shape[1]] = values
-            _brownian_rows(part_grid, config.master_seed, spec.volatility, paths, part,
-                           values.shape[1], states)
-            ramp[paths], passed = time_change(Ensemble(part_grid, part, config.master_seed), nu)
-            kept[paths] = passed
-            paths, values, states = paths[~passed], part[~passed], states[~passed]
-    if not kept.any():
+            _brownian_rows(part_grid, config.master_seed, spec.volatility, rows.start + short,
+                           part, values.shape[1], states)
+            ramp[short], passed = time_change(Ensemble(part_grid, part, config.master_seed), nu)
+            kept[short] = passed
+            short, values, states = short[~passed], part[~passed], states[~passed]
+        if kept.any():
+            successes += int(_successes(Ensemble(nu.grid, ramp[kept], config.master_seed),
+                                        query)[0])
+            n_kept += int(np.count_nonzero(kept))
+    if not n_kept:
         raise NumericalFailureError("no path attained the full level schedule")
-    excluded = config.n_paths - int(np.count_nonzero(kept))
-    ramp = Ensemble(nu.grid, ramp[kept], config.master_seed, "passage-ramp")
-    return _stickiness_table(
-        config, ramp, "passage-ramp", requested_paths=config.n_paths, excluded_paths=excluded
-    )
+    return _stickiness_row(config, _estimate(query, successes, n_kept), "passage-ramp",
+                           requested_paths=config.n_paths, excluded_paths=config.n_paths - n_kept)
 
 
 def _preset_timechange_cap(config: ExperimentConfig) -> ResultTable:
-    grid = make_uniform_grid(config.horizon, config.steps)
-    cap = IdentityCap(0.5)
-    values = _empty(config.n_paths, grid.n_points)
-    for rows, block in _ensemble_blocks(config):
-        for r in range(block.n_paths):
-            values[rows.start + r] = time_change(block.path(r), cap).values
+    query, cap = _stickiness_query(config, config.horizon), IdentityCap(0.5)
+    successes = sum(int(_successes(time_change(block, cap), query)[0])
+                    for _, block in _ensemble_blocks(config))
     label = f"{config.process}-capped"
-    return _stickiness_table(config, Ensemble(grid, values, config.master_seed, label), label)
+    return _stickiness_row(config, _estimate(query, successes, config.n_paths), label)
 
 
 def _preset_dds_check(config: ExperimentConfig) -> ResultTable:
@@ -520,8 +510,11 @@ def _format_cell(value) -> str:
 def _atomic_write(dest: str, text: str) -> None:
     directory = os.path.dirname(os.path.abspath(dest))
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    umask = os.umask(0o077)  # read by setting it; restored at once
+    os.umask(umask)
     try:
         with os.fdopen(fd, "w", newline="") as fh:
+            os.chmod(tmp, 0o666 & ~umask)  # what open(dest, "w") gives a new file; mkstemp: 0600
             fh.write(text)
         os.replace(tmp, dest)
     except BaseException:

@@ -136,9 +136,6 @@ class IdentityCap:
         if not (np.isfinite(self.cap) and self.cap > 0.0):
             raise InvalidArgumentError("cap must be positive")
 
-    def __call__(self, t: Array) -> Array:
-        return np.minimum(np.asarray(t, dtype=np.float64), self.cap)
-
 
 @dataclass(frozen=True, eq=False)
 class PassageTimes:
@@ -163,19 +160,21 @@ class PassageTimes:
 TimeChange = Union[IdentityCap, PassageTimes]
 
 
-def time_change(path: Path | Ensemble, nu: TimeChange) -> Path | tuple[Array, Array]:
-    """Evaluate ``X(nu(t))``.
+def time_change(path: Path | Ensemble, nu: TimeChange) -> Path | Ensemble | tuple[Array, Array]:
+    """Evaluate ``X(nu(t))`` on one path or on each row of an ``Ensemble`` block.
 
-    The capped clock keeps the input grid of one path and interpolates
-    linearly between grid points. The passage-time variant reads the path at
-    its passage to each level, on the level schedule's own axis. For one
-    path, a level the path does not reach within its grid raises
-    ``TimeChangeRangeError``. For an ``Ensemble`` row block it returns the
-    ``(rows, levels)`` ramp values and the mask of the rows that reach every
-    level; the other rows' values are NaN.
+    The capped clock keeps the input grid: each row is read at the cap by
+    ``np.interp``'s linear interpolation between the grid points around it,
+    and holds that value from there on. It gives a ``Path`` for a path and an
+    ``Ensemble`` for a block. The passage-time variant reads the path at its
+    passage to each level, on the level schedule's own axis. For one path, a
+    level the path does not reach within its grid raises
+    ``TimeChangeRangeError``. For a block it returns the ``(rows, levels)``
+    ramp values and the mask of the rows that reach every level; the other
+    rows' values are NaN.
     """
+    block = path if isinstance(path, Ensemble) else Ensemble(path.grid, path.values[None], 0)
     if isinstance(nu, PassageTimes):
-        block = path if isinstance(path, Ensemble) else Ensemble(path.grid, path.values[None], 0)
         index = passage_time(block, nu.levels)
         missed = index == block.grid.n_points
         kept = ~missed.any(axis=1)
@@ -188,11 +187,16 @@ def time_change(path: Path | Ensemble, nu: TimeChange) -> Path | tuple[Array, Ar
             raise TimeChangeRangeError(f"level {level} not attained within the grid horizon")
         label = f"{path.label}@passage" if path.label else "passage-ramp"
         return Path(nu.grid, values[0], label=label)
-    if isinstance(path, Ensemble):
-        raise InvalidArgumentError("the capped time change takes one path, not a row block")
     # min(t, cap) stays within [0, horizon], so no range check is needed
-    values = np.interp(nu(path.grid.times), path.grid.times, path.values)
-    return Path(path.grid, values, label=path.label)
+    t, x, cap = block.grid.times, block.values.copy(), nu.cap
+    j = block.grid.last_index_at_or_before(cap)
+    if t[j] != cap and j < block.grid.n_steps:  # the cap lies inside step j: read it there
+        x[:, j + 1] = (x[:, j + 1] - x[:, j]) / (t[j + 1] - t[j]) * (cap - t[j]) + x[:, j]
+        j += 1
+    x[:, j + 1 :] = x[:, j : j + 1]
+    if isinstance(path, Ensemble):
+        return replace(path, values=x)
+    return Path(path.grid, x[0], label=path.label)
 
 
 # ------------------------------ Brownianization ------------------------------ #

@@ -29,8 +29,8 @@ from stickylab.errors import (ConfigError, NumericalFailureError, StickyLabError
 from stickylab.market import CostModel, exp_price, liquidation_value, momentum_strategy
 from stickylab.pathgen import (BrownianMotion, Ensemble, SeedSpec, make_uniform_grid,
                                 sample_ensemble)
-from stickylab.stickiness import survival_ladder
-from stickylab.transforms import IdentityCap, PassageTimes, dds_brownianize, time_change
+from stickylab.stickiness import estimate_stickiness, survival_ladder
+from stickylab.transforms import PassageTimes, dds_brownianize, time_change
 
 
 def small(preset: str, **overrides) -> ExperimentConfig:
@@ -80,6 +80,25 @@ def test_floats_serialized_with_17_significant_digits(tmp_path):
     emit_csv(table, str(dest))
     line = dest.read_text().splitlines()[1]
     assert float(line) == value
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077, 0o002])
+def test_written_csv_gets_the_mode_open_gives_under_the_umask(tmp_path, monkeypatch, umask):
+    monkeypatch.chdir(tmp_path)
+    argv = ["stickiness", "--paths", "8", "--steps", "16", "--out", "x.csv"]
+    previous = os.umask(umask)
+    try:
+        with open("plain.csv", "w"):
+            pass
+        assert main(argv) == 0  # a new file
+        (tmp_path / "x.csv").chmod(0o644)
+        assert main(argv) == 0  # over an existing one
+    finally:
+        os.umask(previous)
+    mode = (tmp_path / "plain.csv").stat().st_mode & 0o777
+    assert mode == 0o666 & ~umask
+    assert (tmp_path / "x.csv").stat().st_mode & 0o777 == mode
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["plain.csv", "x.csv"]
 
 
 def test_provenance_comment_block_before_header(tmp_path):
@@ -729,6 +748,11 @@ def _frozen_whole_ensemble(config):
                            config.n_paths)
 
 
+def _frozen_stickiness_table(config, ensemble, process, **extra):
+    query = cli._stickiness_query(config, ensemble.grid.horizon)
+    return cli._stickiness_row(config, estimate_stickiness(ensemble, query), process, **extra)
+
+
 def _frozen_passage_counterexample(config):
     nu = PassageTimes(np.linspace(0.0, 0.5, 11))
     base = _frozen_whole_ensemble(config)
@@ -742,18 +766,18 @@ def _frozen_passage_counterexample(config):
     if not rows:
         raise NumericalFailureError("no path attained the full level schedule")
     ramp = Ensemble(nu.grid, np.stack(rows), config.master_seed, "passage-ramp")
-    return cli._stickiness_table(
+    return _frozen_stickiness_table(
         config, ramp, "passage-ramp", requested_paths=config.n_paths, excluded_paths=excluded
     )
 
 
 def _frozen_timechange_cap(config):
     base = _frozen_whole_ensemble(config)
-    cap = IdentityCap(0.5)
-    values = np.stack([time_change(base.path(i), cap).values for i in range(base.n_paths)])
+    t = np.minimum(base.grid.times, 0.5)  # each path read at min(t, 0.5) by np.interp
+    values = np.stack([np.interp(t, base.grid.times, row) for row in base.values])
     label = f"{config.process}-capped"
-    return cli._stickiness_table(config, Ensemble(base.grid, values, config.master_seed, label),
-                                 label)
+    capped = Ensemble(base.grid, values, config.master_seed, label)
+    return _frozen_stickiness_table(config, capped, label)
 
 
 def _frozen_dds_check(config):
@@ -905,7 +929,7 @@ def test_streamed_portfolio_matches_the_whole_ensemble_code(monkeypatch, n_paths
 
 
 def _frozen_stickiness(config):
-    return cli._stickiness_table(config, _frozen_whole_ensemble(config), config.process)
+    return _frozen_stickiness_table(config, _frozen_whole_ensemble(config), config.process)
 
 
 def _frozen_ladder(config):
@@ -932,13 +956,14 @@ def test_streamed_subcommands_match_the_whole_ensemble_code(monkeypatch, experim
     _assert_streamed_matches(monkeypatch, frozen, config)
 
 
-@pytest.mark.parametrize("command", ["stickiness", "ladder"])
+@pytest.mark.parametrize("command", ["stickiness", "ladder", "experiment timechange-cap"],
+                         ids=["stickiness", "ladder", "timechange-cap"])
 def test_stickiness_and_ladder_never_hold_their_ensemble(tmp_path, monkeypatch, command):
     monkeypatch.chdir(tmp_path)
     ensemble_bytes = 20_000 * 1025 * 8  # 164 MB
     tracemalloc.start()
     try:
-        code = main([command, "--paths", "20000", "--steps", "1024", "--out", "x.csv"])
+        code = main([*command.split(), "--paths", "20000", "--steps", "1024", "--out", "x.csv"])
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

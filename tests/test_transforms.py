@@ -219,10 +219,40 @@ def test_block_passage_time_change_matches_each_row(rows, levels):
         assert kept[r] and np.array_equal(values[r], one.values)
 
 
-def test_capped_time_change_refuses_a_block():
-    block = Ensemble(make_uniform_grid(1.0, 4), np.zeros((2, 5)), 0)
-    with pytest.raises(InvalidArgumentError):
-        time_change(block, IdentityCap(0.5))
+def _frozen_capped_path(path, nu):
+    # the capped time change as it was: one path through np.interp
+    t = path.grid.times
+    return Path(path.grid, np.interp(np.minimum(t, nu.cap), t, path.values), label=path.label)
+
+
+_UNEVEN = TimeGrid(np.array([0.0, 0.05, 0.2, 0.21, 0.4, 0.55, 0.9, 1.3, 1.31, 2.0]))
+
+
+@pytest.mark.parametrize("rows", [1, 65])
+@pytest.mark.parametrize("grid, cap", [
+    (make_uniform_grid(1.0, 1024), 0.5),  # the timechange-cap preset: a grid point
+    (make_uniform_grid(1.0, 777), 0.5),  # between two grid points
+    (make_uniform_grid(3.0, 777), 0.5),
+    (make_uniform_grid(1.0, 64), 1.0),  # at the horizon
+    (make_uniform_grid(1.0, 64), 2.5),  # beyond it
+    (_UNEVEN, 0.3), (_UNEVEN, 0.55), (_UNEVEN, 1.305),
+], ids=["preset", "777-steps", "horizon-3", "cap-at-horizon", "cap-beyond", "uneven-inside",
+        "uneven-on-point", "uneven-short-step"])
+def test_capped_time_change_of_a_block_matches_np_interp(grid, cap, rows):
+    rng = np.random.default_rng(rows * grid.n_points)
+    x = np.cumsum(rng.standard_normal((rows, grid.n_points)), axis=1)
+    x[:, 1::5] = -0.0  # so that sign bits are compared
+    block = Ensemble(grid, x.copy(), 7, "bm")
+    nu = IdentityCap(cap)
+    capped = time_change(block, nu)
+    assert isinstance(capped, Ensemble) and (capped.master_seed, capped.process_label) == (7, "bm")
+    assert np.array_equal(block.values.view(np.uint64), x.view(np.uint64))  # left as it was
+    for r in range(rows):
+        expected = _frozen_capped_path(block.path(r), nu).values.view(np.uint64)
+        one = time_change(block.path(r), nu)
+        assert isinstance(one, Path) and one.label == "bm"
+        assert np.array_equal(capped.values[r].view(np.uint64), expected)
+        assert np.array_equal(one.values.view(np.uint64), expected)
 
 
 # ---------------------------------------------------------------- dds
