@@ -163,6 +163,8 @@ _PROCESSES = {
     "abs-cuberoot": lambda c: AbsCubeRootOfMartingale(BrownianMotion(c.sigma)),
     "cos-drift": lambda c: CosDriftExample(),
 }
+# process name -> the settings its spec reads
+_PROCESS_READS = {"bm": ("sigma",), "fbm": ("hurst",), "abs-cuberoot": ("sigma",)}
 
 
 def _grid_and_spec(config: ExperimentConfig) -> tuple[TimeGrid, ProcessSpec]:
@@ -472,20 +474,22 @@ PRESETS: dict[str, ExperimentConfig] = {
     ),
 }
 
-# experiment name (a subcommand or a preset) -> its runner
+# experiment name (a subcommand or a preset) -> its runner and the settings it
+# reads besides the process, grid, seed, paths and output (_QUERY: a stickiness query)
+_QUERY = ("epsilon", "query_horizon", "tau", "event")
 _RUNNERS = {
-    "generate": _run_generate,
-    "stickiness": _run_stickiness,
-    "ladder": _run_ladder,
-    "portfolio": _run_portfolio,
-    "paper-nonsticky": _run_stickiness,
-    "fbm-sticky": _run_stickiness,
-    "timechange-cap": _preset_timechange_cap,
-    "passage-counterexample": _preset_passage_counterexample,
-    "dds-check": _preset_dds_check,
-    "cos-drift": _run_stickiness,
-    "abs-cuberoot": _run_stickiness,
-    "costs-fbm-momentum": _preset_costs_momentum,
+    "generate": (_run_generate, ()),
+    "stickiness": (_run_stickiness, _QUERY),
+    "ladder": (_run_ladder, ("tau", "delta", "ladder")),
+    "portfolio": (_run_portfolio, ("rate", "strategy", "raw_price")),
+    "paper-nonsticky": (_run_stickiness, _QUERY),
+    "fbm-sticky": (_run_stickiness, _QUERY),
+    "timechange-cap": (_preset_timechange_cap, _QUERY),
+    "passage-counterexample": (_preset_passage_counterexample, _QUERY),
+    "dds-check": (_preset_dds_check, ("sigma",)),  # its row prints sigma
+    "cos-drift": (_run_stickiness, _QUERY),
+    "abs-cuberoot": (_run_stickiness, _QUERY),
+    "costs-fbm-momentum": (_preset_costs_momentum, ("rate", "strategy")),
 }
 
 
@@ -493,7 +497,7 @@ def run_experiment(config: ExperimentConfig) -> ResultTable:
     """Run a subcommand experiment or a named preset; deterministic per config."""
     if config.experiment not in _RUNNERS:
         raise ConfigError(f"unknown experiment {config.experiment!r}")
-    return _RUNNERS[config.experiment](config)
+    return _RUNNERS[config.experiment][0](config)
 
 
 # ------------------------------ emission ------------------------------ #
@@ -618,17 +622,18 @@ def _resolve_config(args: argparse.Namespace) -> ExperimentConfig:
     kind = values.pop("experiment", base.experiment)
     if kind != base.experiment:
         raise ConfigError(f"config file {args.config} is for {kind!r}, not {base.experiment!r}")
-    if is_preset:
-        # no preset reads these, so accepting them would silently ignore them
-        unread = [s.flag for s in _SETTINGS
-                  if s.field in ("raw_price", "ladder") and getattr(args, s.field) is not None]
-        unread += ["the config field 'ladder'"] if "ladder" in values else []
-        if unread:
-            raise ConfigError(f"preset {base.experiment!r} does not read {' or '.join(unread)}")
-    for s in _SETTINGS:
-        if s.flag is not None and getattr(args, s.field) is not None:
-            values[s.field] = getattr(args, s.field)
-    return dataclasses.replace(base, **values)
+    flags = {s.field: getattr(args, s.field) for s in _SETTINGS
+             if s.flag is not None and getattr(args, s.field) is not None}
+    process = flags.get("process", values.get("process", base.process))
+    reads = {"process", "horizon", "steps", "master_seed", "n_paths", "output",
+             *_RUNNERS[base.experiment][1], *_PROCESS_READS.get(process, ())}
+    # a setting the run does not read is refused, not ignored
+    unread = [s.flag if s.field in flags else f"the config field {s.key!r}" for s in _SETTINGS
+              if s.field not in reads and (s.field in flags or s.field in values)]
+    if unread:
+        raise ConfigError(f"{base.experiment!r} on process {process!r} does not read "
+                          f"{' or '.join(unread)}")
+    return dataclasses.replace(base, **{**values, **flags})
 
 
 def _horizons(text: str) -> tuple[float, ...]:

@@ -300,13 +300,14 @@ _BLOCK_BYTES = 4 * 2**20
 _FGN_ROW_BYTES = 128
 
 
-def _path_count(n_paths: int) -> int:
-    """``n_paths`` read with ``operator.index``, so ``2.5`` is refused, not truncated."""
-    if not hasattr(n_paths, "__index__"):
-        raise InvalidArgumentError(f"n_paths must be an integer, got {n_paths!r}")
-    n = operator.index(n_paths)
-    if n < 1:
-        raise InvalidArgumentError("n_paths must be at least 1")
+def _count(value, name: str, least: int = 1) -> int:
+    """The count ``value`` read with ``operator.index``, so ``2.5`` or ``'3'`` is
+    refused, not truncated; ``InvalidArgumentError`` when it is below ``least``."""
+    if not hasattr(value, "__index__"):
+        raise InvalidArgumentError(f"{name} must be an integer, got {value!r}")
+    n = operator.index(value)
+    if n < least:
+        raise InvalidArgumentError(f"{name} must be at least {least}")
     return n
 
 
@@ -314,7 +315,7 @@ def _empty(n_paths: int, *shape: int) -> Array:
     """An empty ``(n_paths, *shape)`` array; ``InvalidArgumentError`` when
     ``n_paths`` is not an integer of at least 1 or the array cannot be
     allocated, before any sampling."""
-    n_paths = _path_count(n_paths)
+    n_paths = _count(n_paths, "n_paths")
     try:
         return np.empty((n_paths, *shape))
     except (MemoryError, ValueError) as exc:
@@ -329,7 +330,7 @@ def _output(grid: TimeGrid, n_paths: int | None, out: Array | None) -> Array:
     if out is None:
         values = _empty(1 if n_paths is None else n_paths, grid.n_points)
     elif n_paths is None or not (isinstance(out, np.ndarray) and out.dtype == np.float64
-                                 and out.shape == (_path_count(n_paths), grid.n_points)
+                                 and out.shape == (_count(n_paths, "n_paths"), grid.n_points)
                                  and out.flags.c_contiguous):
         raise InvalidArgumentError(
             "out must be a C-contiguous float64 (n_paths, n_grid_points) array"
@@ -502,8 +503,8 @@ def sample_ensemble(spec: ProcessSpec, grid: TimeGrid, master_seed: int, n_paths
         raise InvalidArgumentError("first must be nonnegative")
     if workers is not None and int(workers) < 1:
         raise InvalidArgumentError("workers must be at least 1")
-    return build_path(spec, grid, SeedSpec(master_seed, first), n_paths=_path_count(n_paths),
-                      out=out)
+    return build_path(spec, grid, SeedSpec(master_seed, first),
+                      n_paths=_count(n_paths, "n_paths"), out=out)
 
 
 # ------------------------------ discrete Ito ------------------------------ #

@@ -40,6 +40,7 @@ from .pathgen import (
     ProcessSpec,
     TimeGrid,
     _BLOCK_BYTES,
+    _count,
     _fbm_dense_factor,
     _streams,
 )
@@ -177,7 +178,8 @@ class CrossCheckReport:
 
 def wilson_ci(successes: int, n: int, level: float = 0.95) -> tuple[float, float]:
     """Two-sided Wilson score interval for a binomial proportion."""
-    if n < 1 or successes < 0 or successes > n:
+    successes, n = _count(successes, "successes", 0), _count(n, "n")
+    if successes > n:
         raise InvalidArgumentError(f"invalid counts: {successes} successes of {n}")
     if not (0.0 < level < 1.0):
         raise InvalidArgumentError("confidence level must lie in (0, 1)")
@@ -193,8 +195,7 @@ def wilson_ci(successes: int, n: int, level: float = 0.95) -> tuple[float, float
 
 def zero_success_upper_bound(n: int, level: float = 0.95) -> float:
     """One-sided Wilson upper bound on p when no successes were observed."""
-    if n < 1:
-        raise InvalidArgumentError("n must be at least 1")
+    n = _count(n, "n")
     z = float(norm.ppf(level))
     return z * z / (n + z * z)
 
@@ -416,13 +417,11 @@ def estimate_stickiness_sis(
     base = tau.start if isinstance(tau, HittingFrom) else tau
     if not isinstance(base, Deterministic):
         raise InvalidArgumentError("importance sampling supports det:t and hit:delta@det:t only")
-    if int(n_samples) < 1:
-        raise InvalidArgumentError("n_samples must be at least 1")
+    m = _count(n_samples, "n_samples")
     if query.horizon > grid.horizon * (1.0 + 1e-12) or base.time > grid.horizon:
         raise InvalidArgumentError("query times exceed the grid horizon")
     factor = _sis_factor(spec, grid)
 
-    m = int(n_samples)
     n = grid.n_steps
     start = grid.first_index_at_or_after(base.time)
     end_index = grid.last_index_at_or_before(query.horizon)

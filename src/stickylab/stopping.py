@@ -79,6 +79,9 @@ class PassageToLevel:
     level: float
 
     def __post_init__(self):
+        if np.ndim(self.level) != 0:
+            raise InvalidRuleError("a passage level is one number; passage_time takes an array "
+                                   "of levels with an Ensemble block")
         if not np.isfinite(self.level):
             raise InvalidRuleError("passage level must be finite")
 

@@ -30,6 +30,7 @@ from .pathgen import (
     ProcessSpec,
     SeedSpec,
     TimeGrid,
+    _count,
     _normals,
     _output,
     _result,
@@ -225,13 +226,12 @@ def dds_brownianize(path: Path, qv_grid_steps: int) -> Path:
     ``lambda^2 * dqv`` of squared increment against a ``lambda * dqv`` credit
     and systematically shrink increment variances.
     """
-    if int(qv_grid_steps) < 2:
-        raise InvalidArgumentError("qv_grid_steps must be at least 2")
+    qv_grid_steps = _count(qv_grid_steps, "qv_grid_steps", 2)
     qv = quadratic_variation(path)
     total = float(qv[-1])
     if total <= 0.0:
         raise DegenerateInputError("terminal quadratic variation is zero")
-    u = np.linspace(0.0, total, int(qv_grid_steps) + 1)[:-1]
+    u = np.linspace(0.0, total, qv_grid_steps + 1)[:-1]
     idx = np.searchsorted(qv, u, side="right")  # first index with qv > u
     return Path(TimeGrid(u), path.values[idx], label="dds")
 

@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import hashlib
 import json
 import os
@@ -655,6 +656,187 @@ def test_readme_config_example_and_key_table_match_the_settings(tmp_path, monkey
     assert sorted(table) == sorted(expected)
 
 
+# ---------------------------------------------------------------- settings each run reads
+# Frozen here, not imported from cli. Every run reads its process, grid, seed,
+# paths and output; each experiment (default process, settings it reads besides
+# those) and each process (settings its spec reads) adds its own. Any other
+# setting, by flag or by config-file key, exits 2.
+
+ALWAYS_READ = {"process", "horizon", "steps", "master_seed", "n_paths", "output"}
+QUERY_READS = {"epsilon", "query_horizon", "tau", "event"}
+EXPERIMENT_READS = {
+    "generate": ("bm", set()),
+    "stickiness": ("bm", QUERY_READS),
+    "ladder": ("bm", {"tau", "delta", "ladder"}),
+    "portfolio": ("bm", {"rate", "strategy", "raw_price"}),
+    "paper-nonsticky": ("nonsticky-martingale", QUERY_READS),
+    "fbm-sticky": ("fbm", QUERY_READS),
+    "timechange-cap": ("fbm", QUERY_READS),
+    "passage-counterexample": ("bm", QUERY_READS),
+    "dds-check": ("bm", {"sigma"}),  # its row prints sigma whatever the process
+    "cos-drift": ("cos-drift", QUERY_READS),
+    "abs-cuberoot": ("abs-cuberoot", QUERY_READS),
+    "costs-fbm-momentum": ("fbm", {"rate", "strategy"}),
+}
+PROCESS_READS = {"bm": {"sigma"}, "fbm": {"hurst"}, "nonsticky-martingale": set(),
+                 "abs-cuberoot": {"sigma"}, "cos-drift": set()}
+
+# flag -> its config field, its argument (None: a bare flag) and the value it sets
+FLAG_SETTINGS = {
+    "--process": ("process", "bm", "bm"),
+    "--hurst": ("hurst", "0.6", 0.6),
+    "--sigma": ("sigma", "1.5", 1.5),
+    "--horizon": ("horizon", "2", 2.0),
+    "--steps": ("steps", "8", 8),
+    "--epsilon": ("epsilon", "0.4", 0.4),
+    "--big-t": ("query_horizon", "0.5", 0.5),
+    "--tau": ("tau", "det:0.25", "det:0.25"),
+    "--event": ("event", "before:0.5", "before:0.5"),
+    "--k": ("rate", "0.02", 0.02),
+    "--strategy": ("strategy", "momentum:0.2:1", "momentum:0.2:1"),
+    "--delta": ("delta", "0.3", 0.3),
+    "--ladder": ("ladder", "0.5,1", (0.5, 1.0)),
+    "--seed": ("master_seed", "3", 3),
+    "--paths": ("n_paths", "4", 4),
+    "--out": ("output", "o.csv", "o.csv"),
+    "--raw-price": ("raw_price", None, True),
+}
+# config-file key -> its field and the JSON value it sets
+CONFIG_SETTINGS = {
+    "process.name": ("process", "bm"),
+    "process.hurst": ("hurst", 0.6),
+    "process.sigma": ("sigma", 1.5),
+    "grid.horizon": ("horizon", 2.0),
+    "grid.steps": ("steps", 8),
+    "experiment.epsilon": ("epsilon", 0.4),
+    "experiment.T": ("query_horizon", 0.5),
+    "experiment.tau": ("tau", "det:0.25"),
+    "experiment.event": ("event", "before:0.5"),
+    "experiment.rate": ("rate", 0.02),
+    "experiment.strategy": ("strategy", "momentum:0.2:1"),
+    "experiment.delta": ("delta", 0.3),
+    "experiment.ladder": ("ladder", [0.5, 1.0]),
+    "seed": ("master_seed", 3),
+    "paths": ("n_paths", 4),
+    "output": ("output", "o.csv"),
+}
+
+
+def _reads(experiment: str, process: str | None = None) -> set:
+    default, reads = EXPERIMENT_READS[experiment]
+    return ALWAYS_READ | reads | PROCESS_READS[process or default]
+
+
+def _command(experiment: str) -> list:
+    return ["experiment", experiment] if experiment in PRESETS else [experiment]
+
+
+def _base(experiment: str) -> ExperimentConfig:
+    return PRESETS.get(experiment, ExperimentConfig(experiment=experiment))
+
+
+def _config_file(key: str, value) -> dict:
+    section, _, name = key.rpartition(".")
+    return {section: {name: value}} if section else {name: value}
+
+
+def _assert_refused(tmp_path, monkeypatch, capsys, argv, named):
+    monkeypatch.chdir(tmp_path)
+    assert main([*argv, "--out", "x.csv"]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "does not read" in err and named in err
+    assert not (tmp_path / "x.csv").exists()
+
+
+def _resolved(tmp_path, monkeypatch, argv) -> ExperimentConfig:
+    monkeypatch.chdir(tmp_path)
+    return cli._resolve_config(cli._parser().parse_args(argv))
+
+
+def test_the_frozen_reads_cover_every_experiment_flag_and_config_key():
+    assert sorted(EXPERIMENT_READS) == sorted(cli._RUNNERS)
+    assert sorted(PROCESS_READS) == sorted(cli._PROCESSES)
+    assert sorted(FLAG_SETTINGS) == [f for f in FROZEN_OPTIONS if f != "--config"]
+    settings = {".".join(filter(None, (s.section, s.key))): s.field for s in cli._SETTINGS
+                if s.key is not None and s.field != "experiment"}
+    assert {key: field for key, (field, _) in CONFIG_SETTINGS.items()} == settings
+
+
+@pytest.mark.parametrize("flag", sorted(FLAG_SETTINGS))
+@pytest.mark.parametrize("experiment", sorted(EXPERIMENT_READS))
+def test_each_experiment_accepts_only_the_flags_it_reads(tmp_path, monkeypatch, capsys,
+                                                         experiment, flag):
+    field, arg, value = FLAG_SETTINGS[flag]
+    argv = [*_command(experiment), flag, *([] if arg is None else [arg])]
+    if field in _reads(experiment):
+        config = _resolved(tmp_path, monkeypatch, argv)
+        assert config == dataclasses.replace(_base(experiment), **{field: value})
+    else:
+        _assert_refused(tmp_path, monkeypatch, capsys, argv, flag)
+
+
+@pytest.mark.parametrize("key", sorted(CONFIG_SETTINGS))
+@pytest.mark.parametrize("experiment", sorted(EXPERIMENT_READS))
+def test_each_experiment_accepts_only_the_config_keys_it_reads(tmp_path, monkeypatch, capsys,
+                                                               experiment, key):
+    field, value = CONFIG_SETTINGS[key]
+    (tmp_path / "c.json").write_text(json.dumps(_config_file(key, value)))
+    argv = [*_command(experiment), "--config", "c.json"]
+    if field in _reads(experiment):
+        config = _resolved(tmp_path, monkeypatch, argv)
+        want = tuple(value) if field == "ladder" else value
+        assert config == dataclasses.replace(_base(experiment), **{field: want})
+    else:
+        named = f"the config field '{key.rpartition('.')[2]}'"
+        _assert_refused(tmp_path, monkeypatch, capsys, argv, named)
+
+
+@pytest.mark.parametrize("flag", ["--hurst", "--sigma"])
+@pytest.mark.parametrize("process", sorted(PROCESS_READS))
+@pytest.mark.parametrize("experiment", sorted(EXPERIMENT_READS))
+def test_hurst_and_sigma_are_read_only_where_the_process_or_run_reads_them(
+    tmp_path, monkeypatch, capsys, experiment, process, flag
+):
+    field, arg, value = FLAG_SETTINGS[flag]
+    by_flag = [*_command(experiment), "--process", process, flag, arg]
+    (tmp_path / "c.json").write_text(json.dumps({"process": {"name": process, field: value}}))
+    by_key = [*_command(experiment), "--config", "c.json"]
+    for argv, named in ((by_flag, flag), (by_key, f"the config field '{field}'")):
+        if field in _reads(experiment, process):
+            config = _resolved(tmp_path, monkeypatch, argv)
+            assert (config.process, getattr(config, field)) == (process, value)
+        else:
+            _assert_refused(tmp_path, monkeypatch, capsys, argv, named)
+
+
+def _readme_table(readme: str, header: str) -> dict:
+    """A two-column README table under ``header``: row names -> backquoted flags."""
+    body = readme.split(f"| {header} | reads |\n|---|---|\n", 1)[1].split("\n\n", 1)[0]
+    rows = {}
+    for line in body.splitlines():
+        names, reads = line.strip("|").split(" | ")
+        for name in re.findall(r"`(?:experiment )?([\w-]+)`", names) or [names.strip()]:
+            rows[name] = re.findall(r"`(--[\w-]+)`", reads)
+    return rows
+
+
+def test_readme_reads_tables_match_the_parser_and_the_frozen_reads():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    (sub,) = [a for a in cli._parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    fields = {a.option_strings[0]: a.dest for a in sub.choices["stickiness"]._actions
+              if a.option_strings and a.dest not in ("help", "config")}
+    runs = _readme_table(readme, "run")
+    always = runs.pop("every run")
+    assert {fields[f] for f in always} == ALWAYS_READ
+    assert {name: {fields[f] for f in flags} for name, flags in runs.items()} == {
+        name: reads for name, (_, reads) in EXPERIMENT_READS.items()}
+    processes = _readme_table(readme, "process")
+    assert {name: {fields[f] for f in flags} for name, flags in processes.items()} == (
+        PROCESS_READS)
+    named = {f for flags in (always, *runs.values(), *processes.values()) for f in flags}
+    assert named == set(fields)  # every flag the parser takes is read by some run
+
+
 def test_cli_preset_bytes_equal_across_interpreter_runs(tmp_path):
     texts = []
     for run in range(3):
@@ -1081,8 +1263,10 @@ def test_cli_fuzzed_configs_and_flags_exit_cleanly(tmp_path, command, preset, co
 # The flag parser, config-file reader and resolver as they were before the
 # settings moved into one table, trimmed to the input the old reader read
 # correctly (documented keys, values of the right JSON type, a named process,
-# a kind naming the experiment run): every such input must resolve to the same
-# configuration, or fail with the same error type.
+# a kind naming the experiment run): every such input that sets only settings
+# its run reads must resolve to the same configuration, or fail with the same
+# error type; one that sets a setting its run does not read (ALWAYS_READ,
+# EXPERIMENT_READS and PROCESS_READS above) must fail with ConfigError.
 
 
 def _frozen_parser():
@@ -1216,23 +1400,48 @@ def _outcome(parser, resolve, argv):
         return type(exc).__name__
 
 
+def _set_settings(flags: dict, config: dict | None) -> tuple[set, str | None]:
+    """The fields that ``flags`` and ``config`` set, and the process they name."""
+    named = _frozen_config_fields(config) if config else {}
+    fields = {FLAG_SETTINGS[flag][0] for flag in flags} | set(named) - {"experiment"}
+    return fields, flags.get("--process", named.get("process"))
+
+
+def _drop_unread(flags: dict, config: dict | None, reads: set) -> tuple[dict, dict | None]:
+    """``flags`` and ``config`` without the settings outside ``reads``; a section's
+    ``kind`` is no setting, and the top-level keys are always read."""
+    flags = {f: v for f, v in flags.items() if FLAG_SETTINGS[f][0] in reads}
+    if config is not None:
+        config = {section: {k: v for k, v in value.items()
+                            if k == "kind" or CONFIG_SETTINGS[f"{section}.{k}"][0] in reads}
+                  if isinstance(value, dict) else value for section, value in config.items()}
+    return flags, config
+
+
 @settings(max_examples=300, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data(), experiment=st.sampled_from(
     ["generate", "stickiness", "ladder", "portfolio", *sorted(PRESETS)]),
-    flags=st.one_of(_FINE_FLAGS, _FLAGS))
+    flags=st.one_of(_FINE_FLAGS, _FLAGS), only_read=st.booleans())
 def test_resolve_config_matches_the_frozen_resolver_on_documented_configs(
-    tmp_path, data, experiment, flags
+    tmp_path, data, experiment, flags, only_read
 ):
     from stickylab.cli import _parser, _resolve_config
 
+    config = data.draw(st.one_of(st.none(), _documented_configs(experiment)))
+    if only_read:  # half the examples keep to settings the run reads
+        _, process = _set_settings(flags, config)
+        flags, config = _drop_unread(flags, config, _reads(experiment, process))
     argv = ["experiment", experiment] if experiment in PRESETS else [experiment]
     for flag, value in flags.items():
         argv.append(flag if value is None else f"{flag}={value}")
-    config = data.draw(st.one_of(st.none(), _documented_configs(experiment)))
     if config is not None:
         cfg_path = tmp_path / "config.json"
         cfg_path.write_text(json.dumps(config))
         argv.append(f"--config={cfg_path}")
-    expected = _outcome(_frozen_parser, _frozen_resolve_config, argv)
+    fields, process = _set_settings(flags, config)
+    if fields <= _reads(experiment, process):
+        expected = _outcome(_frozen_parser, _frozen_resolve_config, argv)
+    else:
+        expected = "ConfigError"
     assert _outcome(_parser, _resolve_config, argv) == expected

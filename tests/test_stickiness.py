@@ -115,6 +115,21 @@ def test_wilson_invalid_counts():
         wilson_ci(0, 0)
 
 
+@pytest.mark.parametrize("successes, n", [(2.5, 10), (2, 10.5), ("2", 10), (2, "10")])
+def test_wilson_refuses_counts_that_are_not_integers(successes, n):
+    # int() would truncate 2.5 and 10.5 and parse "2"
+    with pytest.raises(InvalidArgumentError, match="must be an integer"):
+        wilson_ci(successes, n)
+    assert wilson_ci(np.int64(2), np.int64(10)) == wilson_ci(2, 10)
+
+
+@pytest.mark.parametrize("n", [10.5, "10", None])
+def test_zero_success_upper_bound_refuses_counts_that_are_not_integers(n):
+    with pytest.raises(InvalidArgumentError, match="n must be an integer"):
+        zero_success_upper_bound(n)
+    assert zero_success_upper_bound(np.int64(10)) == zero_success_upper_bound(10)
+
+
 def test_zero_success_upper_bound_scale():
     # one-sided Wilson bound at zero successes ~ z^2/(n + z^2) ~ 2.7e-4 at n=1e4
     assert zero_success_upper_bound(10_000, 0.95) == pytest.approx(2.705e-4, rel=1e-3)
@@ -427,6 +442,14 @@ def test_sis_uniforms_are_pinned_bit_for_bit():
 def test_sis_rejects_unsupported_queries(kwargs):
     with pytest.raises(InvalidArgumentError):
         sis(0.5, **kwargs)
+
+
+@pytest.mark.parametrize("n_samples", [2.5, "3", 0])
+def test_sis_refuses_sample_counts_that_are_not_positive_integers(n_samples):
+    # int() would draw 2 samples for 2.5 and 3 for "3"
+    with pytest.raises(InvalidArgumentError, match="n_samples must be"):
+        sis(0.5, n=n_samples)
+    assert sis(0.5, n=np.int64(3)) == sis(0.5, n=3)
 
 
 def test_sis_rejects_nonuniform_grid():

@@ -133,6 +133,15 @@ def test_passage_time_refuses_block_levels_that_are_not_finite():
         passage_time(block, np.array([0.0, np.nan]))
 
 
+def test_passage_time_refuses_a_level_array_for_one_path():
+    # numpy raised its bare "truth value of an array is ambiguous" ValueError here
+    p = path_named([0.0, 0.15, 0.3])
+    with pytest.raises(InvalidRuleError, match="array of levels with an Ensemble block"):
+        passage_time(p, np.array([0.1, 0.2]))
+    block = Ensemble(p.grid, p.values[None, :], 0)
+    assert np.array_equal(passage_time(block, np.array([0.1, 0.2])), [[1, 2]])
+
+
 def test_rule_validation():
     with pytest.raises(InvalidRuleError):
         HittingFrom(Deterministic(0.0), -1.0)

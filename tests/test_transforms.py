@@ -288,6 +288,15 @@ def test_dds_clock_reads_first_grid_point_strictly_above_the_level():
     assert np.array_equal(out.values, [0.5, 0.5, 0.0, 0.0])
 
 
+@pytest.mark.parametrize("steps", [2.5, "4", 1])
+def test_dds_refuses_grid_steps_that_are_not_integers_of_at_least_2(steps):
+    # int() would give 2 points for 2.5 and 4 for "4"
+    p = bm_path(steps=64, seed=3)
+    with pytest.raises(InvalidArgumentError, match="qv_grid_steps must be"):
+        dds_brownianize(p, steps)
+    assert np.array_equal(dds_brownianize(p, np.int64(4)).values, dds_brownianize(p, 4).values)
+
+
 def test_dds_grid_spans_terminal_variation():
     p = bm_path(steps=1024, seed=77)
     total = quadratic_variation(p)[-1]
