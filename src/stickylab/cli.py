@@ -30,6 +30,7 @@ from .pathgen import (
     SeedSpec,
     TimeGrid,
     _brownian_rows,
+    _count,
     _empty,
     make_uniform_grid,
     sample_ensemble,
@@ -115,6 +116,7 @@ class ExperimentConfig:
     def __post_init__(self):
         # each value goes through the validator of what it feeds, here, so a
         # bad one is refused before any ensemble is sampled
+        _count(self.n_paths, "n_paths")
         tau = parse_rule(self.tau)
         horizon = self.horizon if self.query_horizon is None else self.query_horizon
         StickinessQuery(tau, horizon, self.epsilon, parse_event(self.event))
@@ -187,17 +189,14 @@ def _ensemble_blocks(config: ExperimentConfig,
                      head: TimeGrid | None = None) -> Iterator[tuple[slice, Ensemble]]:
     """The config's ensemble as ``(rows, block)`` pairs in path order: blocks of
     ``_BLOCK_ROWS`` rows, each drawn only once the previous one has been
-    consumed, into the same buffer, so the whole ensemble is never held and a
-    block's values last only until the next is drawn. Each block is
+    consumed, so the whole ensemble is never held. Each block is
     bit-identical to those rows of the whole ensemble; drawn on ``head``, a
     start of the config's grid, when given."""
     grid, spec = _grid_and_spec(config)
     grid = grid if head is None else head
-    buffer = _empty(min(_BLOCK_ROWS, config.n_paths), grid.n_points)
     for rows in _blocks(config.n_paths):
-        n = rows.stop - rows.start
-        yield rows, sample_ensemble(spec, grid, config.master_seed, n, first=rows.start,
-                                    out=buffer[:n])
+        yield rows, sample_ensemble(spec, grid, config.master_seed, rows.stop - rows.start,
+                                    first=rows.start)
 
 
 def _hurst_cell(config: ExperimentConfig) -> object:

@@ -8,8 +8,6 @@ Conventions
   on generation order or block size. Generation is serial, over row blocks
   with about ``_BLOCK_BYTES`` of temporaries (at least one row): the block's
   normals from one re-keyed Philox, then one 2-D transform of the block.
-  With ``out=`` the paths are written into the caller's buffer, so a caller
-  that draws an ensemble block by block can reuse one.
 - Brownian increments over ``[t_i, t_{i+1}]`` are ``N(0, sigma^2 * dt_i)``, and
   independent: a path's first ``K + 1`` points are, bit for bit, the path drawn
   on ``TimeGrid(grid.times[:K + 1])``. A stream drawn in segments gives the
@@ -148,12 +146,11 @@ def make_uniform_grid(horizon: float, steps: int) -> TimeGrid:
     """Uniform grid ``{0, h, 2h, ..., horizon}`` with ``h = horizon / steps``."""
     if not np.isfinite(horizon) or horizon <= 0.0:
         raise InvalidArgumentError(f"horizon must be positive, got {horizon}")
-    if int(steps) != steps or steps < 1:
-        raise InvalidArgumentError(f"steps must be a positive integer, got {steps}")
+    steps = _count(steps, "steps")
     try:  # refused before any sampling, as _empty refuses an ensemble
-        times = np.linspace(0.0, float(horizon), int(steps) + 1)
+        times = np.linspace(0.0, float(horizon), steps + 1)
     except (MemoryError, ValueError) as exc:
-        raise InvalidArgumentError(f"cannot allocate a grid of {int(steps)} steps: {exc}") from exc
+        raise InvalidArgumentError(f"cannot allocate a grid of {steps} steps: {exc}") from exc
     return TimeGrid(times)
 
 
@@ -324,19 +321,10 @@ def _empty(n_paths: int, *shape: int) -> Array:
         ) from exc
 
 
-def _output(grid: TimeGrid, n_paths: int | None, out: Array | None) -> Array:
-    """The rows a generator fills, with ``values[:, 0] = 0``: ``out`` when given,
-    else a new array, of one row for a single path."""
-    if out is None:
-        values = _empty(1 if n_paths is None else n_paths, grid.n_points)
-    elif n_paths is None or not (isinstance(out, np.ndarray) and out.dtype == np.float64
-                                 and out.shape == (_count(n_paths, "n_paths"), grid.n_points)
-                                 and out.flags.c_contiguous):
-        raise InvalidArgumentError(
-            "out must be a C-contiguous float64 (n_paths, n_grid_points) array"
-        )
-    else:
-        values = out
+def _output(grid: TimeGrid, n_paths: int | None) -> Array:
+    """The new rows a generator fills, with ``values[:, 0] = 0``: one row for a
+    single path."""
+    values = _empty(1 if n_paths is None else n_paths, grid.n_points)
     values[:, 0] = 0.0
     return values
 
@@ -349,17 +337,16 @@ def _result(grid: TimeGrid, seed: SeedSpec, values: Array, n_paths: int | None,
 
 
 def sample_brownian(grid: TimeGrid, seed: SeedSpec, volatility: float = 1.0, *,
-                    n_paths: int | None = None, out: Array | None = None) -> Union[Path, Ensemble]:
+                    n_paths: int | None = None) -> Union[Path, Ensemble]:
     """Brownian path with ``values[0] = 0`` and independent Gaussian increments.
 
     The increment over ``[t_i, t_{i+1}]`` has variance ``volatility^2 * dt_i``.
     Identical ``(grid, seed, volatility)`` yield a bit-identical path.
-    ``n_paths=k`` returns the k-row ``Ensemble`` of paths ``seed.path_index, ...``,
-    written into ``out`` (a float64 ``(k, n_points)`` array) when it is given.
+    ``n_paths=k`` returns the k-row ``Ensemble`` of paths ``seed.path_index, ...``.
     """
     if not (np.isfinite(volatility) and volatility > 0.0):
         raise InvalidArgumentError("volatility must be positive")
-    values = _output(grid, n_paths, out)
+    values = _output(grid, n_paths)
     step = max(1, _BLOCK_BYTES // (8 * grid.n_steps))  # the increments are the buffer
     for a in range(0, len(values), step):
         block, first = values[a : a + step], seed.path_index + a
@@ -435,19 +422,19 @@ def _fbm_dense_factor(n_steps: int, dt: float, hurst: float) -> Array:
 
 
 def sample_fbm(grid: TimeGrid, seed: SeedSpec, hurst: float, *,
-               n_paths: int | None = None, out: Array | None = None) -> Union[Path, Ensemble]:
+               n_paths: int | None = None) -> Union[Path, Ensemble]:
     """Fractional Brownian path with covariance ``(s^2H + t^2H - |t-s|^2H)/2``.
 
     Requires a uniform grid (the circulant embedding assumes equal spacing).
     Falls back to dense covariance factorization if the embedding fails.
-    ``n_paths`` and ``out`` work as for ``sample_brownian``.
+    ``n_paths`` works as for ``sample_brownian``.
     """
     if not (0.0 < hurst < 1.0):
         raise InvalidArgumentError("hurst must lie strictly inside (0, 1)")
     dt = grid.uniform_spacing()
     n = grid.n_steps
     weights = _fgn_sqrt_spectrum(n, float(hurst))
-    values = _output(grid, n_paths, out)
+    values = _output(grid, n_paths)
     step = max(1, _BLOCK_BYTES // (_FGN_ROW_BYTES * n))
     # the normals and spectra of one block, reused by every block
     z = np.empty((min(step, len(values)), n if weights is None else 2 * n))
@@ -475,36 +462,34 @@ def sample_fbm(grid: TimeGrid, seed: SeedSpec, hurst: float, *,
 
 
 def build_path(spec: ProcessSpec, grid: TimeGrid, seed: SeedSpec, *,
-               n_paths: int | None = None, out: Array | None = None) -> Union[Path, Ensemble]:
+               n_paths: int | None = None) -> Union[Path, Ensemble]:
     """Generate one path of ``spec`` from its per-path seed, or with
-    ``n_paths=k`` a k-row ``Ensemble`` of paths ``seed.path_index, ...``
-    (in ``out`` when given). Any other spec is one of ``transforms``' examples."""
+    ``n_paths=k`` a k-row ``Ensemble`` of paths ``seed.path_index, ...``.
+    Any other spec is one of ``transforms``' examples."""
     if isinstance(spec, BrownianMotion):
-        return sample_brownian(grid, seed, spec.volatility, n_paths=n_paths, out=out)
+        return sample_brownian(grid, seed, spec.volatility, n_paths=n_paths)
     if isinstance(spec, FractionalBrownianMotion):
-        return sample_fbm(grid, seed, spec.hurst, n_paths=n_paths, out=out)
+        return sample_fbm(grid, seed, spec.hurst, n_paths=n_paths)
     from .transforms import build_example  # transforms builds on this module
-    return build_example(spec, grid, seed, n_paths=n_paths, out=out)
+    return build_example(spec, grid, seed, n_paths=n_paths)
 
 
 def sample_ensemble(spec: ProcessSpec, grid: TimeGrid, master_seed: int, n_paths: int,
-                    workers: int | None = None, *, first: int = 0,
-                    out: Array | None = None) -> Ensemble:
+                    workers: int | None = None, *, first: int = 0) -> Ensemble:
     """Sample paths ``first ... first + n_paths - 1``: row ``r`` is path
     ``first + r`` and uses ``SeedSpec(master_seed, first + r)``.
 
     So a block of rows is bit-identical to the same rows of the whole
-    ensemble, and an ensemble can be drawn block by block, each block into
-    the same ``out`` buffer. ``build_path`` fills one preallocated array a row
-    block at a time. ``workers`` is still checked (at least 1) but has no
-    effect; it stays for existing callers.
+    ensemble, and an ensemble can be drawn block by block. ``build_path``
+    fills one preallocated array a row block at a time. ``workers`` is still
+    checked (at least 1) but has no effect; it stays for existing callers.
     """
     if int(first) < 0:
         raise InvalidArgumentError("first must be nonnegative")
     if workers is not None and int(workers) < 1:
         raise InvalidArgumentError("workers must be at least 1")
     return build_path(spec, grid, SeedSpec(master_seed, first),
-                      n_paths=_count(n_paths, "n_paths"), out=out)
+                      n_paths=_count(n_paths, "n_paths"))
 
 
 # ------------------------------ discrete Ito ------------------------------ #

@@ -213,29 +213,24 @@ def _verdict(successes: int, ci_low: float) -> str:
 _TUBE_POINT_BYTES = 9
 
 
-def _chunks(block: Ensemble) -> Iterator[tuple[int, Array, tuple[Array, Array]]]:
-    """``(a, rows, work)`` for the block's rows ``a, a + 1, ...`` in fixed chunks of
-    about ``_BLOCK_BYTES`` of temporaries (at least one row); ``work`` is the
-    ``_exit_indices`` buffers, allocated once for all chunks."""
-    n_points = block.grid.n_points
-    step = max(1, _BLOCK_BYTES // (_TUBE_POINT_BYTES * n_points))
-    size = min(step, block.n_paths) * n_points
-    work = (np.empty(size), np.empty(size, dtype=bool))
+def _chunks(block: Ensemble) -> Iterator[tuple[int, Array]]:
+    """``(a, rows)`` for the block's rows ``a, a + 1, ...`` in fixed chunks of
+    about ``_BLOCK_BYTES`` of temporaries (at least one row)."""
+    step = max(1, _BLOCK_BYTES // (_TUBE_POINT_BYTES * block.grid.n_points))
     for a in range(0, block.n_paths, step):
-        yield a, block.values[a : a + step], work
+        yield a, block.values[a : a + step]
 
 
-def _stays(query: StickinessQuery, x: Array, grid: TimeGrid, k: Array, end_index: int,
-           work: tuple[Array, Array] | None = None) -> Array:
+def _stays(query: StickinessQuery, x: Array, grid: TimeGrid, k: Array, end_index: int) -> Array:
     """Whether each row of ``x``, stopped at ``k``, passes the query's tube check."""
     if query.characterization == "prop-c":
         # the restart time from the capped stop survives the top of the ladder;
         # the scan runs over the whole path, so a top before the stop survives
         delta = query.delta if query.delta is not None else query.epsilon
         top = query.ladder[-1] if query.ladder else query.horizon
-        return _exit_indices(x, k, delta, True, work) > grid.last_index_at_or_before(top)
+        return _exit_indices(x, k, delta, True) > grid.last_index_at_or_before(top)
     # def-a and prop-b fail at a deviation >= epsilon over [tau, T], not at > delta
-    return _exit_indices(x, k, query.epsilon, False, work) > end_index
+    return _exit_indices(x, k, query.epsilon, False) > end_index
 
 
 def _success(query: StickinessQuery, path: Path, end_index: int) -> bool:
@@ -254,7 +249,7 @@ def _success(query: StickinessQuery, path: Path, end_index: int) -> bool:
 
 
 def _success_mask(query: StickinessQuery, x: Array, grid: TimeGrid, end_index: int,
-                  stop: Array, work: tuple[Array, Array] | None = None) -> Array:
+                  stop: Array) -> Array:
     """``_success`` of every row of the block ``x``, whose tau stops at ``stop``
     (``_stop_indices``), with no loop over rows."""
     if query.characterization == "def-a":
@@ -262,7 +257,7 @@ def _success_mask(query: StickinessQuery, x: Array, grid: TimeGrid, end_index: i
     else:
         k, won = np.minimum(stop, end_index), np.ones(len(stop), dtype=bool)
     won &= _event_mask(query.event, x, grid, k)
-    return won & _stays(query, x, grid, k, end_index, work)
+    return won & _stays(query, x, grid, k, end_index)
 
 
 def _successes(block: Ensemble, *queries: StickinessQuery) -> Array:
@@ -273,10 +268,10 @@ def _successes(block: Ensemble, *queries: StickinessQuery) -> Array:
     grid = block.grid
     end_index = grid.last_index_at_or_before(queries[0].horizon)
     successes = np.zeros(len(queries), dtype=np.int64)
-    for a, rows, work in _chunks(block):
-        stop = _stop_indices(queries[0].tau, rows, grid, work)
+    for a, rows in _chunks(block):
+        stop = _stop_indices(queries[0].tau, rows, grid)
         for j, query in enumerate(queries):
-            won = _success_mask(query, rows, grid, end_index, stop, work)
+            won = _success_mask(query, rows, grid, end_index, stop)
             if _success(query, block.path(a), end_index) != won[0]:
                 raise NumericalFailureError(f"path {a}: the block count disagrees with one path's")
             successes[j] += np.count_nonzero(won)
@@ -319,8 +314,8 @@ def _survivors(block: Ensemble, restart: HittingFrom, horizons: Array) -> Array:
     grid = block.grid
     times = np.append(grid.times, np.inf)  # index n_points: never stopped
     survivors = np.zeros(horizons.size, dtype=np.int64)
-    for a, rows, work in _chunks(block):
-        k = _stop_indices(restart, rows, grid, work)
+    for a, rows in _chunks(block):
+        k = _stop_indices(restart, rows, grid)
         stop = evaluate_rule(restart, block.path(a))
         if (stop.index if stop.stopped else grid.n_points) != k[0]:
             raise NumericalFailureError(f"path {a}: the block restart disagrees with one path's")

@@ -151,8 +151,7 @@ def _passage_indices(x: Array, levels: Array) -> Array:
     return out
 
 
-def _exit_indices(x: Array, start: Array, delta: float, strict: bool,
-                  work: tuple[Array, Array] | None = None) -> Array:
+def _exit_indices(x: Array, start: Array, delta: float, strict: bool) -> Array:
     """First ``k >= start[r]`` with ``|x[r, k] - x[r, start[r]]| > delta`` (strict) or
     ``>= delta`` (not strict) in each row ``r`` of ``x``; ``x.shape[1]`` where no
     such ``k`` exists, as for a start of ``x.shape[1]``.
@@ -162,17 +161,14 @@ def _exit_indices(x: Array, start: Array, delta: float, strict: bool,
     columns before each start never exit. A window ``[s, e]`` has
     ``max |x_k - x_s| >= delta`` exactly when the non-strict exit is at most
     ``e``: ``fl(a - c)`` rounds monotonically in ``a`` and ``fl(c - a) = -fl(a - c)``.
-    ``work`` is a flat float64 and a flat bool array of at least ``x.size``
-    entries to compute in; without it both are allocated.
     """
     rows, n = x.shape
     # columns before lo are skipped; those in [lo, hi) are masked row by row
     lo, hi = int(start.min()), int(min(start.max(), n))
     if lo >= n:
         return np.full(rows, n, dtype=np.intp)
-    dev, hit = work if work is not None else (np.empty(x.size), np.empty(x.size, dtype=bool))
     # contiguous, so the row reductions below copy nothing
-    dev, hit = (a[: rows * (n - lo)].reshape(rows, n - lo) for a in (dev, hit))
+    dev, hit = np.empty((rows, n - lo)), np.empty((rows, n - lo), dtype=bool)
     np.subtract(x[:, lo:], x[np.arange(rows), np.minimum(start, n - 1)][:, None], out=dev)
     np.abs(dev, out=dev)
     if hi > lo:
@@ -183,10 +179,9 @@ def _exit_indices(x: Array, start: Array, delta: float, strict: bool,
     return lo + _first_true(hit)
 
 
-def _stop_indices(rule: StoppingRule, x: Array, grid: TimeGrid,
-                  work: tuple[Array, Array] | None = None) -> Array:
+def _stop_indices(rule: StoppingRule, x: Array, grid: TimeGrid) -> Array:
     """Stop index of ``rule`` on each row of the block ``x`` on ``grid``;
-    ``grid.n_points`` where the rule never stops. ``work`` is ``_exit_indices``'."""
+    ``grid.n_points`` where the rule never stops."""
     if isinstance(rule, Deterministic):
         if rule.time > grid.horizon:
             raise InvalidRuleError(
@@ -194,7 +189,7 @@ def _stop_indices(rule: StoppingRule, x: Array, grid: TimeGrid,
             )
         return np.full(len(x), grid.first_index_at_or_after(rule.time), dtype=np.intp)
     if isinstance(rule, HittingFrom):
-        return _exit_indices(x, _stop_indices(rule.start, x, grid, work), rule.delta, True, work)
+        return _exit_indices(x, _stop_indices(rule.start, x, grid), rule.delta, True)
     if isinstance(rule, PassageToLevel):
         return _passage_indices(x, np.array([rule.level]))[:, 0]
     if not isinstance(rule, FirstAbsExceed):

@@ -311,7 +311,7 @@ def _nonsticky_block(spec: NonStickyMartingale, grid: TimeGrid, seed: SeedSpec, 
 
 
 def _cos_drift_block(spec: CosDriftExample, grid: TimeGrid, seed: SeedSpec, x: Array) -> None:
-    b = sample_brownian(grid, seed, 1.0, n_paths=len(x), out=x)
+    b = sample_brownian(grid, seed, 1.0, n_paths=len(x))
     k = _abs_exceed_indices(b.values, spec.hit_level)  # grid.n_points where never stopped
     at_stop = b.values[np.arange(len(x)), np.minimum(k, grid.n_steps)][:, None]
     stopped = np.where(np.arange(grid.n_points) >= k[:, None], at_stop, b.values)
@@ -324,18 +324,19 @@ def _cos_drift_block(spec: CosDriftExample, grid: TimeGrid, seed: SeedSpec, x: A
 
 
 def build_example(spec: ExampleSpec, grid: TimeGrid, seed: SeedSpec, *,
-                  n_paths: int | None = None, out: Array | None = None) -> Path | Ensemble:
+                  n_paths: int | None = None) -> Path | Ensemble:
     """One path of an explicit example process, or with ``n_paths=k`` the k-row
-    ``Ensemble`` of paths ``seed.path_index, ...`` (in ``out`` when given), as
-    the generators return them. Rows are built a block at a time, with about
-    ``_BLOCK_BYTES`` of temporaries; each equals the path built on its own."""
+    ``Ensemble`` of paths ``seed.path_index, ...``, as the generators return
+    them. Rows are built a block at a time, with about ``_BLOCK_BYTES`` of
+    temporaries; each equals the path built on its own."""
     if not isinstance(spec, ExampleSpec):
         raise InvalidArgumentError(f"unknown process spec: {spec!r}")
     if isinstance(spec, NonStickyMartingale) and grid.horizon < 1.0:
         raise InvalidArgumentError("non-sticky example needs a grid horizon >= 1")
-    values = _output(grid, n_paths, out)
-    if isinstance(spec, AbsCubeRootOfMartingale):
-        build_path(spec.base, grid, seed, n_paths=len(values), out=values)
+    if isinstance(spec, AbsCubeRootOfMartingale):  # its base paths' rows are mapped in place
+        values = build_path(spec.base, grid, seed, n_paths=1 if n_paths is None else n_paths).values
+    else:
+        values = _output(grid, n_paths)
     step = max(1, _BLOCK_BYTES // (_EXAMPLE_ROW_BYTES * grid.n_points))
     with np.errstate(over="ignore", invalid="ignore"):  # the finiteness check refuses overflow
         for a in range(0, len(values), step):

@@ -656,6 +656,22 @@ def test_readme_config_example_and_key_table_match_the_settings(tmp_path, monkey
     assert sorted(table) == sorted(expected)
 
 
+def test_readme_example_commands_run(tmp_path, monkeypatch):
+    # every command of the README's examples block, shrunk: argparse keeps the last value
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    (block,) = re.findall(r"Examples:\n\n```sh\n(.*?)```", readme, re.S)
+    commands = [line for line in block.replace("\\\n", " ").splitlines()
+                if line.startswith("stickylab ")]
+    assert len(commands) == 4
+    for i, command in enumerate(commands):
+        run_dir = tmp_path / str(i)
+        run_dir.mkdir()
+        monkeypatch.chdir(run_dir)
+        argv = command.split()[1:] + ["--paths", "8", "--steps", "16", "--out", "x.csv"]
+        assert main(argv) == 0, command
+        assert [p.name for p in run_dir.iterdir()] == ["x.csv"], command
+
+
 # ---------------------------------------------------------------- settings each run reads
 # Frozen here, not imported from cli. Every run reads its process, grid, seed,
 # paths and output; each experiment (default process, settings it reads besides
@@ -789,6 +805,17 @@ def test_each_experiment_accepts_only_the_config_keys_it_reads(tmp_path, monkeyp
     else:
         named = f"the config field '{key.rpartition('.')[2]}'"
         _assert_refused(tmp_path, monkeypatch, capsys, argv, named)
+
+
+@pytest.mark.parametrize("experiment", sorted(EXPERIMENT_READS))
+def test_each_experiment_refuses_a_path_count_below_one(tmp_path, monkeypatch, capsys, experiment):
+    # refused where the config is built, by flag or config key, before any run starts
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "c.json").write_text(json.dumps({"paths": 0}))
+    for setting in (["--paths", "0"], ["--paths", "-1"], ["--config", "c.json"]):
+        assert main([*_command(experiment), *setting, "--out", "x.csv"]) == 2
+        assert "n_paths must be at least 1" in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.csv"))
 
 
 @pytest.mark.parametrize("flag", ["--hurst", "--sigma"])

@@ -35,6 +35,7 @@ from oracles import fbm_covariance
 def test_uniform_grid_values():
     grid = make_uniform_grid(1.0, 4)
     assert np.array_equal(grid.times, [0.0, 0.25, 0.5, 0.75, 1.0])
+    assert make_uniform_grid(1.0, np.int64(4)) == grid
 
 
 def test_minimal_grid():
@@ -42,9 +43,10 @@ def test_minimal_grid():
     assert np.array_equal(grid.times, [0.0, 2.0])
 
 
-# 1e11 steps of times take 745 GiB; 1e20 exceed numpy's largest array
+# 1e11 steps of times take 745 GiB; 1e20 exceed numpy's largest array; a float
+# count of steps is refused, as a float count of paths is
 @pytest.mark.parametrize("horizon,steps", [(0.0, 4), (-1.0, 4), (1.0, 0), (1.0, 10**11),
-                                           (1.0, 10**20)])
+                                           (1.0, 10**20), (1.0, 2.0), (1.0, np.float64(3.0))])
 def test_bad_grid_arguments(horizon, steps):
     with pytest.raises(InvalidArgumentError):
         make_uniform_grid(horizon, steps)
@@ -576,24 +578,6 @@ def test_fractional_path_counts_are_refused():
     with pytest.raises(InvalidArgumentError, match="n_paths must be an integer, got 2.5"):
         sample_fbm(grid, SeedSpec(1), 0.7, n_paths=2.5)
     assert sample_ensemble(BrownianMotion(1.0), grid, 1, np.int64(3)).n_paths == 3
-
-
-@pytest.mark.parametrize(
-    "spec", [BrownianMotion(0.7), FractionalBrownianMotion(0.3), FractionalBrownianMotion(1 - 1e-12)]
-)
-def test_ensemble_drawn_into_a_reused_buffer_equals_a_fresh_one(spec):
-    grid = make_uniform_grid(1.0, 256)  # H = 1 - 1e-12 runs the dense fallback here
-    buffer = np.full((40, grid.n_points), np.nan)
-    for first, n in ((0, 40), (40, 17), (57, 40)):
-        fresh = sample_ensemble(spec, grid, 5, n, first=first)
-        into = sample_ensemble(spec, grid, 5, n, first=first, out=buffer[:n])
-        assert np.array_equal(into.values, fresh.values)
-        assert into.values.base is buffer and not np.shares_memory(fresh.values, buffer)
-    for bad in (buffer[:39], buffer[:, :-1], buffer.astype(np.float32), np.asfortranarray(buffer)):
-        with pytest.raises(InvalidArgumentError, match="out must be a C-contiguous float64"):
-            sample_ensemble(spec, grid, 5, 40, out=bad)
-    with pytest.raises(InvalidArgumentError, match="out must be a C-contiguous float64"):
-        build_path(spec, grid, SeedSpec(5), out=buffer[:1])  # one Path has no out
 
 
 def test_fbm_block_temporaries_stay_bounded():

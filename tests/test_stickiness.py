@@ -639,7 +639,7 @@ def test_block_and_one_path_disagreement_raises(monkeypatch):
 
 
 def test_count_temporaries_stay_bounded():
-    # the counts compute in chunk buffers of about _BLOCK_BYTES, allocated once
+    # each chunk's tube temporaries take about _BLOCK_BYTES and are freed before the next
     import tracemalloc
 
     ens = sample_ensemble(FractionalBrownianMotion(0.75), make_uniform_grid(1.0, 1024), 3, 2000)
@@ -664,6 +664,6 @@ def test_count_temporaries_stay_bounded():
 def test_sis_recount_disagreement_raises(monkeypatch):
     # the samples are recounted by the block kernel, apart from the sampler's own stops
     monkeypatch.setattr(stickiness, "_stop_indices",
-                        lambda rule, x, grid, work=None: np.full(len(x), grid.n_points))
+                        lambda rule, x, grid: np.full(len(x), grid.n_points))
     with pytest.raises(NumericalFailureError, match="importance sample 0"):
         sis(0.5, n=20)
