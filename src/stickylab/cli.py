@@ -126,6 +126,8 @@ class ExperimentConfig:
             _check_ladder(self.ladder, self.horizon)
         _parse_strategy(self.strategy)
         CostModel(self.rate)
+        if self.output == "":
+            raise ConfigError("the output path must not be empty")
 
 
 @dataclass(frozen=True)
@@ -266,22 +268,19 @@ def _market_work(n_paths: int, n_points: int) -> np.ndarray:
     return _empty(6, min(_BLOCK_ROWS, n_paths), n_points)
 
 
-def _momentum_terminals(ensemble: Ensemble, threshold: float, unit: float,
+def _momentum_terminals(block: Ensemble, threshold: float, unit: float,
                         rates: tuple[float, ...], exp: bool, work: np.ndarray) -> np.ndarray:
     """Terminal liquidation values, ``(len(rates), n_paths)``, of momentum trading
-    each path (its exponential when ``exp``) at each cost rate, row block by block.
-    Every block's price, strategy and ledger are computed in ``work``
-    (``_market_work``), so a streamed caller that passes one ``work`` to each
-    block allocates them once per run."""
-    terminal = np.empty((len(rates), ensemble.n_paths))
-    for rows in _blocks(ensemble.n_paths):
-        block = Ensemble(ensemble.grid, ensemble.values[rows], ensemble.master_seed)
-        buf = work[:, : block.n_paths]  # price, holdings and the four ledger arrays
-        price = exp_price(block, out=buf[0]) if exp else block
-        strategy = momentum_strategy(price, threshold, unit, out=buf[1])
-        for k, rate in enumerate(rates):
-            terminal[k, rows] = liquidation_value(strategy, price, CostModel(rate),
-                                                  out=buf[2:]).terminal
+    each path of a block of at most ``_BLOCK_ROWS`` rows (its exponential when
+    ``exp``) at each cost rate. The price, strategy and ledger are computed in
+    ``work`` (``_market_work``), so a streamed caller that passes one ``work`` to
+    each block allocates them once per run."""
+    terminal = np.empty((len(rates), block.n_paths))
+    buf = work[:, : block.n_paths]  # price, holdings and the four ledger arrays
+    price = exp_price(block, out=buf[0]) if exp else block
+    strategy = momentum_strategy(price, threshold, unit, out=buf[1])
+    for k, rate in enumerate(rates):  # copied out: each ledger's terminal is a view into buf
+        terminal[k] = liquidation_value(strategy, price, CostModel(rate), out=buf[2:]).terminal
     return terminal
 
 

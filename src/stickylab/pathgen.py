@@ -293,8 +293,16 @@ ProcessSpec = Union[BrownianMotion, FractionalBrownianMotion]
 #: a row block holds about this many bytes of temporaries, and at least one row
 _BLOCK_BYTES = 4 * 2**20
 #: bytes of temporaries budgeted per step and row of a Davies-Harte block; its
-#: normals and spectra take 48, as the FFT runs in place
+#: normals and spectra take 48, the spectra's temporaries and the FFT's output 64
 _FGN_ROW_BYTES = 128
+
+
+def _row_blocks(n_rows: int, row_bytes: int) -> Iterator[slice]:
+    """Consecutive slices of ``range(n_rows)``, each of about ``_BLOCK_BYTES`` of
+    temporaries at ``row_bytes`` a row, and at least one row."""
+    step = max(1, _BLOCK_BYTES // row_bytes)
+    for a in range(0, n_rows, step):
+        yield slice(a, min(a + step, n_rows))
 
 
 def _count(value, name: str, least: int = 1) -> int:
@@ -347,10 +355,10 @@ def sample_brownian(grid: TimeGrid, seed: SeedSpec, volatility: float = 1.0, *,
     if not (np.isfinite(volatility) and volatility > 0.0):
         raise InvalidArgumentError("volatility must be positive")
     values = _output(grid, n_paths)
-    step = max(1, _BLOCK_BYTES // (8 * grid.n_steps))  # the increments are the buffer
-    for a in range(0, len(values), step):
-        block, first = values[a : a + step], seed.path_index + a
-        _brownian_rows(grid, seed.master_seed, volatility, range(first, first + len(block)), block)
+    first = seed.path_index
+    for rows in _row_blocks(len(values), 8 * grid.n_steps):  # the increments are the buffer
+        _brownian_rows(grid, seed.master_seed, volatility,
+                       range(first + rows.start, first + rows.stop), values[rows])
     return _result(grid, seed, values, n_paths, "bm", "bm")
 
 
@@ -435,28 +443,21 @@ def sample_fbm(grid: TimeGrid, seed: SeedSpec, hurst: float, *,
     n = grid.n_steps
     weights = _fgn_sqrt_spectrum(n, float(hurst))
     values = _output(grid, n_paths)
-    step = max(1, _BLOCK_BYTES // (_FGN_ROW_BYTES * n))
-    # the normals and spectra of one block, reused by every block
-    z = np.empty((min(step, len(values)), n if weights is None else 2 * n))
-    w = None if weights is None else np.empty(z.shape, dtype=np.complex128)
-    for a in range(0, len(values), step):
-        block = values[a : a + step]
-        zb = z[: len(block)]
-        _normals(seed.master_seed, range(seed.path_index + a, seed.path_index + a + len(zb)), zb)
-        if weights is None:
-            for r, row in enumerate(block):  # a block matmul may round differently
-                row[1:] = _fbm_dense_factor(n, dt, float(hurst)) @ zb[r]
+    first = seed.path_index
+    for rows in _row_blocks(len(values), _FGN_ROW_BYTES * n):
+        block = values[rows]
+        z = np.empty((len(block), n if weights is None else 2 * n))
+        _normals(seed.master_seed, range(first + rows.start, first + rows.stop), z)
+        if weights is None:  # factor @ each row, as for one path; z @ factor.T rounds differently
+            block[:, 1:] = np.matmul(_fbm_dense_factor(n, dt, float(hurst)), z[:, :, None])[:, :, 0]
             continue
         # Davies-Harte: a Hermitian spectrum from 2n normals per row, one FFT
-        wb = w[: len(block)]
-        wb[:, 0] = weights[0] * zb[:, 0]
-        wb[:, n] = weights[n] * zb[:, 1]
-        inner = wb[:, 1:n]  # weights * (z_a + 1j * z_b), without temporaries
-        np.multiply(1j, zb[:, n + 1 :], out=inner)
-        np.add(zb[:, 2 : n + 1], inner, out=inner)
-        np.multiply(weights[1:n], inner, out=inner)
-        np.conj(wb[:, n - 1 : 0 : -1], out=wb[:, n + 1 :])
-        np.multiply(np.fft.fft(wb, axis=-1).real[:, :n], dt**hurst, out=block[:, 1:])
+        w = np.empty(z.shape, dtype=np.complex128)
+        w[:, 0] = weights[0] * z[:, 0]
+        w[:, n] = weights[n] * z[:, 1]
+        w[:, 1:n] = weights[1:n] * (z[:, 2 : n + 1] + 1j * z[:, n + 1 :])
+        np.conj(w[:, n - 1 : 0 : -1], out=w[:, n + 1 :])
+        np.multiply(np.fft.fft(w, axis=-1).real[:, :n], dt**hurst, out=block[:, 1:])
         np.cumsum(block[:, 1:], axis=1, out=block[:, 1:])
     return _result(grid, seed, values, n_paths, f"fbm-H{hurst:g}", "fbm")
 

@@ -22,7 +22,6 @@ fires before the horizon.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
 from dataclasses import dataclass, replace
 from typing import Literal
 
@@ -39,9 +38,9 @@ from .pathgen import (
     Path,
     ProcessSpec,
     TimeGrid,
-    _BLOCK_BYTES,
     _count,
     _fbm_dense_factor,
+    _row_blocks,
     _streams,
 )
 from .stopping import (
@@ -213,14 +212,6 @@ def _verdict(successes: int, ci_low: float) -> str:
 _TUBE_POINT_BYTES = 9
 
 
-def _chunks(block: Ensemble) -> Iterator[tuple[int, Array]]:
-    """``(a, rows)`` for the block's rows ``a, a + 1, ...`` in fixed chunks of
-    about ``_BLOCK_BYTES`` of temporaries (at least one row)."""
-    step = max(1, _BLOCK_BYTES // (_TUBE_POINT_BYTES * block.grid.n_points))
-    for a in range(0, block.n_paths, step):
-        yield a, block.values[a : a + step]
-
-
 def _stays(query: StickinessQuery, x: Array, grid: TimeGrid, k: Array, end_index: int) -> Array:
     """Whether each row of ``x``, stopped at ``k``, passes the query's tube check."""
     if query.characterization == "prop-c":
@@ -268,12 +259,14 @@ def _successes(block: Ensemble, *queries: StickinessQuery) -> Array:
     grid = block.grid
     end_index = grid.last_index_at_or_before(queries[0].horizon)
     successes = np.zeros(len(queries), dtype=np.int64)
-    for a, rows in _chunks(block):
-        stop = _stop_indices(queries[0].tau, rows, grid)
+    for rows in _row_blocks(block.n_paths, _TUBE_POINT_BYTES * grid.n_points):
+        x = block.values[rows]
+        stop = _stop_indices(queries[0].tau, x, grid)
         for j, query in enumerate(queries):
-            won = _success_mask(query, rows, grid, end_index, stop)
-            if _success(query, block.path(a), end_index) != won[0]:
-                raise NumericalFailureError(f"path {a}: the block count disagrees with one path's")
+            won = _success_mask(query, x, grid, end_index, stop)
+            if _success(query, block.path(rows.start), end_index) != won[0]:
+                raise NumericalFailureError(
+                    f"path {rows.start}: the block count disagrees with one path's")
             successes[j] += np.count_nonzero(won)
     return successes
 
@@ -314,11 +307,12 @@ def _survivors(block: Ensemble, restart: HittingFrom, horizons: Array) -> Array:
     grid = block.grid
     times = np.append(grid.times, np.inf)  # index n_points: never stopped
     survivors = np.zeros(horizons.size, dtype=np.int64)
-    for a, rows in _chunks(block):
-        k = _stop_indices(restart, rows, grid)
-        stop = evaluate_rule(restart, block.path(a))
+    for rows in _row_blocks(block.n_paths, _TUBE_POINT_BYTES * grid.n_points):
+        k = _stop_indices(restart, block.values[rows], grid)
+        stop = evaluate_rule(restart, block.path(rows.start))
         if (stop.index if stop.stopped else grid.n_points) != k[0]:
-            raise NumericalFailureError(f"path {a}: the block restart disagrees with one path's")
+            raise NumericalFailureError(
+                f"path {rows.start}: the block restart disagrees with one path's")
         survivors += np.count_nonzero(times[k][:, None] > horizons, axis=0)
     return survivors
 

@@ -22,7 +22,6 @@ from .errors import (
     TimeChangeRangeError,
 )
 from .pathgen import (
-    _BLOCK_BYTES,
     Array,
     BrownianMotion,
     Ensemble,
@@ -34,6 +33,7 @@ from .pathgen import (
     _normals,
     _output,
     _result,
+    _row_blocks,
     build_path,
     integrate_ito,
     sample_brownian,
@@ -327,8 +327,8 @@ def build_example(spec: ExampleSpec, grid: TimeGrid, seed: SeedSpec, *,
                   n_paths: int | None = None) -> Path | Ensemble:
     """One path of an explicit example process, or with ``n_paths=k`` the k-row
     ``Ensemble`` of paths ``seed.path_index, ...``, as the generators return
-    them. Rows are built a block at a time, with about ``_BLOCK_BYTES`` of
-    temporaries; each equals the path built on its own."""
+    them. Rows are built a row block at a time (``_row_blocks``); each equals
+    the path built on its own."""
     if not isinstance(spec, ExampleSpec):
         raise InvalidArgumentError(f"unknown process spec: {spec!r}")
     if isinstance(spec, NonStickyMartingale) and grid.horizon < 1.0:
@@ -337,11 +337,10 @@ def build_example(spec: ExampleSpec, grid: TimeGrid, seed: SeedSpec, *,
         values = build_path(spec.base, grid, seed, n_paths=1 if n_paths is None else n_paths).values
     else:
         values = _output(grid, n_paths)
-    step = max(1, _BLOCK_BYTES // (_EXAMPLE_ROW_BYTES * grid.n_points))
     with np.errstate(over="ignore", invalid="ignore"):  # the finiteness check refuses overflow
-        for a in range(0, len(values), step):
-            block = values[a : a + step]
-            block_seed = SeedSpec(seed.master_seed, seed.path_index + a)
+        for rows in _row_blocks(len(values), _EXAMPLE_ROW_BYTES * grid.n_points):
+            block = values[rows]
+            block_seed = SeedSpec(seed.master_seed, seed.path_index + rows.start)
             if isinstance(spec, NonStickyMartingale):
                 _nonsticky_block(spec, grid, block_seed, block)
             elif isinstance(spec, CosDriftExample):

@@ -602,6 +602,19 @@ def test_cli_config_values_must_have_the_settings_json_type(tmp_path, monkeypatc
     assert not (tmp_path / "x.csv").exists()
 
 
+@pytest.mark.parametrize("argv,config", [(["--out", ""], None), ([], {"output": ""})],
+                         ids=["flag", "config-key"])
+def test_cli_refuses_an_empty_output_path(tmp_path, monkeypatch, capsys, argv, config):
+    monkeypatch.chdir(tmp_path)
+    if config is not None:
+        (tmp_path / "c.json").write_text(json.dumps(config))
+        argv = [*argv, "--config", "c.json"]
+    assert main(["generate", "--paths", "2", "--steps", "4", *argv]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "output path" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ([] if config is None else ["c.json"])
+
+
 def test_cli_malformed_ladder_flag_exits_2_without_a_traceback(tmp_path):
     result = run_cli(["ladder", "--ladder", "0.5,x", "--out", str(tmp_path / "x.csv")])
     assert result.returncode == 2

@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -366,25 +367,30 @@ def test_block_ledgers_equal_the_per_path_loop(process, n_paths, rate, price_kin
 
 @pytest.mark.parametrize("n_paths", [1, 63, 64, 65, 200])
 def test_cli_market_blocks_equal_the_per_path_loop(n_paths):
+    # each rate's terminals are copied out of the ledger's buffer before the next rate's
     signal = _block_with_idle_rows("fbm-0.75", n_paths)
     times = signal.grid.times
     work = cli._market_work(signal.n_paths, signal.grid.n_points)
-    terminals = cli._momentum_terminals(signal, 0.1, 1.0, (0.0, 0.01), exp=True, work=work)
-    for k, rate in enumerate((0.0, 0.01)):
-        assert _same_bits(terminals[k], _loop_terminals(times, np.exp(signal.values), rate))
-    (raw,) = cli._momentum_terminals(signal, 0.1, 1.0, (0.0,), exp=False, work=work)
-    assert _same_bits(raw, _loop_terminals(times, signal.values, 0.0))
+    for rows in cli._blocks(signal.n_paths):
+        block = Ensemble(signal.grid, signal.values[rows], signal.master_seed)
+        terminals = cli._momentum_terminals(block, 0.1, 1.0, (0.0, 0.01), exp=True, work=work)
+        for k, rate in enumerate((0.0, 0.01)):
+            assert _same_bits(terminals[k], _loop_terminals(times, np.exp(block.values), rate))
+        (raw,) = cli._momentum_terminals(block, 0.1, 1.0, (0.0,), exp=False, work=work)
+        assert _same_bits(raw, _loop_terminals(times, block.values, 0.0))
 
 
 def test_cli_market_terminals_do_not_depend_on_the_block_size(monkeypatch):
-    signal = _block_with_idle_rows("fbm-0.3", 200)
+    configs = (
+        cli.ExperimentConfig("portfolio", process="fbm", hurst=0.3, steps=64, n_paths=200,
+                             rate=0.01),
+        dataclasses.replace(cli.PRESETS["costs-fbm-momentum"], steps=64, n_paths=200),
+    )
     by_size = []
-    for rows in (1, 7, 64, 200, 1000):
+    for rows in (1, 7, 64, 200):
         monkeypatch.setattr(cli, "_BLOCK_ROWS", rows)
-        work = cli._market_work(signal.n_paths, signal.grid.n_points)
-        by_size.append(cli._momentum_terminals(signal, 0.1, 1.0, (0.0, 0.01), exp=True,
-                                               work=work))
-    assert all(_same_bits(terminals, by_size[0]) for terminals in by_size[1:])
+        by_size.append([cli.render_csv(cli.run_experiment(c)) for c in configs])
+    assert all(csvs == by_size[0] for csvs in by_size[1:])
 
 
 @pytest.mark.parametrize("price_kind", ["exp", "raw-negative"])

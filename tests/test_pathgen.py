@@ -482,6 +482,19 @@ def test_rows_do_not_depend_on_the_block_size(monkeypatch, spec):
         assert np.array_equal(sample_ensemble(spec, grid, 3, 150, first=9).values, want)
 
 
+@pytest.mark.parametrize("row_bytes", [8 * 100, 4 * 2**20 + 1])
+def test_row_blocks_cover_the_rows_in_order_in_budget_sized_blocks(row_bytes):
+    import stickylab.pathgen as pg
+
+    step = max(1, pg._BLOCK_BYTES // row_bytes)
+    for n in sorted({1, max(1, step - 1), step, step + 1}):
+        blocks = list(pg._row_blocks(n, row_bytes))
+        assert [i for rows in blocks for i in range(rows.start, rows.stop)] == list(range(n))
+        assert all(rows.step is None for rows in blocks)
+        assert all(rows.stop - rows.start == step for rows in blocks[:-1])
+        assert 1 <= blocks[-1].stop - blocks[-1].start <= step
+
+
 def test_rekeyed_normals_equal_fresh_generators_at_the_top_of_the_key_range():
     import stickylab.pathgen as pg
 

@@ -612,16 +612,28 @@ def _reference_counts(kind):
 def test_block_counts_match_reference(monkeypatch, kind, rows):
     # every query and ladder counted over chunks of 1 and 7 rows and the
     # default (one chunk of the 60 rows) equals the frozen per-path code
+    import stickylab.pathgen as pg
+
     ens = _reference_ensemble(kind)
     if rows is not None:
         chunk_bytes = rows * stickiness._TUBE_POINT_BYTES * ens.grid.n_points
-        monkeypatch.setattr(stickiness, "_BLOCK_BYTES", chunk_bytes)
+        monkeypatch.setattr(pg, "_BLOCK_BYTES", chunk_bytes)
+    # each chunk recounts its first path through evaluate_rule once, so the
+    # recounts show the chunking took the patched budget
+    recounts = []
+    monkeypatch.setattr(stickiness, "evaluate_rule",
+                        lambda rule, path: recounts.append(path) or evaluate_rule(rule, path))
+    chunks = -(-ens.n_paths // (rows or ens.n_paths))
     for query, want in _reference_counts(kind).items():
+        recounts.clear()
         assert estimate_stickiness(ens, query).successes == want, query
+        assert len(recounts) == chunks, query
     horizons = (0.1, 0.25, 0.5, 0.75, 1.0)
     for rule in REFERENCE_RULES:
         for delta in (0.125, 0.25, 0.5):
+            recounts.clear()
             got = survival_ladder(ens, parse_rule(rule), delta, horizons)
+            assert len(recounts) == chunks, (rule, delta)
             want = _reference_ladder(ens, parse_rule(rule), delta, horizons)
             assert np.array_equal(got, want), (rule, delta)
 
@@ -642,6 +654,8 @@ def test_count_temporaries_stay_bounded():
     # each chunk's tube temporaries take about _BLOCK_BYTES and are freed before the next
     import tracemalloc
 
+    import stickylab.pathgen as pg
+
     ens = sample_ensemble(FractionalBrownianMotion(0.75), make_uniform_grid(1.0, 1024), 3, 2000)
     hit = parse_rule("hit:0.1@hit:0.1")
     counts = (
@@ -658,7 +672,7 @@ def test_count_temporaries_stay_bounded():
             tracemalloc.stop()
         # slack: numpy's 64 KB iteration buffers and the one-row recount, well
         # under one more chunk-sized bool mask (465 KB)
-        assert peak <= stickiness._BLOCK_BYTES + 2**18
+        assert peak <= pg._BLOCK_BYTES + 2**18
 
 
 def test_sis_recount_disagreement_raises(monkeypatch):

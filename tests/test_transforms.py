@@ -478,12 +478,21 @@ def test_example_blocks_equal_the_per_path_builds_on_other_grids(spec, reference
 
 @pytest.mark.parametrize("spec,reference", _EXAMPLES, ids=_EXAMPLE_IDS)
 def test_example_rows_do_not_depend_on_the_block_size(monkeypatch, spec, reference):
+    import stickylab.pathgen as pg
     import stickylab.transforms as tr
 
     grid = make_uniform_grid(1.0, 16)
     whole = sample_ensemble(spec, grid, 17, 9).values
-    monkeypatch.setattr(tr, "_BLOCK_BYTES", 1)  # one row per block
+    monkeypatch.setattr(pg, "_BLOCK_BYTES", 1)  # one row per block
+    calls = []  # each build_example call's row blocks, so a stale budget cannot pass
+
+    def row_blocks(*args):
+        calls.append(list(pg._row_blocks(*args)))
+        return calls[-1]
+
+    monkeypatch.setattr(tr, "_row_blocks", row_blocks)
     assert np.array_equal(sample_ensemble(spec, grid, 17, 9).values, whole)
+    assert calls == [[slice(r, r + 1) for r in range(9)]]
     _assert_rows_match_reference(spec, reference, grid, 9, 0)
 
 
@@ -498,7 +507,7 @@ def test_example_ensemble_temporaries_stay_bounded():
     # the peak is the output plus about one block
     import tracemalloc
 
-    import stickylab.transforms as tr
+    import stickylab.pathgen as pg
 
     grid = make_uniform_grid(1.0, 1024)
     for spec in (NonStickyMartingale(), CosDriftExample(), AbsCubeRootOfMartingale()):
@@ -508,7 +517,7 @@ def test_example_ensemble_temporaries_stay_bounded():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= ens.values.nbytes + tr._BLOCK_BYTES, spec
+        assert peak <= ens.values.nbytes + pg._BLOCK_BYTES, spec
         del ens
 
 
