@@ -14,12 +14,13 @@ Conventions
   normals of one draw, so ``_brownian_rows`` continues such a head where each
   row's stream stopped (``_normals`` records and resumes the states).
 - Fractional Brownian motion is sampled by circulant embedding (Davies-Harte)
-  on uniform grids, with a dense Cholesky factorization as fallback when the
-  embedding produces negative eigenvalues beyond tolerance. The embedding is
-  nonnegative-definite in exact arithmetic, but for H near 1 roundoff pushes
-  its smallest eigenvalue below the tolerance, so the fallback does fire: at
-  H = 0.999999 for n >= 16384 steps (smallest eigenvalue -6e-6), at
-  H = 1 - 1e-8 for n >= 2048 and at H = 1 - 1e-12 for n >= 256.
+  on uniform grids: one ``irfft`` of length ``2n`` turns each row's ``2n``
+  normals, as an ``n + 1`` term half spectrum, into its increments (within
+  1.5e-14 of a full complex FFT, not bit for bit). For H near 1 roundoff
+  pushes the embedding's eigenvalues below ``-EMBEDDING_TOLERANCE``, and a
+  dense Cholesky factor is the fallback: at H = 0.999999 for n >= 16384
+  (smallest eigenvalue -6e-6), at H = 1 - 1e-8 for n >= 2048 and at
+  H = 1 - 1e-12 for n >= 256.
 - Discrete Ito integration uses left endpoints only.
 """
 
@@ -292,8 +293,8 @@ ProcessSpec = Union[BrownianMotion, FractionalBrownianMotion]
 
 #: a row block holds about this many bytes of temporaries, and at least one row
 _BLOCK_BYTES = 4 * 2**20
-#: bytes of temporaries budgeted per step and row of a Davies-Harte block; its
-#: normals and spectra take 48, the spectra's temporaries and the FFT's output 64
+#: bytes budgeted per step and row of a Davies-Harte block, whose normals, half
+#: spectrum and ``irfft`` output take 16 each; 48 (85 rows at 1,024 steps) drew slower
 _FGN_ROW_BYTES = 128
 
 
@@ -377,13 +378,14 @@ def _brownian_rows(grid: TimeGrid, master_seed: int, volatility: float, indices,
 
 
 @lru_cache(maxsize=16)
-def _fgn_sqrt_spectrum(n_steps: int, hurst: float) -> Array | None:
-    """Davies-Harte weights for unit-spacing fractional Gaussian noise, or None
-    when the circulant embedding is not nonnegative-definite within tolerance.
+def _fgn_sqrt_spectrum(n_steps: int, dt: float, hurst: float) -> Array | None:
+    """Half-spectrum Davies-Harte weights of fGn at spacing ``dt``, or None when
+    the circulant embedding is not nonnegative-definite within tolerance.
 
-    With ``m = 2 * n_steps`` eigenvalues ``lam``, entry ``k`` of the read-only
-    result is ``sqrt(1/m) * sqrt(lam[k])`` for ``k`` in ``{0, n_steps}`` and
-    ``sqrt(1/(2m)) * sqrt(lam[k])`` in between.
+    With ``m = 2 * n_steps`` unit-spacing eigenvalues ``lam``, entry ``k`` of the
+    read-only result is ``dt^H * sqrt(lam[k] / m)`` for ``k`` in ``{0, n_steps}``
+    and ``dt^H * (1 - 1j) * sqrt(lam[k] / (2m))`` in between, its imaginary part
+    negated since ``irfft`` sums with the positive exponent.
     """
     h2 = 2.0 * hurst
     k = np.arange(n_steps + 1, dtype=np.float64)
@@ -393,8 +395,8 @@ def _fgn_sqrt_spectrum(n_steps: int, hurst: float) -> Array | None:
     if eig.min() < -EMBEDDING_TOLERANCE:
         return None
     m = eig.size
-    sqrt_eig = np.sqrt(np.clip(eig[: n_steps + 1], 0.0, None))
-    weights = np.sqrt(1.0 / (2.0 * m)) * sqrt_eig
+    sqrt_eig = np.sqrt(np.clip(eig[: n_steps + 1], 0.0, None)) * dt**hurst
+    weights = np.sqrt(1.0 / (2.0 * m)) * sqrt_eig * (1 - 1j)
     weights[[0, n_steps]] = np.sqrt(1.0 / m) * sqrt_eig[[0, n_steps]]
     weights.setflags(write=False)
     return weights
@@ -441,7 +443,7 @@ def sample_fbm(grid: TimeGrid, seed: SeedSpec, hurst: float, *,
         raise InvalidArgumentError("hurst must lie strictly inside (0, 1)")
     dt = grid.uniform_spacing()
     n = grid.n_steps
-    weights = _fgn_sqrt_spectrum(n, float(hurst))
+    weights = _fgn_sqrt_spectrum(n, dt, float(hurst))
     values = _output(grid, n_paths)
     first = seed.path_index
     for rows in _row_blocks(len(values), _FGN_ROW_BYTES * n):
@@ -451,14 +453,13 @@ def sample_fbm(grid: TimeGrid, seed: SeedSpec, hurst: float, *,
         if weights is None:  # factor @ each row, as for one path; z @ factor.T rounds differently
             block[:, 1:] = np.matmul(_fbm_dense_factor(n, dt, float(hurst)), z[:, :, None])[:, :, 0]
             continue
-        # Davies-Harte: a Hermitian spectrum from 2n normals per row, one FFT
-        w = np.empty(z.shape, dtype=np.complex128)
-        w[:, 0] = weights[0] * z[:, 0]
-        w[:, n] = weights[n] * z[:, 1]
-        w[:, 1:n] = weights[1:n] * (z[:, 2 : n + 1] + 1j * z[:, n + 1 :])
-        np.conj(w[:, n - 1 : 0 : -1], out=w[:, n + 1 :])
-        np.multiply(np.fft.fft(w, axis=-1).real[:, :n], dt**hurst, out=block[:, 1:])
-        np.cumsum(block[:, 1:], axis=1, out=block[:, 1:])
+        # Davies-Harte: a half spectrum from 2n normals per row, one real-output FFT
+        w = np.empty((len(block), n + 1), dtype=np.complex128)
+        w.real[:, 0], w.real[:, n] = weights.real[0] * z[:, 0], weights.real[n] * z[:, 1]
+        np.multiply(z[:, 2 : n + 1], weights.real[1:n], out=w.real[:, 1:n])
+        np.multiply(z[:, n + 1 :], weights.imag[1:n], out=w.imag[:, 1:n])
+        w.imag[:, [0, n]] = 0.0
+        np.cumsum(np.fft.irfft(w, 2 * n, norm="forward")[:, :n], axis=1, out=block[:, 1:])
     return _result(grid, seed, values, n_paths, f"fbm-H{hurst:g}", "fbm")
 
 
@@ -481,9 +482,8 @@ def sample_ensemble(spec: ProcessSpec, grid: TimeGrid, master_seed: int, n_paths
     ``first + r`` and uses ``SeedSpec(master_seed, first + r)``.
 
     So a block of rows is bit-identical to the same rows of the whole
-    ensemble, and an ensemble can be drawn block by block. ``build_path``
-    fills one preallocated array a row block at a time. ``workers`` is still
-    checked (at least 1) but has no effect; it stays for existing callers.
+    ensemble, and an ensemble can be drawn block by block. ``workers`` is
+    still checked (at least 1) but has no effect; it stays for existing callers.
     """
     if int(first) < 0:
         raise InvalidArgumentError("first must be nonnegative")

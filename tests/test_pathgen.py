@@ -175,7 +175,7 @@ def test_fbm_dense_fallback_produces_the_same_law(monkeypatch):
     # distributionally sound
     import stickylab.pathgen as pg
 
-    monkeypatch.setattr(pg, "_fgn_sqrt_spectrum", lambda n, h: None)
+    monkeypatch.setattr(pg, "_fgn_sqrt_spectrum", lambda n, dt, h: None)
     grid = make_uniform_grid(1.0, 8)
     a = pg.sample_fbm(grid, SeedSpec(21, 4), 0.75)
     b = pg.sample_fbm(grid, SeedSpec(21, 4), 0.75)
@@ -217,7 +217,7 @@ def test_fbm_dense_factor_allocation_failure_is_an_argument_error(monkeypatch):
     # address space holds, so the request fails before any memory is touched
     import stickylab.pathgen as pg
 
-    monkeypatch.setattr(pg, "_fgn_sqrt_spectrum", lambda n, h: None)
+    monkeypatch.setattr(pg, "_fgn_sqrt_spectrum", lambda n, dt, h: None)
     grid = make_uniform_grid(1.0, 2**22)
     with pytest.raises(InvalidArgumentError, match="4194304 x 4194304 fBm covariance"):
         pg.sample_fbm(grid, SeedSpec(0), 0.75)
@@ -325,8 +325,9 @@ def test_example_spec_dispatch():
 
 
 # ------------------------------------------- frozen per-path reference code
-# The generators before their grid invariants and Davies-Harte weights were
-# cached; the cached versions must reproduce these bit for bit.
+# Per-path generators with no cached grid invariants or Davies-Harte weights;
+# the cached, blocked versions must reproduce these bit for bit. The full-FFT
+# fBm reference is the synthesis the half spectrum replaced, kept to rounding.
 
 
 def _reference_brownian(grid, seed, volatility):
@@ -335,15 +336,20 @@ def _reference_brownian(grid, seed, volatility):
     return np.concatenate(([0.0], np.cumsum(increments)))
 
 
-def _reference_fbm(grid, seed, hurst):
-    dt = float(grid.times[1] - grid.times[0])
-    n = grid.n_steps
-    rng = seed.generator()
+def _reference_sqrt_eig(n, hurst):
     h2 = 2.0 * hurst
     k = np.arange(n + 1, dtype=np.float64)
     gamma = 0.5 * ((k + 1.0) ** h2 + np.abs(k - 1.0) ** h2 - 2.0 * k**h2)
     first_row = np.concatenate((gamma[:n], [gamma[n]], gamma[n - 1 : 0 : -1]))
-    sqrt_eig = np.sqrt(np.clip(np.fft.fft(first_row).real, 0.0, None))
+    return np.sqrt(np.clip(np.fft.fft(first_row).real, 0.0, None))
+
+
+def _reference_fbm(grid, seed, hurst):
+    # one full Hermitian spectrum of 2n terms and one complex FFT per path
+    dt = float(grid.times[1] - grid.times[0])
+    n = grid.n_steps
+    rng = seed.generator()
+    sqrt_eig = _reference_sqrt_eig(n, hurst)
     m = sqrt_eig.size
     half = m // 2
     z = rng.standard_normal(m)
@@ -360,16 +366,72 @@ def _reference_fbm(grid, seed, hurst):
     return np.concatenate(([0.0], np.cumsum(fgn)))
 
 
-@pytest.mark.parametrize("steps", [1, 2, 3, 1024])
-@pytest.mark.parametrize("hurst", [0.1, 0.25, 0.5, 0.75, 0.9])
+def _reference_fbm_half_spectrum(grid, seed, hurst):
+    # the same 2n normals as an n + 1 term half spectrum, conjugated, and one
+    # real-output FFT per path: real parts z[0], z[2:n+1], z[1]; imaginary
+    # parts -z[n+1:] inside and 0 at both ends
+    dt = float(grid.times[1] - grid.times[0])
+    n = grid.n_steps
+    z = seed.generator().standard_normal(2 * n)
+    sqrt_eig = _reference_sqrt_eig(n, hurst)[: n + 1] * dt**hurst
+    scale = np.sqrt(1.0 / (2.0 * n)) * sqrt_eig
+    scale[1:n] = np.sqrt(1.0 / (4.0 * n)) * sqrt_eig[1:n]
+    w = np.zeros(n + 1, dtype=np.complex128)
+    w.real = scale * np.concatenate(([z[0]], z[2 : n + 1], [z[1]]))
+    w.imag[1:n] = -scale[1:n] * z[n + 1 :]
+    fgn = np.fft.irfft(w, 2 * n, norm="forward")[:n]
+    return np.concatenate(([0.0], np.cumsum(fgn)))
+
+
+FBM_HURSTS = [0.1, 0.25, 0.5, 0.75, 0.9]
+FBM_STEPS = [1, 2, 3, 777, 1024]  # empty and 1-wide interiors, and an odd n
+
+
+@pytest.mark.parametrize("steps", FBM_STEPS)
+@pytest.mark.parametrize("hurst", FBM_HURSTS)
 def test_fbm_bit_identical_to_reference(hurst, steps):
     grid = make_uniform_grid(1.0, steps)
     for master_seed in (0, 7, 2**63 + 5):
         ens = sample_ensemble(FractionalBrownianMotion(hurst), grid, master_seed, 4)
         for i in range(ens.n_paths):
-            want = _reference_fbm(grid, SeedSpec(master_seed, i), hurst)
+            want = _reference_fbm_half_spectrum(grid, SeedSpec(master_seed, i), hurst)
             assert np.array_equal(sample_fbm(grid, SeedSpec(master_seed, i), hurst).values, want)
             assert np.array_equal(ens.values[i], want)
+
+
+@pytest.mark.parametrize("steps", FBM_STEPS)
+@pytest.mark.parametrize("hurst", FBM_HURSTS)
+def test_fbm_within_rounding_of_the_full_fft_reference(hurst, steps):
+    # the half spectrum and irfft sum the same series as the full complex FFT
+    # in another order, so paths agree to rounding, not bit for bit
+    grid = make_uniform_grid(1.0, steps)
+    for master_seed in (0, 7, 2**63 + 5):
+        ens = sample_ensemble(FractionalBrownianMotion(hurst), grid, master_seed, 4)
+        for i in range(ens.n_paths):
+            want = _reference_fbm(grid, SeedSpec(master_seed, i), hurst)
+            assert np.abs(ens.values[i] - want).max() <= 1e-13
+
+
+@pytest.mark.parametrize("steps", [1, 2, 3, 777])
+@pytest.mark.parametrize("hurst", [0.25, 0.75])
+def test_fgn_autocovariance_matches_closed_form(hurst, steps):
+    # each path's mean of x_i * x_{i+k} over its increment pairs, averaged over
+    # 10^4 paths, lies within 3 standard errors of the fGn autocovariance at
+    # lags 0, 1, 2 and n - 1: a wrong DC, Nyquist or interior weight shows here.
+    # Negated interior imaginary parts only reverse the series in time, which
+    # keeps its law; the full-FFT tolerance test above catches that.
+    grid = make_uniform_grid(1.0, steps)
+    h = grid.times[1]
+    lags = sorted({0, 1, 2, steps - 1} & set(range(steps)))
+    blocks = []
+    for first in range(0, 10_000, 2_500):
+        ens = sample_ensemble(FractionalBrownianMotion(hurst), grid, 31, 2_500, first=first)
+        x = np.diff(ens.values, axis=1)
+        blocks.append([(x[:, : steps - k] * x[:, k:]).mean(axis=1) for k in lags])
+    for k, per_path in zip(lags, np.concatenate(blocks, axis=1)):
+        gamma = fbm_covariance(h, (k + 1) * h, hurst) - fbm_covariance(h, k * h, hurst)
+        se = per_path.std(ddof=1) / np.sqrt(per_path.size)
+        assert abs(per_path.mean() - gamma) < 3 * se, (k, per_path.mean(), gamma, se)
 
 
 @pytest.mark.parametrize(
@@ -392,21 +454,9 @@ def test_brownian_bit_identical_to_reference(times):
 
 
 # ------------------------------------------------ row blocks, bit for bit
-# The fBm generator before row blocks: one generator, one Davies-Harte FFT
-# and one cumsum per path, or the dense factor times one draw of normals.
-# Every row of every block must reproduce it (and _reference_brownian).
-
-
-def _per_path_fgn(rng, weights, n_steps):
-    half = n_steps
-    z = rng.standard_normal(2 * half)
-    w = np.empty(2 * half, dtype=np.complex128)
-    w[0] = weights[0] * z[0]
-    w[half] = weights[half] * z[1]
-    interior = weights[1:half] * (z[2 : half + 1] + 1j * z[half + 1 :])
-    w[1:half] = interior
-    np.conj(interior[::-1], out=w[half + 1 :])
-    return np.fft.fft(w).real[:n_steps]
+# The fBm generator before row blocks: one generator, one half-spectrum
+# irfft and one cumsum per path, or the dense factor times one draw of
+# normals. Every row of every block must reproduce it (and _reference_brownian).
 
 
 def _per_path_fbm(grid, seed, hurst):
@@ -414,14 +464,11 @@ def _per_path_fbm(grid, seed, hurst):
 
     dt = grid.uniform_spacing()
     n = grid.n_steps
-    rng = seed.generator()
-    weights = pg._fgn_sqrt_spectrum(n, float(hurst))
+    if pg._fgn_sqrt_spectrum(n, dt, float(hurst)) is not None:
+        return _reference_fbm_half_spectrum(grid, seed, hurst)
     values = np.empty(n + 1)
     values[0] = 0.0
-    if weights is not None:
-        np.cumsum(_per_path_fgn(rng, weights, n) * dt**hurst, out=values[1:])
-    else:
-        values[1:] = pg._fbm_dense_factor(n, dt, float(hurst)) @ rng.standard_normal(n)
+    values[1:] = pg._fbm_dense_factor(n, dt, float(hurst)) @ seed.generator().standard_normal(n)
     return values
 
 
@@ -457,7 +504,7 @@ def test_ensemble_rows_equal_the_per_path_generators(spec, grid, n_paths, first)
 def test_forced_dense_fallback_rows_equal_the_per_path_generator(monkeypatch, n_paths, first):
     import stickylab.pathgen as pg
 
-    monkeypatch.setattr(pg, "_fgn_sqrt_spectrum", lambda n, h: None)
+    monkeypatch.setattr(pg, "_fgn_sqrt_spectrum", lambda n, dt, h: None)
     _assert_rows_match_per_path(FractionalBrownianMotion(0.75), make_uniform_grid(1.0, 32),
                                 4, n_paths, first)
 
@@ -466,7 +513,7 @@ def test_natural_dense_fallback_rows_equal_the_per_path_generator():
     import stickylab.pathgen as pg
 
     grid = make_uniform_grid(1.0, 512)
-    assert pg._fgn_sqrt_spectrum(512, 0.9999999999) is None
+    assert pg._fgn_sqrt_spectrum(512, 1 / 512, 0.9999999999) is None
     _assert_rows_match_per_path(FractionalBrownianMotion(0.9999999999), grid, 8, 65, 3)
 
 
@@ -595,7 +642,9 @@ def test_fractional_path_counts_are_refused():
 
 def test_fbm_block_temporaries_stay_bounded():
     # 64 x 65,536 steps: one row's Davies-Harte temporaries exceed the block
-    # budget, so every block is one row and the peak stays near the output
+    # budget, so every block is one row, and the peak is the output, the cached
+    # weights (16 bytes a step) and one row's normals, half spectrum and irfft
+    # output (16 bytes a step each), with 64 KiB for small objects
     import tracemalloc
 
     import stickylab.pathgen as pg
@@ -608,8 +657,8 @@ def test_fbm_block_temporaries_stay_bounded():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    one_row = pg._FGN_ROW_BYTES * grid.n_steps
-    assert peak <= ens.values.nbytes + pg._BLOCK_BYTES + one_row
+    assert pg._FGN_ROW_BYTES * grid.n_steps > pg._BLOCK_BYTES
+    assert peak <= ens.values.nbytes + 4 * 16 * (grid.n_steps + 1) + 2**16
 
 
 # ---------------------------------------------------------------- seeds
