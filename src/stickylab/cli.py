@@ -668,16 +668,19 @@ def main(argv=None) -> int:
     try:
         config = _resolve_config(args)
         table = run_experiment(config)
+        dest = config.output or f"{config.experiment}.csv"
+        emit_csv(table, dest)
+    except NumericalFailureError as exc:
+        print(f"stickylab: numerical failure: {exc}", file=sys.stderr)
+        return 3
     except StickyLabError as exc:
-        if isinstance(exc, NumericalFailureError):
-            print(f"stickylab: numerical failure: {exc}", file=sys.stderr)
-            return 3
         print(f"stickylab: configuration error: {exc}", file=sys.stderr)
         return 2
-    dest = config.output or f"{config.experiment}.csv"
-    try:
-        emit_csv(table, dest)
-    except OSError as exc:
+    except MemoryError:  # from the run, the CSV text or its write
+        print(f"stickylab: out of memory for {config.n_paths} paths of {config.steps} steps",
+              file=sys.stderr)
+        return 2
+    except OSError as exc:  # only the write does I/O: a config file's errors are ConfigErrors
         print(f"stickylab: cannot write {dest}: {exc}", file=sys.stderr)
         return 4
     print(f"wrote {dest} ({len(table.rows)} rows)")

@@ -387,6 +387,19 @@ def test_cli_bad_values_exit_2_before_any_ensemble_is_sampled(tmp_path, monkeypa
     assert not (tmp_path / "x.csv").exists()
 
 
+@pytest.mark.parametrize("stage", ["run_experiment", "render_csv", "_atomic_write"])
+def test_cli_out_of_memory_exits_2_with_the_run_size(tmp_path, monkeypatch, capsys, stage):
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, stage, out_of_memory)
+    monkeypatch.chdir(tmp_path)
+    assert main(["generate", "--paths", "300", "--steps", "20", "--out", "x.csv"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "stickylab: out of memory for 300 paths of 20 steps\n"
+    assert os.listdir(tmp_path) == []
+
+
 def test_cli_portfolio_exits_2_when_the_price_overflows(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     with warnings.catch_warnings():

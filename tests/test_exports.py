@@ -1,6 +1,11 @@
 import importlib
+import os
+import subprocess
+import sys
 
 import pytest
+
+import stickylab
 
 MODULES = ("stickylab", "stickylab.pathgen", "stickylab.transforms", "stickylab.stopping",
            "stickylab.stickiness", "stickylab.market", "stickylab.cli")
@@ -14,3 +19,35 @@ def test_every_exported_name_resolves(module_name):
     assert len(module.__all__) == len(set(module.__all__))
     missing = [name for name in module.__all__ if not hasattr(module, name)]
     assert missing == []
+
+
+_PROBE = """
+import contextlib, io, sys
+import stickylab, stickylab.cli
+codes = []
+for argv in {runs!r}:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            codes.append(stickylab.cli.main(argv))
+        except SystemExit as exc:  # --help
+            codes.append(exc.code)
+print(codes, sorted(m for m in ("scipy.special", "scipy.stats") if m in sys.modules))
+"""
+
+
+@pytest.mark.parametrize("runs, codes, loaded", [
+    ((), [], []),
+    ((["experiment", "costs-fbm-momentum", "--paths", "8", "--steps", "64"], ["--help"],
+      ["stickiness", "--epsilon", "-1"]), [0, 0, 2], []),
+    ((["stickiness", "--paths", "8", "--steps", "16"],), [0], ["scipy.special"]),
+])
+def test_only_runs_that_estimate_load_scipy(tmp_path, runs, codes, loaded):
+    # scipy.stats would take most of a start-up and scipy.special about 0.3 s,
+    # so a run with no interval or importance sampling loads neither
+    probe = _PROBE.format(runs=[list(argv) for argv in runs])
+    src = os.path.dirname(os.path.dirname(stickylab.__file__))  # the package under test
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", probe], cwd=tmp_path, env=env,
+                         capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == f"{codes} {loaded}\n"

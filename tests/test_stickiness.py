@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import norm
 
 import stickylab.stickiness as stickiness
 from stickylab.errors import InvalidArgumentError, NumericalFailureError
@@ -91,7 +92,25 @@ def test_wilson_against_independent_implementation():
     assert got == pytest.approx((lo, hi), rel=1e-12)
 
 
-@pytest.mark.parametrize("level", [0.5, 0.9, 0.95, 0.99])
+def _norm_ppf_wilson_ci(successes, n, level):
+    # frozen copies of wilson_ci and zero_success_upper_bound that take z from
+    # scipy.stats.norm.ppf where they call scipy.special.ndtri
+    z = float(norm.ppf(0.5 + level / 2.0))
+    p = successes / n
+    denom = 1.0 + z * z / n
+    center = (p + z * z / (2.0 * n)) / denom
+    half = z * np.sqrt(p * (1.0 - p) / n + z * z / (4.0 * n * n)) / denom
+    low = 0.0 if successes == 0 else max(0.0, center - half)
+    high = 1.0 if successes == n else min(1.0, center + half)
+    return (low, high)
+
+
+def _norm_ppf_zero_success_upper_bound(n, level):
+    z = float(norm.ppf(level))
+    return z * z / (n + z * z)
+
+
+@pytest.mark.parametrize("level", [1e-6, 0.5, 0.8, 0.9, 0.95, 0.99, 0.999, 1.0 - 1e-6])
 @pytest.mark.parametrize("n", [1, 2, 7, 50, 10_000])
 def test_wilson_against_closed_form_oracle(n, level):
     for successes in sorted({0, 1, n // 3, n // 2, n - 1, n}):
@@ -99,6 +118,9 @@ def test_wilson_against_closed_form_oracle(n, level):
         want_lo, want_hi = wilson_interval(successes, n, level)
         assert lo == pytest.approx(want_lo, rel=1e-12, abs=1e-15)
         assert hi == pytest.approx(want_hi, rel=1e-12, abs=1e-15)
+        # bit for bit, so every interval, verdict and CSV hash holds
+        assert (lo, hi) == _norm_ppf_wilson_ci(successes, n, level)
+    assert zero_success_upper_bound(n, level) == _norm_ppf_zero_success_upper_bound(n, level)
 
 
 def test_wilson_one_success_lower_positive():
@@ -121,6 +143,14 @@ def test_wilson_refuses_counts_that_are_not_integers(successes, n):
     with pytest.raises(InvalidArgumentError, match="must be an integer"):
         wilson_ci(successes, n)
     assert wilson_ci(np.int64(2), np.int64(10)) == wilson_ci(2, 10)
+
+
+@pytest.mark.parametrize("level", [1.5, 1.0, 0.0, float("nan")])
+def test_intervals_refuse_a_level_outside_the_open_unit_interval(level):
+    with pytest.raises(InvalidArgumentError, match="confidence level must lie in"):
+        wilson_ci(2, 10, level)
+    with pytest.raises(InvalidArgumentError, match="confidence level must lie in"):
+        zero_success_upper_bound(10, level)
 
 
 @pytest.mark.parametrize("n", [10.5, "10", None])
