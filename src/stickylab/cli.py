@@ -32,11 +32,12 @@ from .pathgen import (
     _brownian_rows,
     _count,
     _empty,
+    _row_blocks,
     make_uniform_grid,
     sample_ensemble,
 )
 from .stickiness import (StickinessEstimate, StickinessQuery, _check_ladder, _check_window_end,
-                         _estimate, _successes, _survivors)
+                         estimate_stickiness, survival_ladder)
 from .stopping import HittingFrom, parse_event, parse_rule
 from .transforms import (
     AbsCubeRootOfMartingale,
@@ -181,12 +182,6 @@ def _grid_and_spec(config: ExperimentConfig) -> tuple[TimeGrid, ProcessSpec]:
     return grid, _PROCESSES[config.process](config)
 
 
-def _blocks(n_paths: int) -> Iterator[slice]:
-    """The rows of ``n_paths`` paths, ``_BLOCK_ROWS`` at a time."""
-    for start in range(0, n_paths, _BLOCK_ROWS):
-        yield slice(start, min(start + _BLOCK_ROWS, n_paths))
-
-
 def _ensemble_blocks(config: ExperimentConfig,
                      head: TimeGrid | None = None) -> Iterator[tuple[slice, Ensemble]]:
     """The config's ensemble as ``(rows, block)`` pairs in path order: blocks of
@@ -196,7 +191,7 @@ def _ensemble_blocks(config: ExperimentConfig,
     start of the config's grid, when given."""
     grid, spec = _grid_and_spec(config)
     grid = grid if head is None else head
-    for rows in _blocks(config.n_paths):
+    for rows in _row_blocks(config.n_paths, rows=_BLOCK_ROWS):
         yield rows, sample_ensemble(spec, grid, config.master_seed, rows.stop - rows.start,
                                     first=rows.start)
 
@@ -231,20 +226,19 @@ def _stickiness_row(config: ExperimentConfig, est: StickinessEstimate, process: 
 
 
 def _run_stickiness(config: ExperimentConfig) -> ResultTable:
-    query = _stickiness_query(config, config.horizon)
-    successes = sum(int(_successes(block, query)[0]) for _, block in _ensemble_blocks(config))
-    return _stickiness_row(config, _estimate(query, successes, config.n_paths), config.process)
+    est = estimate_stickiness((block for _, block in _ensemble_blocks(config)),
+                              _stickiness_query(config, config.horizon))
+    return _stickiness_row(config, est, config.process)
 
 
 def _run_ladder(config: ExperimentConfig) -> ResultTable:
     horizons = config.ladder or (config.horizon / 4.0, config.horizon / 2.0, config.horizon)
-    horizons = _check_ladder(horizons, config.horizon)
-    restart = HittingFrom(parse_rule(config.tau), config.delta)
-    survivors = sum(_survivors(block, restart, horizons) for _, block in _ensemble_blocks(config))
+    fractions = survival_ladder((block for _, block in _ensemble_blocks(config)),
+                                parse_rule(config.tau), config.delta, horizons)
     rows = tuple(
         (config.process, _hurst_cell(config), config.tau, config.delta, h, f,
          config.n_paths, config.master_seed, config.steps)
-        for h, f in zip(horizons, survivors / config.n_paths)
+        for h, f in zip(horizons, fractions)
     )
     return ResultTable(LADDER_COLUMNS, rows, _provenance(config))
 
@@ -315,13 +309,10 @@ def _run_generate(config: ExperimentConfig) -> ResultTable:
 # ------------------------------ presets ------------------------------ #
 
 
-def _preset_passage_counterexample(config: ExperimentConfig) -> ResultTable:
-    # Ramp built from observed passage times; paths that never attain some
-    # level within the horizon cannot be constructed and are excluded, with
-    # the exclusion count recorded in provenance.
-    nu = PassageTimes(np.linspace(0.0, 0.5, 11))
-    _check_window_end(config.query_horizon, nu.grid.horizon)
-    query = _stickiness_query(config, nu.grid.horizon)
+def _kept_ramps(config: ExperimentConfig, nu: PassageTimes) -> Iterator[Ensemble]:
+    """The ramps built from each block's observed passage times; a path that never
+    attains some level within the horizon cannot be built and is excluded (the
+    preset records how many). ``NumericalFailureError`` when no path is kept."""
     grid, spec = _grid_and_spec(config)
     # A Brownian path is drawn until it passes the top level: 256 steps (62% of the
     # preset's paths pass), then, for the rows short of it, twice the steps a round
@@ -330,7 +321,7 @@ def _preset_passage_counterexample(config: ExperimentConfig) -> ResultTable:
     while steps[-1] < grid.n_steps:
         steps.append(min(2 * steps[-1], grid.n_steps))
     head, *rounds = (TimeGrid(grid.times[: k + 1]) for k in steps)
-    successes = n_kept = 0
+    any_kept = False
     for rows, block in _ensemble_blocks(config, head):
         ramp, kept = time_change(block, nu)
         short = np.flatnonzero(~kept)  # the block's rows short of the top level
@@ -346,21 +337,25 @@ def _preset_passage_counterexample(config: ExperimentConfig) -> ResultTable:
             kept[short] = passed
             short, values, states = short[~passed], part[~passed], states[~passed]
         if kept.any():
-            successes += int(_successes(Ensemble(nu.grid, ramp[kept], config.master_seed),
-                                        query)[0])
-            n_kept += int(np.count_nonzero(kept))
-    if not n_kept:
+            any_kept = True
+            yield Ensemble(nu.grid, ramp[kept], config.master_seed)
+    if not any_kept:
         raise NumericalFailureError("no path attained the full level schedule")
-    return _stickiness_row(config, _estimate(query, successes, n_kept), "passage-ramp",
-                           requested_paths=config.n_paths, excluded_paths=config.n_paths - n_kept)
+
+
+def _preset_passage_counterexample(config: ExperimentConfig) -> ResultTable:
+    nu = PassageTimes(np.linspace(0.0, 0.5, 11))
+    _check_window_end(config.query_horizon, nu.grid.horizon)
+    est = estimate_stickiness(_kept_ramps(config, nu), _stickiness_query(config, nu.grid.horizon))
+    return _stickiness_row(config, est, "passage-ramp", requested_paths=config.n_paths,
+                           excluded_paths=config.n_paths - est.n)
 
 
 def _preset_timechange_cap(config: ExperimentConfig) -> ResultTable:
-    query, cap = _stickiness_query(config, config.horizon), IdentityCap(0.5)
-    successes = sum(int(_successes(time_change(block, cap), query)[0])
-                    for _, block in _ensemble_blocks(config))
-    label = f"{config.process}-capped"
-    return _stickiness_row(config, _estimate(query, successes, config.n_paths), label)
+    cap = IdentityCap(0.5)
+    est = estimate_stickiness((time_change(block, cap) for _, block in _ensemble_blocks(config)),
+                              _stickiness_query(config, config.horizon))
+    return _stickiness_row(config, est, f"{config.process}-capped")
 
 
 def _preset_dds_check(config: ExperimentConfig) -> ResultTable:
@@ -395,7 +390,7 @@ def _control_blocks(grid: TimeGrid, increments: np.ndarray,
     rng = SeedSpec((master_seed ^ _SHUFFLE_SALT) % 2**64, 0).generator()
     rng.shuffle(increments.ravel())  # in place: rng.permutation of the flat array, no copy
     values = np.zeros((min(_BLOCK_ROWS, len(increments)), grid.n_points))
-    for rows in _blocks(len(increments)):
+    for rows in _row_blocks(len(increments), rows=_BLOCK_ROWS):
         block = values[: rows.stop - rows.start]
         np.cumsum(increments[rows], axis=1, out=block[:, 1:])
         yield rows, Ensemble(grid, block, master_seed, "shuffled-control")

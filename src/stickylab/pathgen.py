@@ -298,10 +298,10 @@ _BLOCK_BYTES = 4 * 2**20
 _FGN_ROW_BYTES = 128
 
 
-def _row_blocks(n_rows: int, row_bytes: int) -> Iterator[slice]:
-    """Consecutive slices of ``range(n_rows)``, each of about ``_BLOCK_BYTES`` of
-    temporaries at ``row_bytes`` a row, and at least one row."""
-    step = max(1, _BLOCK_BYTES // row_bytes)
+def _row_blocks(n_rows: int, row_bytes: int = 0, *, rows: int = 0) -> Iterator[slice]:
+    """Consecutive slices of ``range(n_rows)`` of ``rows`` rows when given, else of about
+    ``_BLOCK_BYTES`` of temporaries at ``row_bytes`` a row, and at least one row."""
+    step = rows or max(1, _BLOCK_BYTES // row_bytes)
     for a in range(0, n_rows, step):
         yield slice(a, min(a + step, n_rows))
 
@@ -313,7 +313,8 @@ def _count(value, name: str, least: int = 1) -> int:
         raise InvalidArgumentError(f"{name} must be an integer, got {value!r}")
     n = operator.index(value)
     if n < least:
-        raise InvalidArgumentError(f"{name} must be at least {least}")
+        bound = f"at least {least}" if least else "nonnegative"
+        raise InvalidArgumentError(f"{name} must be {bound}")
     return n
 
 
@@ -485,10 +486,9 @@ def sample_ensemble(spec: ProcessSpec, grid: TimeGrid, master_seed: int, n_paths
     ensemble, and an ensemble can be drawn block by block. ``workers`` is
     still checked (at least 1) but has no effect; it stays for existing callers.
     """
-    if int(first) < 0:
-        raise InvalidArgumentError("first must be nonnegative")
-    if workers is not None and int(workers) < 1:
-        raise InvalidArgumentError("workers must be at least 1")
+    first = _count(first, "first", 0)
+    if workers is not None:
+        _count(workers, "workers")
     return build_path(spec, grid, SeedSpec(master_seed, first),
                       n_paths=_count(n_paths, "n_paths"))
 

@@ -22,6 +22,7 @@ fires before the horizon.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, replace
 from typing import Literal
 
@@ -29,7 +30,7 @@ import numpy as np
 # scipy.special is imported only in the four functions that call it: the import takes
 # about 0.3 s and 26 MB (2-core host, scipy 1.17), which a run that estimates nothing skips
 
-from .errors import InvalidArgumentError, NumericalFailureError
+from .errors import GridMismatchError, InvalidArgumentError, NumericalFailureError
 from .pathgen import (
     Array,
     BrownianMotion,
@@ -255,26 +256,6 @@ def _success_mask(query: StickinessQuery, x: Array, grid: TimeGrid, end_index: i
     return won & _stays(query, x, grid, k, end_index)
 
 
-def _successes(block: Ensemble, *queries: StickinessQuery) -> Array:
-    """Per query, the number of the block's paths that succeed; the queries share
-    tau and T, so tau's stop indices are found once per chunk. Each chunk's first
-    path is recounted through ``_success`` for every query; a disagreement raises
-    ``NumericalFailureError``."""
-    grid = block.grid
-    end_index = grid.last_index_at_or_before(queries[0].horizon)
-    successes = np.zeros(len(queries), dtype=np.int64)
-    for rows in _row_blocks(block.n_paths, _TUBE_POINT_BYTES * grid.n_points):
-        x = block.values[rows]
-        stop = _stop_indices(queries[0].tau, x, grid)
-        for j, query in enumerate(queries):
-            won = _success_mask(query, x, grid, end_index, stop)
-            if _success(query, block.path(rows.start), end_index) != won[0]:
-                raise NumericalFailureError(
-                    f"path {rows.start}: the block count disagrees with one path's")
-            successes[j] += np.count_nonzero(won)
-    return successes
-
-
 def _estimate(query: StickinessQuery, successes: int, n: int) -> StickinessEstimate:
     """``successes`` of ``n`` paths with their Wilson interval and verdict."""
     low, high = wilson_ci(successes, n, query.confidence)
@@ -291,38 +272,63 @@ def _estimate(query: StickinessQuery, successes: int, n: int) -> StickinessEstim
     )
 
 
-def estimate_stickiness(ensemble: Ensemble, query: StickinessQuery) -> StickinessEstimate:
+def _chunks(ensemble: Ensemble | Iterable[Ensemble], horizon: float | None,
+            ladders=()) -> Iterator[tuple[Array, TimeGrid, Path, int]]:
+    """The counting chunks of ``ensemble``, an ``Ensemble`` or an iterable of
+    ``Ensemble`` blocks on one grid read once, as ``(rows, grid, first path, its
+    index among the rows seen)``. The window end ``horizon`` and the ``ladders``
+    are checked against the first block's grid before any chunk is yielded."""
+    grid, n = None, 0
+    for block in [ensemble] if isinstance(ensemble, Ensemble) else ensemble:
+        if not isinstance(block, Ensemble):
+            raise InvalidArgumentError(f"expected an Ensemble block, got {type(block).__name__}")
+        if grid is None:
+            grid = block.grid
+            _check_window_end(horizon, grid.horizon)
+            for ladder in ladders:
+                _check_ladder(ladder, grid.horizon)
+        elif block.grid != grid:
+            raise GridMismatchError("every block to count must share the first block's grid")
+        for rows in _row_blocks(block.n_paths, _TUBE_POINT_BYTES * grid.n_points):
+            yield block.values[rows], grid, block.path(rows.start), n + rows.start
+        n += block.n_paths
+    if grid is None:
+        raise InvalidArgumentError("no ensemble block to count")
+
+
+def _estimates(ensemble: Ensemble | Iterable[Ensemble],
+               queries: list[StickinessQuery]) -> list[StickinessEstimate]:
+    """Each query's estimate over the rows of ``ensemble`` (see ``_chunks``). The
+    queries share tau and T, so tau's stop indices are found once per chunk. Each
+    chunk's first path is recounted through ``_success`` for every query; a
+    disagreement raises ``NumericalFailureError``."""
+    ladders = [q.ladder for q in queries if q.characterization == "prop-c" and q.ladder]
+    successes, n = np.zeros(len(queries), dtype=np.int64), 0
+    for x, grid, path, i in _chunks(ensemble, queries[0].horizon, ladders):
+        end_index = grid.last_index_at_or_before(queries[0].horizon)
+        stop = _stop_indices(queries[0].tau, x, grid)
+        for j, query in enumerate(queries):
+            won = _success_mask(query, x, grid, end_index, stop)
+            if _success(query, path, end_index) != won[0]:
+                raise NumericalFailureError(f"path {i}: the block count disagrees with one path's")
+            successes[j] += np.count_nonzero(won)
+        n = i + len(x)  # the rows seen
+    return [_estimate(query, int(s), n) for query, s in zip(queries, successes)]
+
+
+def estimate_stickiness(ensemble: Ensemble | Iterable[Ensemble],
+                        query: StickinessQuery) -> StickinessEstimate:
     """Count the paths that succeed for the query and wrap them in a Wilson CI.
 
-    Deterministic given the ensemble: rows are counted in fixed chunks.
+    ``ensemble`` is an ``Ensemble`` or an iterable of ``Ensemble`` blocks on one
+    grid, such as a stream drawn block by block; ``n`` is the rows seen.
+    Deterministic given the rows: they are counted in fixed chunks.
     """
-    horizon = ensemble.grid.horizon
-    _check_window_end(query.horizon, horizon)
-    if query.characterization == "prop-c" and query.ladder:
-        _check_ladder(query.ladder, horizon)
-    return _estimate(query, int(_successes(ensemble, query)[0]), ensemble.n_paths)
-
-
-def _survivors(block: Ensemble, restart: HittingFrom, horizons: Array) -> Array:
-    """Per horizon, the number of the block's paths whose ``restart`` time exceeds
-    it; a restart that never triggers survives every horizon. Each chunk's
-    first path is recounted through ``evaluate_rule``; a disagreement raises
-    ``NumericalFailureError``."""
-    grid = block.grid
-    times = np.append(grid.times, np.inf)  # index n_points: never stopped
-    survivors = np.zeros(horizons.size, dtype=np.int64)
-    for rows in _row_blocks(block.n_paths, _TUBE_POINT_BYTES * grid.n_points):
-        k = _stop_indices(restart, block.values[rows], grid)
-        stop = evaluate_rule(restart, block.path(rows.start))
-        if (stop.index if stop.stopped else grid.n_points) != k[0]:
-            raise NumericalFailureError(
-                f"path {rows.start}: the block restart disagrees with one path's")
-        survivors += np.count_nonzero(times[k][:, None] > horizons, axis=0)
-    return survivors
+    return _estimates(ensemble, [query])[0]
 
 
 def survival_ladder(
-    ensemble: Ensemble,
+    ensemble: Ensemble | Iterable[Ensemble],
     tau0: StoppingRule,
     delta: float,
     horizons,
@@ -331,24 +337,32 @@ def survival_ladder(
     exceeds each horizon; nonincreasing in the horizon by construction.
 
     Paths whose restart never triggers within the grid survive every horizon.
+    ``ensemble`` is read as by ``estimate_stickiness``.
     """
-    horizons = _check_ladder(horizons, ensemble.grid.horizon)
+    horizons = _check_ladder(horizons)
     if not (np.isfinite(delta) and delta > 0.0):
         raise InvalidArgumentError("delta must be finite and positive")
-    return _survivors(ensemble, HittingFrom(tau0, delta), horizons) / ensemble.n_paths
+    restart = HittingFrom(tau0, delta)
+    survivors, n = np.zeros(horizons.size, dtype=np.int64), 0
+    for x, grid, path, i in _chunks(ensemble, None, [horizons]):
+        k = _stop_indices(restart, x, grid)
+        stop = evaluate_rule(restart, path)
+        if (stop.index if stop.stopped else grid.n_points) != k[0]:
+            raise NumericalFailureError(f"path {i}: the block restart disagrees with one path's")
+        times = np.append(grid.times, np.inf)  # index n_points: never stopped
+        survivors += np.count_nonzero(times[k][:, None] > horizons, axis=0)
+        n = i + len(x)  # the rows seen
+    return survivors / n
 
 
 def cross_check_characterizations(
-    ensemble: Ensemble, query: StickinessQuery
+    ensemble: Ensemble | Iterable[Ensemble], query: StickinessQuery
 ) -> CrossCheckReport:
-    """Run all three characterizations on the same ensemble and compare
-    positivity verdicts; disagreement is reported, never reconciled."""
-    queries = [replace(query, characterization=c) for c in ("def-a", "prop-b", "prop-c")]
-    _check_window_end(query.horizon, ensemble.grid.horizon)
-    if query.ladder:  # prop-c's
-        _check_ladder(query.ladder, ensemble.grid.horizon)
-    est_a, est_b, est_c = (_estimate(q, int(s), ensemble.n_paths)
-                           for q, s in zip(queries, _successes(ensemble, *queries)))
+    """Run all three characterizations on the same paths (``ensemble`` as in
+    ``estimate_stickiness``) and compare positivity verdicts; disagreement is
+    reported, never reconciled."""
+    est_a, est_b, est_c = _estimates(
+        ensemble, [replace(query, characterization=c) for c in ("def-a", "prop-b", "prop-c")])
     verdicts = {est_a.verdict, est_b.verdict, est_c.verdict}
     return CrossCheckReport(est_a, est_b, est_c, agree=len(verdicts) == 1)
 

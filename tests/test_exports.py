@@ -1,3 +1,4 @@
+import ast
 import importlib
 import os
 import subprocess
@@ -51,3 +52,17 @@ def test_only_runs_that_estimate_load_scipy(tmp_path, runs, codes, loaded):
                          capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
     assert out.stdout == f"{codes} {loaded}\n"
+
+
+def test_cli_counts_only_through_the_public_estimators():
+    # the streamed runs count through estimate_stickiness, survival_ladder and
+    # the cross-check; cli keeps only the two checks that refuse a bad config
+    # before any path is sampled
+    import stickylab.cli
+
+    with open(stickylab.cli.__file__) as fh:
+        tree = ast.parse(fh.read())
+    private = {alias.name for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.module == "stickiness"
+               for alias in node.names if alias.name.startswith("_")}
+    assert private == {"_check_ladder", "_check_window_end"}

@@ -22,6 +22,7 @@ from stickylab.pathgen import (
     FractionalBrownianMotion,
     Path,
     SeedSpec,
+    _row_blocks,
     make_uniform_grid,
     sample_brownian,
     sample_ensemble,
@@ -371,7 +372,7 @@ def test_cli_market_blocks_equal_the_per_path_loop(n_paths):
     signal = _block_with_idle_rows("fbm-0.75", n_paths)
     times = signal.grid.times
     work = cli._market_work(signal.n_paths, signal.grid.n_points)
-    for rows in cli._blocks(signal.n_paths):
+    for rows in _row_blocks(signal.n_paths, rows=cli._BLOCK_ROWS):
         block = Ensemble(signal.grid, signal.values[rows], signal.master_seed)
         terminals = cli._momentum_terminals(block, 0.1, 1.0, (0.0, 0.01), exp=True, work=work)
         for k, rate in enumerate((0.0, 0.01)):

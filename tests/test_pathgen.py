@@ -265,9 +265,22 @@ def test_ensemble_block_rows_match_the_whole_ensemble(spec):
     assert np.array_equal(tail.values, sample_ensemble(spec, grid, 12, 73).values[70:])
 
 
-def test_ensemble_block_refuses_a_negative_first_path():
-    with pytest.raises(InvalidArgumentError, match="first must be nonnegative"):
-        sample_ensemble(BrownianMotion(1.0), make_uniform_grid(1.0, 4), 1, 2, first=-1)
+@pytest.mark.parametrize(
+    "kwargs, match",
+    [
+        ({"first": -1}, "first must be nonnegative"),
+        ({"first": "x"}, "first must be an integer, got 'x'"),
+        ({"first": None}, "first must be an integer, got None"),
+        ({"workers": "x"}, "workers must be an integer, got 'x'"),
+        ({"workers": 1.5}, "workers must be an integer, got 1.5"),  # not truncated to 1
+        ({"workers": 0}, "workers must be at least 1"),
+    ],
+    ids=["first-negative", "first-str", "first-none", "workers-str", "workers-float",
+         "workers-zero"],
+)
+def test_ensemble_block_refuses_a_bad_first_path_or_worker_count(kwargs, match):
+    with pytest.raises(InvalidArgumentError, match=match):
+        sample_ensemble(BrownianMotion(1.0), make_uniform_grid(1.0, 4), 1, 2, **kwargs)
 
 
 def test_ensemble_allocation_failure_is_an_argument_error():
@@ -683,7 +696,7 @@ def test_seed_spec_refuses_keys_that_would_collide_or_overflow(args, match):
 
 def test_ensemble_refuses_a_fractional_first_path():
     # int(1.5) would silently reuse path 1's stream
-    with pytest.raises(InvalidArgumentError, match="path_index must be an integer"):
+    with pytest.raises(InvalidArgumentError, match="first must be an integer, got 1.5"):
         sample_ensemble(BrownianMotion(1.0), make_uniform_grid(1.0, 4), 1, 2, first=1.5)
 
 

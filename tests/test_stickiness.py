@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.stats import norm
 
 import stickylab.stickiness as stickiness
-from stickylab.errors import InvalidArgumentError, NumericalFailureError
+from stickylab.errors import GridMismatchError, InvalidArgumentError, NumericalFailureError
 from stickylab.pathgen import (
     BrownianMotion,
     Ensemble,
@@ -637,35 +637,58 @@ def _reference_counts(kind):
     }
 
 
-@pytest.mark.parametrize("rows", [1, 7, None])
+def _split(ens, cuts):
+    """``ens`` as blocks cut at the row indices ``cuts``."""
+    bounds = [0, *cuts, ens.n_paths]
+    return [Ensemble(ens.grid, ens.values[a:b], ens.master_seed)
+            for a, b in zip(bounds, bounds[1:])]
+
+
+# block boundaries of the 60 reference rows: blocks of 1, 7 and 64 rows, and uneven
+SPLITS = {"1": range(1, 60), "7": range(7, 60, 7), "64": (), "uneven": (1, 9, 40, 41)}
+
+
+@pytest.mark.parametrize(
+    "rows, split",
+    [pytest.param(1, None, id="1"), pytest.param(7, None, id="7"),
+     pytest.param(None, None, id="None")]
+    + [pytest.param(None, split, id=f"blocks-{split}") for split in SPLITS],
+)
 @pytest.mark.parametrize("kind", ["lattice", "bm", "0.3", "0.75"])
-def test_block_counts_match_reference(monkeypatch, kind, rows):
+def test_block_counts_match_reference(monkeypatch, kind, rows, split):
     # every query and ladder counted over chunks of 1 and 7 rows and the
-    # default (one chunk of the 60 rows) equals the frozen per-path code
+    # default (one chunk of the 60 rows) equals the frozen per-path code; so
+    # does every count of the rows passed as blocks, each block one chunk, and
+    # the cross-check of the blocks equals the held ensemble's
     import stickylab.pathgen as pg
 
     ens = _reference_ensemble(kind)
     if rows is not None:
         chunk_bytes = rows * stickiness._TUBE_POINT_BYTES * ens.grid.n_points
         monkeypatch.setattr(pg, "_BLOCK_BYTES", chunk_bytes)
+    blocks = ens if split is None else _split(ens, SPLITS[split])
     # each chunk recounts its first path through evaluate_rule once, so the
     # recounts show the chunking took the patched budget
     recounts = []
     monkeypatch.setattr(stickiness, "evaluate_rule",
                         lambda rule, path: recounts.append(path) or evaluate_rule(rule, path))
-    chunks = -(-ens.n_paths // (rows or ens.n_paths))
+    chunks = -(-ens.n_paths // (rows or ens.n_paths)) if split is None else len(blocks)
     for query, want in _reference_counts(kind).items():
         recounts.clear()
-        assert estimate_stickiness(ens, query).successes == want, query
+        est = estimate_stickiness(blocks, query)
+        assert (est.successes, est.n) == (want, ens.n_paths), query
         assert len(recounts) == chunks, query
+        if split is not None and query.characterization == "def-a":  # it counts all three
+            report = cross_check_characterizations(iter(blocks), query)
+            assert report == cross_check_characterizations(ens, query), query
     horizons = (0.1, 0.25, 0.5, 0.75, 1.0)
     for rule in REFERENCE_RULES:
         for delta in (0.125, 0.25, 0.5):
             recounts.clear()
-            got = survival_ladder(ens, parse_rule(rule), delta, horizons)
+            got = survival_ladder(blocks, parse_rule(rule), delta, horizons)
             assert len(recounts) == chunks, (rule, delta)
             want = _reference_ladder(ens, parse_rule(rule), delta, horizons)
-            assert np.array_equal(got, want), (rule, delta)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64)), (rule, delta)
 
 
 def test_block_and_one_path_disagreement_raises(monkeypatch):
@@ -675,9 +698,75 @@ def test_block_and_one_path_disagreement_raises(monkeypatch):
     monkeypatch.setattr(stickiness, "evaluate_rule", lambda rule, path: StopResult.not_stopped())
     with pytest.raises(NumericalFailureError, match="path 0"):
         estimate_stickiness(ens, q(0.5))  # every block row succeeds
+    with pytest.raises(NumericalFailureError, match="path 0"):
+        estimate_stickiness(iter([ens, ens]), q(0.5))
     monkeypatch.setattr(stickiness, "evaluate_rule", lambda rule, path: StopResult.at(0.0, 0))
     with pytest.raises(NumericalFailureError, match="path 0"):
         survival_ladder(ens, Deterministic(0.0), 0.5, [1.0])  # no block row restarts
+    with pytest.raises(NumericalFailureError, match="path 0"):
+        survival_ladder(iter([ens, ens]), Deterministic(0.0), 0.5, [1.0])
+
+
+def test_streamed_disagreement_names_the_row_among_the_rows_seen(monkeypatch):
+    # only the second block's first path disagrees: it is row 50 of the stream
+    ens, calls = constant_ensemble(), []
+
+    def one_path_rule(rule, path):
+        calls.append(path)
+        return StopResult.not_stopped() if len(calls) == 2 else evaluate_rule(rule, path)
+
+    monkeypatch.setattr(stickiness, "evaluate_rule", one_path_rule)
+    with pytest.raises(NumericalFailureError, match="path 50:"):
+        estimate_stickiness([ens, ens], q(0.5))
+
+
+def test_blocks_from_a_one_shot_generator_are_read_once():
+    ens = _reference_ensemble("bm")
+    blocks = (block for block in _split(ens, [20, 45]))
+    assert estimate_stickiness(blocks, q(0.5)) == estimate_stickiness(ens, q(0.5))
+    with pytest.raises(InvalidArgumentError, match="no ensemble block"):
+        estimate_stickiness(blocks, q(0.5))  # spent
+
+
+COUNTS = {
+    "estimate": lambda blocks: estimate_stickiness(blocks, q(0.5)),
+    "cross-check": lambda blocks: cross_check_characterizations(blocks, q(0.5)),
+    "ladder": lambda blocks: survival_ladder(blocks, Deterministic(0.0), 0.5, [0.5, 1.0]),
+}
+
+
+@pytest.mark.parametrize("count", sorted(COUNTS))
+def test_block_streams_refuse_other_grids_other_items_and_no_blocks(count):
+    ens = constant_ensemble()
+    other = constant_ensemble(steps=8)
+    with pytest.raises(GridMismatchError):
+        COUNTS[count]([ens, other])
+    for item in (ens.values, ens.path(0), None):
+        with pytest.raises(InvalidArgumentError, match="expected an Ensemble block, got "):
+            COUNTS[count]([ens, item])
+    for blocks in ([], iter(())):
+        with pytest.raises(InvalidArgumentError, match="no ensemble block"):
+            COUNTS[count](blocks)
+
+
+@pytest.mark.parametrize(
+    "count",
+    [
+        lambda blocks: estimate_stickiness(blocks, q(0.5, horizon=2.0)),
+        lambda blocks: cross_check_characterizations(blocks, q(0.5, ladder=(0.5, 2.0))),
+        lambda blocks: estimate_stickiness(
+            blocks, q(0.5, characterization="prop-c", ladder=(0.5, 2.0))),
+        lambda blocks: survival_ladder(blocks, Deterministic(0.0), 0.5, [0.5, 2.0]),
+    ],
+    ids=["window", "cross-check-ladder", "prop-c-ladder", "survival-ladder"],
+)
+def test_window_past_the_grid_is_refused_before_a_second_block_is_drawn(count):
+    def spy():
+        yield constant_ensemble()  # horizon 1
+        raise AssertionError("a second block was drawn before the first block's grid was checked")
+
+    with pytest.raises(InvalidArgumentError, match="exceed"):
+        count(spy())
 
 
 def test_count_temporaries_stay_bounded():
