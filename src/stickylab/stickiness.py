@@ -22,13 +22,14 @@ fires before the horizon.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, replace
 from typing import Literal
 
 import numpy as np
-# scipy.special is imported only in the four functions that call it: the import takes
-# about 0.3 s and 26 MB (2-core host, scipy 1.17), which a run that estimates nothing skips
+# scipy.special is imported only in the two importance-sampling functions that call it:
+# the import takes about 0.3 s and 26 MB (2-core host, scipy 1.17), which counting skips
 
 from .errors import GridMismatchError, InvalidArgumentError, NumericalFailureError
 from .pathgen import (
@@ -175,6 +176,54 @@ class CrossCheckReport:
 
 # ------------------------------ intervals ------------------------------ #
 
+# Cephes ndtri (S. L. Moshier's rational approximations, the code scipy ships under its
+# BSD licence). With w = y - 0.5 the middle is sqrt(2 pi) (w + w^3 P0/Q0(w^2)), Cephes'
+# sqrt(2 pi) being 2.50662827463100050242; a tail y takes x = sqrt(-2 log y) and
+# x - log(x)/x - P/Q(1/x)/x, P1/Q1 for x < 8, else P2/Q2. Each Q's leading 1 is left out.
+_P0 = (-5.99633501014107895267e1, 9.80010754185999661536e1, -5.66762857469070293439e1,
+       1.39312609387279679503e1, -1.23916583867381258016e0)
+_Q0 = (1.95448858338141759834e0, 4.67627912898881538453e0, 8.63602421390890590575e1,
+       -2.25462687854119370527e2, 2.00260212380060660359e2, -8.20372256168333339912e1,
+       1.59056225126211695515e1, -1.18331621121330003142e0)
+_P1 = (4.05544892305962419923e0, 3.15251094599893866154e1, 5.71628192246421288162e1,
+       4.40805073893200834700e1, 1.46849561928858024014e1, 2.18663306850790267539e0,
+       -1.40256079171354495875e-1, -3.50424626827848203418e-2, -8.57456785154685413611e-4)
+_Q1 = (1.57799883256466749731e1, 4.53907635128879210584e1, 4.13172038254672030440e1,
+       1.50425385692907503408e1, 2.50464946208309415979e0, -1.42182922854787788574e-1,
+       -3.80806407691578277194e-2, -9.33259480895457427372e-4)
+_P2 = (3.23774891776946035970e0, 6.91522889068984211695e0, 3.93881025292474443415e0,
+       1.33303460815807542389e0, 2.01485389549179081538e-1, 1.23716634817820021358e-2,
+       3.01581553508235416007e-4, 2.65806974686737550832e-6, 6.23974539184983293730e-9)
+_Q2 = (6.02427039364742014255e0, 3.67983563856160859403e0, 1.37702099489081330271e0,
+       2.16236993594496635890e-1, 1.34204006088543189037e-2, 3.28014464682127739104e-4,
+       2.89247864745380683936e-6, 6.79019408009981274425e-9)
+_EXP_M2 = 0.13533528323661269189  # exp(-2), the middle branch's edge
+
+
+def _polevl(x: float, coef: tuple[float, ...], monic: bool = False) -> float:
+    """Cephes' ``polevl`` (``p1evl`` when ``monic``: behind a leading 1), by Horner's rule."""
+    ans = x + coef[0] if monic else coef[0]
+    for c in coef[1:]:
+        ans = ans * x + c
+    return ans
+
+
+def _ndtri(y0: float) -> float:
+    """The standard normal quantile, bit for bit ``scipy.special.ndtri`` (Cephes)."""
+    if not 0.0 < y0 < 1.0:
+        return -math.inf if y0 == 0.0 else math.inf if y0 == 1.0 else math.nan
+    upper = y0 > 1.0 - _EXP_M2
+    y = 1.0 - y0 if upper else y0
+    if y > _EXP_M2:
+        w = y - 0.5
+        w2 = w * w
+        return (w + w * (w2 * _polevl(w2, _P0) / _polevl(w2, _Q0, True))) * 2.5066282746310007
+    x = math.sqrt(-2.0 * math.log(y))
+    z = 1.0 / x
+    p, q = (_P1, _Q1) if x < 8.0 else (_P2, _Q2)
+    x = x - math.log(x) / x - z * _polevl(z, p) / _polevl(z, q, True)
+    return x if upper else -x
+
 
 def wilson_ci(successes: int, n: int, level: float = 0.95) -> tuple[float, float]:
     """Two-sided Wilson score interval for a binomial proportion."""
@@ -183,8 +232,7 @@ def wilson_ci(successes: int, n: int, level: float = 0.95) -> tuple[float, float
         raise InvalidArgumentError(f"invalid counts: {successes} successes of {n}")
     if not (0.0 < level < 1.0):
         raise InvalidArgumentError("confidence level must lie in (0, 1)")
-    from scipy.special import ndtri
-    z = float(ndtri(0.5 + level / 2.0))
+    z = _ndtri(0.5 + level / 2.0)
     p = successes / n
     denom = 1.0 + z * z / n
     center = (p + z * z / (2.0 * n)) / denom
@@ -199,8 +247,7 @@ def zero_success_upper_bound(n: int, level: float = 0.95) -> float:
     n = _count(n, "n")
     if not (0.0 < level < 1.0):
         raise InvalidArgumentError("confidence level must lie in (0, 1)")
-    from scipy.special import ndtri
-    z = float(ndtri(level))
+    z = _ndtri(level)
     return z * z / (n + z * z)
 
 
@@ -292,6 +339,7 @@ def _chunks(ensemble: Ensemble | Iterable[Ensemble], horizon: float | None,
         for rows in _row_blocks(block.n_paths, _TUBE_POINT_BYTES * grid.n_points):
             yield block.values[rows], grid, block.path(rows.start), n + rows.start
         n += block.n_paths
+        del block  # so a stream draws its next block with this one freed
     if grid is None:
         raise InvalidArgumentError("no ensemble block to count")
 
@@ -313,6 +361,7 @@ def _estimates(ensemble: Ensemble | Iterable[Ensemble],
                 raise NumericalFailureError(f"path {i}: the block count disagrees with one path's")
             successes[j] += np.count_nonzero(won)
         n = i + len(x)  # the rows seen
+        del x, path  # views of the block, freed before the next is drawn (see _chunks)
     return [_estimate(query, int(s), n) for query, s in zip(queries, successes)]
 
 
@@ -352,6 +401,7 @@ def survival_ladder(
         times = np.append(grid.times, np.inf)  # index n_points: never stopped
         survivors += np.count_nonzero(times[k][:, None] > horizons, axis=0)
         n = i + len(x)  # the rows seen
+        del x, path  # as in _estimates
     return survivors / n
 
 

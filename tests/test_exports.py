@@ -32,20 +32,35 @@ for argv in {runs!r}:
             codes.append(stickylab.cli.main(argv))
         except SystemExit as exc:  # --help
             codes.append(exc.code)
-print(codes, sorted(m for m in ("scipy.special", "scipy.stats") if m in sys.modules))
+{library}
+print(codes, sorted(m for m in ("scipy", "scipy.special", "scipy.stats") if m in sys.modules))
+"""
+
+_SIS = """
+from stickylab import (FractionalBrownianMotion, StickinessQuery, estimate_stickiness_sis,
+                       make_uniform_grid)
+from stickylab.stopping import parse_rule
+query = StickinessQuery(tau=parse_rule("det:0"), horizon=1.0, epsilon=0.5)
+estimate_stickiness_sis(FractionalBrownianMotion(0.75), make_uniform_grid(1.0, 16), query, 1, 8)
 """
 
 
-@pytest.mark.parametrize("runs, codes, loaded", [
-    ((), [], []),
+@pytest.mark.parametrize("runs, library, codes, loaded", [
+    ((), "", [], []),
     ((["experiment", "costs-fbm-momentum", "--paths", "8", "--steps", "64"], ["--help"],
-      ["stickiness", "--epsilon", "-1"]), [0, 0, 2], []),
-    ((["stickiness", "--paths", "8", "--steps", "16"],), [0], ["scipy.special"]),
-])
-def test_only_runs_that_estimate_load_scipy(tmp_path, runs, codes, loaded):
-    # scipy.stats would take most of a start-up and scipy.special about 0.3 s,
-    # so a run with no interval or importance sampling loads neither
-    probe = _PROBE.format(runs=[list(argv) for argv in runs])
+      ["stickiness", "--epsilon", "-1"]), "", [0, 0, 2], []),
+    ((["stickiness", "--paths", "8", "--steps", "16"],
+      ["ladder", "--paths", "8", "--steps", "16"],
+      ["experiment", "fbm-sticky", "--paths", "8", "--steps", "16"],
+      ["experiment", "timechange-cap", "--paths", "8", "--steps", "16"],
+      ["experiment", "passage-counterexample", "--paths", "8", "--steps", "1024"]),
+     "", [0, 0, 0, 0, 0], []),
+    ((), _SIS, [], ["scipy", "scipy.special"]),
+], ids=["import", "no-count", "counts", "importance-sampling"])
+def test_only_importance_sampling_loads_scipy(tmp_path, runs, library, codes, loaded):
+    # scipy.stats would take most of a start-up and scipy.special about 0.3 s; the
+    # Wilson interval's quantile is stickiness._ndtri, so counting loads neither
+    probe = _PROBE.format(runs=[list(argv) for argv in runs], library=library)
     src = os.path.dirname(os.path.dirname(stickylab.__file__))  # the package under test
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run([sys.executable, "-c", probe], cwd=tmp_path, env=env,

@@ -123,6 +123,35 @@ def test_wilson_against_closed_form_oracle(n, level):
     assert zero_success_upper_bound(n, level) == _norm_ppf_zero_success_upper_bound(n, level)
 
 
+def test_ndtri_port_matches_scipy_bit_for_bit():
+    # wilson_ci and zero_success_upper_bound take z from the pure-Python port of
+    # Cephes ndtri, so counting never imports scipy; it must give scipy's bits
+    from scipy.special import ndtri
+
+    edge = 0.13533528323661269189  # exp(-2): the middle branch's edge, from either side
+    near = []  # five floats each side of either edge
+    for b in (edge, 1.0 - edge):
+        for toward in (0.0, 1.0):
+            v = b
+            for _ in range(5):
+                v = np.nextafter(v, toward)
+                near.append(v)
+    y = np.concatenate([
+        np.random.default_rng(2027).random(1_000_000),
+        np.exp(-np.linspace(0.0, 745.0, 100_001)),  # 1 down to the smallest subnormal
+        10.0 ** -np.arange(1.0, 301.0),
+        [5e-324, 2.2250738585072014e-308, 1e-310, 1.0 - 2.0**-53, 1.0 - 1e-16, 0.5,
+         edge, 1.0 - edge, np.exp(-32.0), 1.0 - np.exp(-32.0)],
+        near,
+    ])
+    got = np.array([stickiness._ndtri(float(v)) for v in y])
+    want = ndtri(y)
+    assert np.isfinite(want[(y > 0.0) & (y < 1.0)]).all()
+    assert y[got.view(np.int64) != want.view(np.int64)].tolist() == []  # the inputs that differ
+    assert [stickiness._ndtri(v) for v in (0.0, 1.0)] == [-np.inf, np.inf]
+    assert all(np.isnan(stickiness._ndtri(v)) for v in (-0.5, 1.5, np.nan))
+
+
 def test_wilson_one_success_lower_positive():
     lo, _ = wilson_ci(1, 10_000, 0.95)
     assert lo > 0.0
@@ -792,6 +821,37 @@ def test_count_temporaries_stay_bounded():
         # slack: numpy's 64 KB iteration buffers and the one-row recount, well
         # under one more chunk-sized bool mask (465 KB)
         assert peak <= pg._BLOCK_BYTES + 2**18
+
+
+def test_a_stream_is_counted_one_block_at_a_time():
+    # the previous block (and each count's last chunk of it) is freed before the
+    # stream draws the next, so four blocks peak near one, not two
+    import tracemalloc
+
+    grid, spec, rows = make_uniform_grid(1.0, 1024), FractionalBrownianMotion(0.75), 4000
+    block_bytes = rows * grid.n_points * 8  # 31.3 MiB
+    hit = parse_rule("hit:0.1")
+    counts = (
+        lambda ens: estimate_stickiness(ens, q(0.5, tau=hit)),
+        lambda ens: cross_check_characterizations(ens, q(0.5, tau=hit)),
+        lambda ens: survival_ladder(ens, Deterministic(0.0), 0.5, [0.25, 0.5, 1.0]),
+    )
+    held = sample_ensemble(spec, grid, 11, 4 * rows)
+    want = [count(held) for count in counts]
+    del held
+    for count, held_result in zip(counts, want):
+        tracemalloc.start()
+        try:
+            got = count(sample_ensemble(spec, grid, 11, rows, first=a)
+                        for a in range(0, 4 * rows, rows))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        if isinstance(got, np.ndarray):
+            assert got.view(np.int64).tolist() == held_result.view(np.int64).tolist()
+        else:
+            assert got == held_result
+        assert peak <= block_bytes + 8 * 2**20
 
 
 def test_sis_recount_disagreement_raises(monkeypatch):
