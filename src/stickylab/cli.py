@@ -118,11 +118,9 @@ class ExperimentConfig:
         # each value goes through the validator of what it feeds, here, so a
         # bad one is refused before any ensemble is sampled
         _count(self.n_paths, "n_paths")
-        tau = parse_rule(self.tau)
-        horizon = self.horizon if self.query_horizon is None else self.query_horizon
-        StickinessQuery(tau, horizon, self.epsilon, parse_event(self.event))
+        query = _stickiness_query(self, self.horizon)
         _check_window_end(self.query_horizon, self.horizon)
-        HittingFrom(tau, self.delta)  # the ladder's restart rule
+        HittingFrom(query.tau, self.delta)  # the ladder's restart rule
         if self.ladder:
             _check_ladder(self.ladder, self.horizon)
         _parse_strategy(self.strategy)
@@ -197,7 +195,7 @@ def _ensemble_blocks(config: ExperimentConfig,
 
 
 def _hurst_cell(config: ExperimentConfig) -> object:
-    return config.hurst if config.process == "fbm" else ""
+    return config.hurst if "hurst" in _PROCESS_READS.get(config.process, ()) else ""
 
 
 # ------------------------------ experiment runners ------------------------------ #
@@ -258,7 +256,9 @@ def _parse_strategy(text: str):
 
 def _market_work(n_paths: int, n_points: int) -> np.ndarray:
     """The buffers ``_momentum_terminals`` computes a block of ``n_paths`` paths in;
-    ``InvalidArgumentError`` when they cannot be allocated, before any sampling."""
+    ``InvalidArgumentError`` when they cannot be allocated, before any sampling.
+    Reused so faults do not rest on malloc: a warm costs-fbm-momentum run took 162k minor
+    faults, 562k with fresh arrays, at a fixed 128 KiB mmap threshold; 21k at glibc's default."""
     return _empty(6, min(_BLOCK_ROWS, n_paths), n_points)
 
 
@@ -437,52 +437,34 @@ def _preset_costs_momentum(config: ExperimentConfig) -> ResultTable:
     return ResultTable(MARKET_COLUMNS, rows, _provenance(config))
 
 
-PRESETS: dict[str, ExperimentConfig] = {
-    "paper-nonsticky": ExperimentConfig(
-        experiment="paper-nonsticky", process="nonsticky-martingale",
-        epsilon=1.0, tau="det:0", horizon=1.0, steps=1024,
-    ),
-    "fbm-sticky": ExperimentConfig(
-        experiment="fbm-sticky", process="fbm", hurst=0.75, epsilon=0.5, tau="det:0",
-    ),
-    "timechange-cap": ExperimentConfig(
-        experiment="timechange-cap", process="fbm", hurst=0.75, epsilon=0.5,
-    ),
-    "passage-counterexample": ExperimentConfig(
-        experiment="passage-counterexample", process="bm", horizon=32.0, steps=8192,
-        epsilon=0.25, tau="det:0", query_horizon=0.5,
-    ),
-    "dds-check": ExperimentConfig(
-        experiment="dds-check", process="bm", sigma=2.0, steps=4096, n_paths=1000,
-    ),
-    "cos-drift": ExperimentConfig(
-        experiment="cos-drift", process="cos-drift", epsilon=0.5,
-    ),
-    "abs-cuberoot": ExperimentConfig(
-        experiment="abs-cuberoot", process="abs-cuberoot", epsilon=0.9,
-    ),
-    "costs-fbm-momentum": ExperimentConfig(
-        experiment="costs-fbm-momentum", process="fbm", hurst=0.75, rate=0.01,
-        strategy="momentum:0.1:1",
-    ),
-}
-
-# experiment name (a subcommand or a preset) -> its runner and the settings it
-# reads besides the process, grid, seed, paths and output (_QUERY: a stickiness query)
+# experiment name (a subcommand or a preset) -> its runner, the settings it reads
+# besides the process, grid, seed, paths and output (_QUERY: a stickiness query)
+# and, for a preset, the settings it pins (None: a subcommand, on the defaults)
+_Experiment = namedtuple("_Experiment", "runner reads pins", defaults=(None,))
 _QUERY = ("epsilon", "query_horizon", "tau", "event")
 _RUNNERS = {
-    "generate": (_run_generate, ()),
-    "stickiness": (_run_stickiness, _QUERY),
-    "ladder": (_run_ladder, ("tau", "delta", "ladder")),
-    "portfolio": (_run_portfolio, ("rate", "strategy", "raw_price")),
-    "paper-nonsticky": (_run_stickiness, _QUERY),
-    "fbm-sticky": (_run_stickiness, _QUERY),
-    "timechange-cap": (_preset_timechange_cap, _QUERY),
-    "passage-counterexample": (_preset_passage_counterexample, _QUERY),
-    "dds-check": (_preset_dds_check, ("sigma",)),  # its row prints sigma
-    "cos-drift": (_run_stickiness, _QUERY),
-    "abs-cuberoot": (_run_stickiness, _QUERY),
-    "costs-fbm-momentum": (_preset_costs_momentum, ("rate", "strategy")),
+    "generate": _Experiment(_run_generate, ()),
+    "stickiness": _Experiment(_run_stickiness, _QUERY),
+    "ladder": _Experiment(_run_ladder, ("tau", "delta", "ladder")),
+    "portfolio": _Experiment(_run_portfolio, ("rate", "strategy", "raw_price")),
+    "paper-nonsticky": _Experiment(_run_stickiness, _QUERY, dict(
+        process="nonsticky-martingale", epsilon=1.0, tau="det:0", horizon=1.0, steps=1024)),
+    "fbm-sticky": _Experiment(_run_stickiness, _QUERY,
+                              dict(process="fbm", hurst=0.75, epsilon=0.5, tau="det:0")),
+    "timechange-cap": _Experiment(_preset_timechange_cap, _QUERY,
+                                  dict(process="fbm", hurst=0.75, epsilon=0.5)),
+    "passage-counterexample": _Experiment(_preset_passage_counterexample, _QUERY, dict(
+        process="bm", horizon=32.0, steps=8192, epsilon=0.25, tau="det:0", query_horizon=0.5)),
+    "dds-check": _Experiment(_preset_dds_check, ("sigma",),  # its row prints sigma
+                             dict(process="bm", sigma=2.0, steps=4096, n_paths=1000)),
+    "cos-drift": _Experiment(_run_stickiness, _QUERY, dict(process="cos-drift", epsilon=0.5)),
+    "abs-cuberoot": _Experiment(_run_stickiness, _QUERY,
+                                dict(process="abs-cuberoot", epsilon=0.9)),
+    "costs-fbm-momentum": _Experiment(_preset_costs_momentum, ("rate", "strategy"), dict(
+        process="fbm", hurst=0.75, rate=0.01, strategy="momentum:0.1:1")),
+}
+PRESETS: dict[str, ExperimentConfig] = {
+    name: ExperimentConfig(name, **e.pins) for name, e in _RUNNERS.items() if e.pins is not None
 }
 
 
@@ -490,7 +472,7 @@ def run_experiment(config: ExperimentConfig) -> ResultTable:
     """Run a subcommand experiment or a named preset; deterministic per config."""
     if config.experiment not in _RUNNERS:
         raise ConfigError(f"unknown experiment {config.experiment!r}")
-    return _RUNNERS[config.experiment][0](config)
+    return _RUNNERS[config.experiment].runner(config)
 
 
 # ------------------------------ emission ------------------------------ #
@@ -619,7 +601,7 @@ def _resolve_config(args: argparse.Namespace) -> ExperimentConfig:
              if s.flag is not None and getattr(args, s.field) is not None}
     process = flags.get("process", values.get("process", base.process))
     reads = {"process", "horizon", "steps", "master_seed", "n_paths", "output",
-             *_RUNNERS[base.experiment][1], *_PROCESS_READS.get(process, ())}
+             *_RUNNERS[base.experiment].reads, *_PROCESS_READS.get(process, ())}
     # a setting the run does not read is refused, not ignored
     unread = [s.flag if s.field in flags else f"the config field {s.key!r}" for s in _SETTINGS
               if s.field not in reads and (s.field in flags or s.field in values)]
@@ -642,7 +624,7 @@ def _parser() -> argparse.ArgumentParser:
         description="Monte Carlo experiments on sticky processes and cost-aware portfolios",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in [name for name in _RUNNERS if name not in PRESETS] + ["experiment"]:
+    for name in [name for name, e in _RUNNERS.items() if e.pins is None] + ["experiment"]:
         command = sub.add_parser(name)
         if name == "experiment":
             command.add_argument("preset", choices=sorted(PRESETS))

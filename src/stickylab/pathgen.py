@@ -105,7 +105,7 @@ class TimeGrid:
         return isinstance(other, TimeGrid) and np.array_equal(self.times, other.times)
 
     def __hash__(self) -> int:
-        return hash(self.times.tobytes())
+        return hash((self.times + 0.0).tobytes())  # -0.0 + 0.0 is 0.0: equal grids, one hash
 
     @property
     def n_points(self) -> int:

@@ -549,6 +549,21 @@ def test_cli_exit_code_4_on_unwritable_destination(tmp_path):
     assert result.returncode == 4
 
 
+def test_cli_a_failed_write_leaves_neither_the_destination_nor_its_temporary(
+    tmp_path, monkeypatch, capsys
+):
+    # the temporary file exists when the rename fails, so the cleanup must remove it
+    def refuse(src, dst):
+        raise OSError("synthetic rename failure")
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(os, "replace", refuse)
+    assert main(["stickiness", "--process", "bm", "--paths", "5", "--steps", "16",
+                 "--out", "x.csv"]) == 4
+    assert "cannot write x.csv" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_cli_config_file_with_flag_override(tmp_path):
     config = {
         "experiment": {"kind": "stickiness", "epsilon": 0.5, "tau": "det:0"},

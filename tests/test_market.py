@@ -123,6 +123,22 @@ def test_breakpoint_off_grid_rejected():
         liquidation_value(Strategy(np.array([0.3]), np.array([1.0])), price, CostModel(0.0))
 
 
+@pytest.mark.parametrize(
+    "build, match",
+    [
+        (lambda: Strategy(np.array([0.5, 0.25]), np.array([1.0, 2.0])),
+         "breakpoints must be strictly increasing"),
+        (lambda: Strategy(np.array([0.25, 0.5]), np.array([1.0, np.nan])),
+         "strategy data must be finite"),
+        (lambda: terminal_stats(np.array([])), "at least one terminal value"),
+    ],
+    ids=["unsorted-breakpoints", "nan-holding", "no-terminals"],
+)
+def test_bad_strategies_and_empty_terminals_are_refused(build, match):
+    with pytest.raises(InvalidArgumentError, match=match):
+        build()
+
+
 # ---------------------------------------------------------------- admissibility
 
 

@@ -80,6 +80,31 @@ def test_grid_copies_times_and_is_read_only():
     assert grid.is_uniform and grid.uniform_spacing() == 0.5
 
 
+def test_equal_grids_hash_equally():
+    # -0.0 == 0.0, but their bytes differ
+    a, b = TimeGrid([-0.0, 0.5, 1.0]), TimeGrid([0.0, 0.5, 1.0])
+    assert a == b and hash(a) == hash(b)
+    assert len({a, b}) == 1
+    assert np.signbit(a.times[0])  # the stored times are left as given
+
+
+@pytest.mark.parametrize(
+    "build, match",
+    [
+        (lambda: BrownianMotion(0.0), "volatility must be positive"),
+        (lambda: FractionalBrownianMotion(1.0), "hurst must lie strictly inside"),
+        (lambda: sample_brownian(make_uniform_grid(1.0, 4), SeedSpec(1, 0), 0.0),
+         "volatility must be positive"),
+        (lambda: Ensemble(make_uniform_grid(1.0, 4), np.zeros(5), 1), r"must be \(n_paths"),
+        (lambda: Ensemble(make_uniform_grid(1.0, 4), np.zeros((0, 5)), 1), "at least one path"),
+    ],
+    ids=["bm-volatility", "fbm-hurst", "sample-volatility", "ensemble-1d", "ensemble-no-rows"],
+)
+def test_bad_process_and_ensemble_arguments_are_refused(build, match):
+    with pytest.raises(InvalidArgumentError, match=match):
+        build()
+
+
 def test_grid_uniformity_tolerance_matches_allclose():
     for jitter in (0.0, 1e-12, 5e-10, 2e-9, 1e-6):
         times = np.cumsum([0.0, 0.1, 0.1 * (1.0 + jitter), 0.1, 0.1 * (1.0 - jitter)])

@@ -386,6 +386,19 @@ def test_prop_c_query_rejects_bad_delta_and_ladder(kwargs):
 
 
 @pytest.mark.parametrize(
+    "kwargs, match",
+    [
+        ({"confidence": 1.0}, r"confidence must lie in \(0, 1\)"),
+        ({"characterization": "prop-d"}, "unknown characterization 'prop-d'"),
+    ],
+    ids=["confidence-one", "unknown-characterization"],
+)
+def test_query_refuses_a_bad_confidence_or_characterization(kwargs, match):
+    with pytest.raises(InvalidArgumentError, match=match):
+        q(0.5, **kwargs)
+
+
+@pytest.mark.parametrize(
     "ladder",
     [(), (0.5, 0.5), (0.75, 0.25), (0.25, float("nan")), (float("-inf"), 0.5), (0.5, 1.5)],
 )
@@ -484,6 +497,15 @@ def test_sis_uniforms_are_pinned_bit_for_bit():
     assert est.log10_p_hat == float.fromhex("-0x1.60ef63cfd70fbp-1")
     assert est.log10_lower == float.fromhex("-0x1.fd87ff2a696fcp+0")
     assert est.ess == float.fromhex("0x1.9ee473947f2f2p+5")
+
+
+def test_sis_when_tau_never_fires_reports_zero():
+    # no path of unit horizon moves 100 away from its start, so every weight is 0
+    grid = make_uniform_grid(1.0, 64)
+    query = q(0.5, tau=parse_rule("hit:100@det:0"))
+    est = estimate_stickiness_sis(FractionalBrownianMotion(0.75), grid, query, 5, 50)
+    assert est.log10_p_hat == est.log10_lower == -np.inf
+    assert est.ess == 0.0
 
 
 @pytest.mark.parametrize(

@@ -283,3 +283,16 @@ def test_parse_event_forms():
     with pytest.raises(InvalidRuleError):
         parse_event("nonsense")
 
+
+@pytest.mark.parametrize(
+    "build, match",
+    [
+        (lambda: parse_event("stoprange:1"), "stoprange needs two bounds"),
+        (lambda: StoppedBeforeHorizon(0.0), "event horizon must be positive"),
+    ],
+    ids=["stoprange-one-bound", "before-zero"],
+)
+def test_bad_events_are_refused(build, match):
+    with pytest.raises(InvalidRuleError, match=match):
+        build()
+

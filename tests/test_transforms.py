@@ -276,6 +276,21 @@ def test_dds_constant_input_rejected():
         dds_brownianize(Path(grid, np.full(9, 2.0)), 16)
 
 
+@pytest.mark.parametrize(
+    "build, match",
+    [
+        (lambda: SignedPower(0.0), "exponent must be positive"),
+        (lambda: IdentityCap(0.0), "cap must be positive"),
+        (lambda: NonStickyMartingale(barrier=0.0), "barrier must be positive"),
+        (lambda: CosDriftExample(hit_level=0.0), "hit level must be positive"),
+    ],
+    ids=["signed-power", "identity-cap", "nonsticky-barrier", "cos-drift-level"],
+)
+def test_bad_transform_parameters_are_refused(build, match):
+    with pytest.raises(InvalidArgumentError, match=match):
+        build()
+
+
 def test_dds_clock_reads_first_grid_point_strictly_above_the_level():
     # qv = 0, 0.25, 0.25, 0.5 on the input grid; each output level reads the
     # first grid point whose variation exceeds it, so level 0 reads index 1
