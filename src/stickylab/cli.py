@@ -255,26 +255,27 @@ def _parse_strategy(text: str):
 
 
 def _market_work(n_paths: int, n_points: int) -> np.ndarray:
-    """The buffers ``_momentum_terminals`` computes a block of ``n_paths`` paths in;
-    ``InvalidArgumentError`` when they cannot be allocated, before any sampling.
-    Reused so faults do not rest on malloc: a warm costs-fbm-momentum run took 162k minor
-    faults, 562k with fresh arrays, at a fixed 128 KiB mmap threshold; 21k at glibc's default."""
-    return _empty(6, min(_BLOCK_ROWS, n_paths), n_points)
+    """The four ledger arrays ``_momentum_terminals`` computes a block of ``n_paths``
+    paths in; ``InvalidArgumentError`` when they cannot be allocated, before any sampling.
+    Reused so the ledger's faults do not rest on malloc's thresholds: per warm
+    costs-fbm-momentum run, 21.3k minor faults against 20.9k with a ledger per call at
+    glibc's default, but 262k against 582k, and 10-20% more time, at a fixed 128 KiB."""
+    return _empty(4, min(_BLOCK_ROWS, n_paths), n_points)
 
 
 def _momentum_terminals(block: Ensemble, threshold: float, unit: float,
                         rates: tuple[float, ...], exp: bool, work: np.ndarray) -> np.ndarray:
     """Terminal liquidation values, ``(len(rates), n_paths)``, of momentum trading
     each path of a block of at most ``_BLOCK_ROWS`` rows (its exponential when
-    ``exp``) at each cost rate. The price, strategy and ledger are computed in
-    ``work`` (``_market_work``), so a streamed caller that passes one ``work`` to
-    each block allocates them once per run."""
+    ``exp``) at each cost rate. The ledgers are computed in ``work``
+    (``_market_work``), so a streamed caller that passes one ``work`` to each
+    block allocates them once per run."""
     terminal = np.empty((len(rates), block.n_paths))
-    buf = work[:, : block.n_paths]  # price, holdings and the four ledger arrays
-    price = exp_price(block, out=buf[0]) if exp else block
-    strategy = momentum_strategy(price, threshold, unit, out=buf[1])
-    for k, rate in enumerate(rates):  # copied out: each ledger's terminal is a view into buf
-        terminal[k] = liquidation_value(strategy, price, CostModel(rate), out=buf[2:]).terminal
+    price = exp_price(block) if exp else block
+    strategy = momentum_strategy(price, threshold, unit)
+    for k, rate in enumerate(rates):  # copied out: each ledger's terminal is a view into work
+        terminal[k] = liquidation_value(strategy, price, CostModel(rate),
+                                        out=work[:, : block.n_paths]).terminal
     return terminal
 
 
@@ -381,7 +382,7 @@ def _control_blocks(grid: TimeGrid, increments: np.ndarray,
                     master_seed: int) -> Iterator[tuple[slice, Ensemble]]:
     """Shuffle ``increments``, ``(n_paths, n_steps)``, in place, pooled across all
     paths, and yield the control paths they sum to as ``(rows, block)`` pairs
-    of ``_BLOCK_ROWS`` rows, each in the same buffer.
+    of ``_BLOCK_ROWS`` rows, each a new array.
 
     Redealing the pooled increments gives an iid-like control that keeps the
     increment marginals but destroys serial correlation. A within-path
@@ -389,9 +390,8 @@ def _control_blocks(grid: TimeGrid, increments: np.ndarray,
     trend-following captures regardless of correlation."""
     rng = SeedSpec((master_seed ^ _SHUFFLE_SALT) % 2**64, 0).generator()
     rng.shuffle(increments.ravel())  # in place: rng.permutation of the flat array, no copy
-    values = np.zeros((min(_BLOCK_ROWS, len(increments)), grid.n_points))
     for rows in _row_blocks(len(increments), rows=_BLOCK_ROWS):
-        block = values[: rows.stop - rows.start]
+        block = np.zeros((rows.stop - rows.start, grid.n_points))
         np.cumsum(increments[rows], axis=1, out=block[:, 1:])
         yield rows, Ensemble(grid, block, master_seed, "shuffled-control")
 
@@ -641,7 +641,7 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    args, config = _parser().parse_args(argv), None
     try:
         config = _resolve_config(args)
         table = run_experiment(config)
@@ -653,9 +653,9 @@ def main(argv=None) -> int:
     except StickyLabError as exc:
         print(f"stickylab: configuration error: {exc}", file=sys.stderr)
         return 2
-    except MemoryError:  # from the run, the CSV text or its write
-        print(f"stickylab: out of memory for {config.n_paths} paths of {config.steps} steps",
-              file=sys.stderr)
+    except MemoryError:  # from reading the config, the run, the CSV text or its write
+        size = f" for {config.n_paths} paths of {config.steps} steps" if config else ""
+        print(f"stickylab: out of memory{size}", file=sys.stderr)
         return 2
     except OSError as exc:  # only the write does I/O: a config file's errors are ConfigErrors
         print(f"stickylab: cannot write {dest}: {exc}", file=sys.stderr)

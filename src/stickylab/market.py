@@ -8,8 +8,10 @@ units at price ``X`` costs ``rate * X * |d|`` on buys and sells alike, and
 liquidating at ``t`` costs ``rate * X_t * |holding_t|``.
 Prices, strategies and ledgers take one ``Path`` or a row block of an
 ``Ensemble`` (one row per path) through one code path along the last axis.
-Each takes an ``out`` buffer, so a loop over row blocks can reuse one set of
-arrays; without it every call returns new arrays.
+Prices and strategies are new arrays on every call. ``liquidation_value``
+alone takes an ``out`` buffer for its four ledger arrays, so a loop over row
+blocks can reuse one set: it is the one buffer whose loss measured, in page
+faults and wall time (``cli._market_work`` gives the numbers).
 """
 
 from __future__ import annotations
@@ -118,21 +120,11 @@ class ArbitrageStats:
     flag: bool  # finite-sample surrogate, not a proof of arbitrage
 
 
-def _buffer(out: Array | None, shape: tuple[int, ...]) -> Array:
-    """``out`` when it is a float64 array of this shape, a new array when it is None."""
-    if out is None:
-        return np.empty(shape)
-    if not (isinstance(out, np.ndarray) and out.dtype == np.float64 and out.shape == shape):
-        raise InvalidArgumentError(f"out must be a float64 array of shape {shape}")
-    return out
-
-
-def exp_price(path: Path | Ensemble, out: Array | None = None) -> Path | Ensemble:
-    """Exponential of the signal: the default, strictly positive asset price,
-    in ``out`` (shaped as ``path.values``) when given.
+def exp_price(path: Path | Ensemble) -> Path | Ensemble:
+    """Exponential of the signal: the default, strictly positive asset price.
     The result's finiteness check refuses an overflowing price."""
     with np.errstate(over="ignore"):
-        values = np.exp(path.values, out=_buffer(out, path.values.shape))
+        values = np.exp(path.values)
     if isinstance(path, Ensemble):
         return Ensemble(path.grid, values, path.master_seed, "exp")
     return Path(path.grid, values, label=f"exp({path.label})" if path.label else "exp")
@@ -148,15 +140,24 @@ def liquidation_value(strategy: Strategy, price: Path | Ensemble, cost: CostMode
 
     ``out``, a ``(4, *price.values.shape)`` array, holds the gains, costs,
     penalty and values when given; the ledger then shares its memory.
+    A strategy with one row per path trades a row block of as many rows;
+    one given by breakpoints alone trades every row.
     """
     times, x, holding = price.grid.times, price.values, strategy.holdings
     idx = np.searchsorted(times, strategy.breakpoints, side="left")
     if np.any(idx >= times.size) or np.any(times[idx] != strategy.breakpoints):
         raise AlignmentError("strategy breakpoints must sit exactly on grid times")
+    if holding.ndim == 2 and (x.ndim == 1 or len(holding) != len(x)):
+        raise AlignmentError("a strategy with one row per path needs a price block of as many rows")
     if idx.size < times.size:  # post-trade holding per grid point; column 0 holds the start's 0
         holding = np.concatenate((np.zeros(holding.shape[:-1] + (1,)), holding), axis=-1)
         holding = holding[..., np.searchsorted(strategy.breakpoints, times, side="right")]
-    gains, cost_flow, penalty, values = _buffer(out, (4, *x.shape))
+    shape = (4, *x.shape)
+    if out is None:
+        out = np.empty(shape)
+    elif not (isinstance(out, np.ndarray) and out.dtype == np.float64 and out.shape == shape):
+        raise InvalidArgumentError(f"out must be a float64 array of shape {shape}")
+    gains, cost_flow, penalty, values = out
     # each step writes into one of the four outputs, in an order that reads
     # every scratch value before it is overwritten; a huge holding can
     # overflow, which the ledger's finiteness check refuses, so numpy's
@@ -201,6 +202,8 @@ def terminal_stats(terminal: Array, tol: float = 1e-9) -> ArbitrageStats:
     mean and standard deviation from the values divided by their largest
     magnitude; a statistic that still exceeds the float range is refused.
     """
+    if not (np.isfinite(tol) and tol >= 0.0):
+        raise InvalidArgumentError("tol must be finite and nonnegative")
     terminal = np.asarray(terminal, dtype=np.float64)
     if terminal.size == 0:
         raise InvalidArgumentError("need at least one terminal value")
@@ -229,17 +232,14 @@ def terminal_stats(terminal: Array, tol: float = 1e-9) -> ArbitrageStats:
     )
 
 
-def momentum_strategy(price: Path | Ensemble, threshold: float, unit: float,
-                      out: Array | None = None) -> Strategy:
+def momentum_strategy(price: Path | Ensemble, threshold: float, unit: float) -> Strategy:
     """Hold +unit / -unit when the last observed move from the start exceeds
     the threshold band; decisions at ``t`` use values strictly before ``t``.
-    A row block gets one column per grid time, one path its breakpoints only.
-    ``out`` (shaped as ``price.values``) holds the per-grid-time holdings when
-    given; a row block's strategy then shares its memory."""
+    A row block gets one column per grid time, one path its breakpoints only."""
     if not (threshold > 0.0 and unit > 0.0):
         raise InvalidArgumentError("threshold and unit must be positive")
     x = price.values
-    desired = _buffer(out, x.shape)
+    desired = np.empty(x.shape)
     desired[..., 0] = 0.0
     drift = np.subtract(x[..., :-1], x[..., :1], out=desired[..., 1:])  # known at the next time
     up, down = drift > threshold, drift < -threshold

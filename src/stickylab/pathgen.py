@@ -71,8 +71,8 @@ class TimeGrid:
     """A finite, strictly increasing sequence of times starting at 0.
 
     ``times`` is a read-only copy of the array passed in (the caller's array
-    stays writeable). The spacings, their square roots and uniformity are
-    computed once here, since every path sampled on the grid reads them.
+    stays writeable). The spacings and uniformity are computed once here,
+    since every path sampled on the grid reads them.
     """
 
     times: Array
@@ -90,11 +90,8 @@ class TimeGrid:
         dt = np.diff(times)
         if not np.all(dt > 0.0):
             raise InvalidArgumentError("grid times must be strictly increasing")
-        sqrt_dt = np.sqrt(dt)
         dt.setflags(write=False)
-        sqrt_dt.setflags(write=False)
         object.__setattr__(self, "_spacings", dt)
-        object.__setattr__(self, "_sqrt_spacings", sqrt_dt)
         # np.allclose(dt, dt[0], rtol=1e-9, atol=0) without temporaries: a - d0
         # rounds monotonically in a, so max|dt - d0| is reached at an extreme
         d0 = dt[0]
@@ -372,7 +369,7 @@ def _brownian_rows(grid: TimeGrid, master_seed: int, volatility: float, indices,
     increments = values[:, start:]
     _normals(master_seed, indices, increments, states)
     with np.errstate(over="ignore", invalid="ignore"):  # the finiteness check refuses overflow
-        increments *= volatility * grid._sqrt_spacings[start - 1 :]
+        increments *= volatility * np.sqrt(grid.spacings[start - 1 :])
         if start > 1:
             increments[:, 0] += values[:, start - 1]
         np.cumsum(increments, axis=1, out=increments)

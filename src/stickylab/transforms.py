@@ -302,7 +302,7 @@ def _nonsticky_block(spec: NonStickyMartingale, grid: TimeGrid, seed: SeedSpec, 
     # first |W| > barrier; exit before t=1 is a.s., the clamp guards the measure-zero miss
     j = np.minimum(_first_true(np.abs(x[:, :n_pre]) > spec.barrier), n_pre - 1)
     # unit-integrand walk from the exit: a row sum of increments zeroed before it
-    walk = np.multiply(z[:, n:], grid._sqrt_spacings, out=z[:, n:])
+    walk = np.multiply(z[:, n:], np.sqrt(grid.spacings), out=z[:, n:])
     before = np.arange(n) < j[:, None]
     np.copyto(walk, 0.0, where=before)
     np.cumsum(walk, axis=1, out=walk)

@@ -400,6 +400,17 @@ def test_cli_out_of_memory_exits_2_with_the_run_size(tmp_path, monkeypatch, caps
     assert os.listdir(tmp_path) == []
 
 
+def test_cli_out_of_memory_while_reading_the_config_exits_2(tmp_path, monkeypatch, capsys):
+    def out_of_memory(args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "_resolve_config", out_of_memory)
+    monkeypatch.chdir(tmp_path)
+    assert main(["stickiness"]) == 2
+    assert capsys.readouterr() == ("", "stickylab: out of memory\n")
+    assert os.listdir(tmp_path) == []
+
+
 def test_cli_portfolio_exits_2_when_the_price_overflows(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     with warnings.catch_warnings():
@@ -484,6 +495,19 @@ def test_pooled_shuffle_matches_the_index_permutation():
     shuffled = _pooled_shuffle(ensemble, 9)
     assert np.array_equal(shuffled.values, expected)
     assert np.array_equal(np.signbit(shuffled.values), np.signbit(expected))
+
+
+def test_kept_control_blocks_are_the_pooled_shuffle_rows():
+    # a caller may keep every block: none is overwritten by the next
+    from stickylab.cli import _control_blocks, _pooled_shuffle
+    from stickylab.pathgen import FractionalBrownianMotion
+
+    ensemble = sample_ensemble(FractionalBrownianMotion(0.75), make_uniform_grid(1.0, 16), 9, 130)
+    increments = np.diff(ensemble.values, axis=1)
+    kept = list(_control_blocks(ensemble.grid, increments.copy(), 9))
+    assert [rows for rows, _ in kept] == [slice(0, 64), slice(64, 128), slice(128, 130)]
+    values = np.concatenate([block.values for _, block in kept])
+    assert np.array_equal(values, _pooled_shuffle(ensemble, 9).values)
 
 
 def test_cli_exit_code_2_on_bad_rule(tmp_path):

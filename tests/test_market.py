@@ -131,8 +131,12 @@ def test_breakpoint_off_grid_rejected():
         (lambda: Strategy(np.array([0.25, 0.5]), np.array([1.0, np.nan])),
          "strategy data must be finite"),
         (lambda: terminal_stats(np.array([])), "at least one terminal value"),
+        (lambda: terminal_stats(np.ones(3), tol=float("nan")), "tol must be finite"),
+        (lambda: terminal_stats(np.ones(3), tol=float("inf")), "tol must be finite"),
+        (lambda: terminal_stats(np.ones(3), tol=-1e-9), "tol must be finite and nonnegative"),
     ],
-    ids=["unsorted-breakpoints", "nan-holding", "no-terminals"],
+    ids=["unsorted-breakpoints", "nan-holding", "no-terminals", "nan-tol", "inf-tol",
+         "negative-tol"],
 )
 def test_bad_strategies_and_empty_terminals_are_refused(build, match):
     with pytest.raises(InvalidArgumentError, match=match):
@@ -413,25 +417,22 @@ def test_cli_market_terminals_do_not_depend_on_the_block_size(monkeypatch):
 @pytest.mark.parametrize("price_kind", ["exp", "raw-negative"])
 def test_market_results_in_reused_buffers_equal_fresh_ones(price_kind):
     signal = _block_with_idle_rows("fbm-0.75", 65)
-    work = np.full((6, 65, signal.grid.n_points), np.nan)
     if price_kind == "exp":
-        fresh_price, price = exp_price(signal), exp_price(signal, out=work[0])
+        price = exp_price(signal)
     else:  # negative prices put -0.0 into the untraded cost terms
-        fresh_price = price = Ensemble(signal.grid, signal.values - 2.0, signal.master_seed)
-    fresh_strategy = momentum_strategy(fresh_price, 0.1, 1.0)
-    strategy = momentum_strategy(price, 0.1, 1.0, out=work[1])
-    assert _same_bits(price.values, fresh_price.values)
-    assert _same_bits(strategy.holdings, fresh_strategy.holdings)
+        price = Ensemble(signal.grid, signal.values - 2.0, signal.master_seed)
+    strategy = momentum_strategy(price, 0.1, 1.0)
+    work = np.full((4, 65, signal.grid.n_points), np.nan)
     for rate in (0.01, 0.0):  # the second ledger overwrites the first one's buffers
-        fresh = liquidation_value(fresh_strategy, fresh_price, CostModel(rate))
-        ledger = liquidation_value(strategy, price, CostModel(rate), out=work[2:])
+        fresh = liquidation_value(strategy, price, CostModel(rate))
+        ledger = liquidation_value(strategy, price, CostModel(rate), out=work)
         for k, name in enumerate(("gains", "cost_flow", "liquidation_penalty", "values")):
             assert _same_bits(getattr(ledger, name), getattr(fresh, name)), name
-            assert np.shares_memory(getattr(ledger, name), work[2 + k])
+            assert np.shares_memory(getattr(ledger, name), work[k])
     # one path, its strategy compressed to breakpoints, into a one-path buffer
     last = price.path(64)
     one = momentum_strategy(last, 0.1, 1.0)
-    into = liquidation_value(one, last, CostModel(0.01), out=work[2:, 0])
+    into = liquidation_value(one, last, CostModel(0.01), out=work[:, 0])
     assert _same_bits(into.values, liquidation_value(one, last, CostModel(0.01)).values)
 
 
@@ -445,10 +446,30 @@ def test_market_results_without_buffers_do_not_alias():
     arrays = [getattr(ledger, name) for ledger in ledgers
               for name in ("gains", "cost_flow", "liquidation_penalty", "values")]
     assert not any(np.shares_memory(a, b) for i, a in enumerate(arrays) for b in arrays[i + 1:])
-    with pytest.raises(InvalidArgumentError, match="out must be a float64 array"):
-        liquidation_value(strategies[0], prices[0], CostModel(0.01), out=np.empty((3, 8, 129)))
-    with pytest.raises(InvalidArgumentError, match="out must be a float64 array"):
-        exp_price(signal, out=np.empty((8, 129), dtype=np.float32))
+    for out in (np.empty((3, 8, 129)), np.empty((4, 8, 129), dtype=np.float32)):
+        with pytest.raises(InvalidArgumentError, match="out must be a float64 array"):
+            liquidation_value(strategies[0], prices[0], CostModel(0.01), out=out)
+
+
+@pytest.mark.parametrize("strategy_rows, price_rows", [(6, 4), (1, 4), (4, None)],
+                         ids=["more-rows", "one-row-block", "block-on-one-path"])
+def test_a_block_strategy_on_other_rows_is_refused(strategy_rows, price_rows):
+    signal = _block_with_idle_rows("bm", 6, steps=8)
+    strategy = momentum_strategy(Ensemble(signal.grid, signal.values[:strategy_rows], 41),
+                                 0.1, 1.0)
+    price = signal.path(0) if price_rows is None else Ensemble(
+        signal.grid, signal.values[:price_rows], 41)
+    with pytest.raises(AlignmentError, match="as many rows"):
+        liquidation_value(strategy, price, CostModel(0.01))
+
+
+def test_a_breakpoint_strategy_trades_every_row_of_a_block():
+    signal = _block_with_idle_rows("bm", 4, steps=8)
+    strategy = Strategy(signal.grid.times[[2, 5]], np.array([1.0, -0.5]))
+    ledger = liquidation_value(strategy, signal, CostModel(0.01))
+    for i in range(4):
+        one = liquidation_value(strategy, signal.path(i), CostModel(0.01))
+        assert _same_bits(ledger.values[i], one.values)
 
 
 def test_block_strategy_holds_one_column_per_grid_time():
