@@ -254,28 +254,16 @@ def _parse_strategy(text: str):
     return threshold, unit
 
 
-def _market_work(n_paths: int, n_points: int) -> np.ndarray:
-    """The four ledger arrays ``_momentum_terminals`` computes a block of ``n_paths``
-    paths in; ``InvalidArgumentError`` when they cannot be allocated, before any sampling.
-    Reused so the ledger's faults do not rest on malloc's thresholds: per warm
-    costs-fbm-momentum run, 21.3k minor faults against 20.9k with a ledger per call at
-    glibc's default, but 262k against 582k, and 10-20% more time, at a fixed 128 KiB."""
-    return _empty(4, min(_BLOCK_ROWS, n_paths), n_points)
-
-
 def _momentum_terminals(block: Ensemble, threshold: float, unit: float,
-                        rates: tuple[float, ...], exp: bool, work: np.ndarray) -> np.ndarray:
+                        rates: tuple[float, ...], exp: bool) -> np.ndarray:
     """Terminal liquidation values, ``(len(rates), n_paths)``, of momentum trading
     each path of a block of at most ``_BLOCK_ROWS`` rows (its exponential when
-    ``exp``) at each cost rate. The ledgers are computed in ``work``
-    (``_market_work``), so a streamed caller that passes one ``work`` to each
-    block allocates them once per run."""
+    ``exp``) at each cost rate."""
     terminal = np.empty((len(rates), block.n_paths))
     price = exp_price(block) if exp else block
     strategy = momentum_strategy(price, threshold, unit)
-    for k, rate in enumerate(rates):  # copied out: each ledger's terminal is a view into work
-        terminal[k] = liquidation_value(strategy, price, CostModel(rate),
-                                        out=work[:, : block.n_paths]).terminal
+    for k, rate in enumerate(rates):
+        terminal[k] = liquidation_value(strategy, price, CostModel(rate)).terminal
     return terminal
 
 
@@ -291,10 +279,9 @@ def _market_row(strategy: str, rate: float, terminal: np.ndarray, seed: int) -> 
 def _run_portfolio(config: ExperimentConfig) -> ResultTable:
     threshold, unit = _parse_strategy(config.strategy)
     terminal = _empty(config.n_paths)
-    work = _market_work(config.n_paths, config.steps + 1)
     for rows, block in _ensemble_blocks(config):
         (terminal[rows],) = _momentum_terminals(block, threshold, unit, (config.rate,),
-                                                exp=not config.raw_price, work=work)
+                                                exp=not config.raw_price)
     row = _market_row(config.strategy, config.rate, terminal, config.master_seed)
     return ResultTable(MARKET_COLUMNS, (row,), _provenance(config))
 
@@ -414,17 +401,14 @@ def _preset_costs_momentum(config: ExperimentConfig) -> ResultTable:
     threshold, unit = _parse_strategy(config.strategy)
     increments = _empty(config.n_paths, config.steps)
     v_free, v_cost, v_raw, v_control = terminals = np.empty((4, config.n_paths))
-    work = _market_work(config.n_paths, config.steps + 1)
     for rows, block in _ensemble_blocks(config):
         terminals[:2, rows] = _momentum_terminals(block, threshold, unit, (0.0, config.rate),
-                                                  exp=True, work=work)
-        terminals[2:3, rows] = _momentum_terminals(block, threshold, unit, (0.0,), exp=False,
-                                                   work=work)
+                                                  exp=True)
+        terminals[2:3, rows] = _momentum_terminals(block, threshold, unit, (0.0,), exp=False)
         np.subtract(block.values[:, 1:], block.values[:, :-1], out=increments[rows])
     grid, _ = _grid_and_spec(config)
     for rows, block in _control_blocks(grid, increments, config.master_seed):
-        terminals[3:, rows] = _momentum_terminals(block, threshold, unit, (0.0,), exp=False,
-                                                  work=work)
+        terminals[3:, rows] = _momentum_terminals(block, threshold, unit, (0.0,), exp=False)
     rows = tuple(
         _market_row(name, rate, terminal, config.master_seed)
         for name, rate, terminal in (

@@ -8,10 +8,7 @@ units at price ``X`` costs ``rate * X * |d|`` on buys and sells alike, and
 liquidating at ``t`` costs ``rate * X_t * |holding_t|``.
 Prices, strategies and ledgers take one ``Path`` or a row block of an
 ``Ensemble`` (one row per path) through one code path along the last axis.
-Prices and strategies are new arrays on every call. ``liquidation_value``
-alone takes an ``out`` buffer for its four ledger arrays, so a loop over row
-blocks can reuse one set: it is the one buffer whose loss measured, in page
-faults and wall time (``cli._market_work`` gives the numbers).
+Every call returns new arrays.
 """
 
 from __future__ import annotations
@@ -130,16 +127,13 @@ def exp_price(path: Path | Ensemble) -> Path | Ensemble:
     return Path(path.grid, values, label=f"exp({path.label})" if path.label else "exp")
 
 
-def liquidation_value(strategy: Strategy, price: Path | Ensemble, cost: CostModel,
-                      out: Array | None = None) -> LedgerPath:
+def liquidation_value(strategy: Strategy, price: Path | Ensemble, cost: CostModel) -> LedgerPath:
     """Ledger of gains, trading costs, and liquidation penalty along the grid.
 
     gains[m]   = sum_{i<m} holding_i * (X_{i+1} - X_i)    (left-point Ito sum)
     cost[m]    = rate * sum_{jumps at s <= t_m} X_s * |trade|
     penalty[m] = rate * X_m * |holding_m|
 
-    ``out``, a ``(4, *price.values.shape)`` array, holds the gains, costs,
-    penalty and values when given; the ledger then shares its memory.
     A strategy with one row per path trades a row block of as many rows;
     one given by breakpoints alone trades every row.
     """
@@ -152,12 +146,7 @@ def liquidation_value(strategy: Strategy, price: Path | Ensemble, cost: CostMode
     if idx.size < times.size:  # post-trade holding per grid point; column 0 holds the start's 0
         holding = np.concatenate((np.zeros(holding.shape[:-1] + (1,)), holding), axis=-1)
         holding = holding[..., np.searchsorted(strategy.breakpoints, times, side="right")]
-    shape = (4, *x.shape)
-    if out is None:
-        out = np.empty(shape)
-    elif not (isinstance(out, np.ndarray) and out.dtype == np.float64 and out.shape == shape):
-        raise InvalidArgumentError(f"out must be a float64 array of shape {shape}")
-    gains, cost_flow, penalty, values = out
+    gains, cost_flow, penalty, values = np.empty((4, *x.shape))
     # each step writes into one of the four outputs, in an order that reads
     # every scratch value before it is overwritten; a huge holding can
     # overflow, which the ledger's finiteness check refuses, so numpy's

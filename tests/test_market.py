@@ -388,16 +388,14 @@ def test_block_ledgers_equal_the_per_path_loop(process, n_paths, rate, price_kin
 
 @pytest.mark.parametrize("n_paths", [1, 63, 64, 65, 200])
 def test_cli_market_blocks_equal_the_per_path_loop(n_paths):
-    # each rate's terminals are copied out of the ledger's buffer before the next rate's
     signal = _block_with_idle_rows("fbm-0.75", n_paths)
     times = signal.grid.times
-    work = cli._market_work(signal.n_paths, signal.grid.n_points)
     for rows in _row_blocks(signal.n_paths, rows=cli._BLOCK_ROWS):
         block = Ensemble(signal.grid, signal.values[rows], signal.master_seed)
-        terminals = cli._momentum_terminals(block, 0.1, 1.0, (0.0, 0.01), exp=True, work=work)
+        terminals = cli._momentum_terminals(block, 0.1, 1.0, (0.0, 0.01), exp=True)
         for k, rate in enumerate((0.0, 0.01)):
             assert _same_bits(terminals[k], _loop_terminals(times, np.exp(block.values), rate))
-        (raw,) = cli._momentum_terminals(block, 0.1, 1.0, (0.0,), exp=False, work=work)
+        (raw,) = cli._momentum_terminals(block, 0.1, 1.0, (0.0,), exp=False)
         assert _same_bits(raw, _loop_terminals(times, block.values, 0.0))
 
 
@@ -414,28 +412,6 @@ def test_cli_market_terminals_do_not_depend_on_the_block_size(monkeypatch):
     assert all(csvs == by_size[0] for csvs in by_size[1:])
 
 
-@pytest.mark.parametrize("price_kind", ["exp", "raw-negative"])
-def test_market_results_in_reused_buffers_equal_fresh_ones(price_kind):
-    signal = _block_with_idle_rows("fbm-0.75", 65)
-    if price_kind == "exp":
-        price = exp_price(signal)
-    else:  # negative prices put -0.0 into the untraded cost terms
-        price = Ensemble(signal.grid, signal.values - 2.0, signal.master_seed)
-    strategy = momentum_strategy(price, 0.1, 1.0)
-    work = np.full((4, 65, signal.grid.n_points), np.nan)
-    for rate in (0.01, 0.0):  # the second ledger overwrites the first one's buffers
-        fresh = liquidation_value(strategy, price, CostModel(rate))
-        ledger = liquidation_value(strategy, price, CostModel(rate), out=work)
-        for k, name in enumerate(("gains", "cost_flow", "liquidation_penalty", "values")):
-            assert _same_bits(getattr(ledger, name), getattr(fresh, name)), name
-            assert np.shares_memory(getattr(ledger, name), work[k])
-    # one path, its strategy compressed to breakpoints, into a one-path buffer
-    last = price.path(64)
-    one = momentum_strategy(last, 0.1, 1.0)
-    into = liquidation_value(one, last, CostModel(0.01), out=work[:, 0])
-    assert _same_bits(into.values, liquidation_value(one, last, CostModel(0.01)).values)
-
-
 def test_market_results_without_buffers_do_not_alias():
     signal = _block_with_idle_rows("bm", 8)
     prices = [exp_price(signal) for _ in range(2)]
@@ -446,9 +422,6 @@ def test_market_results_without_buffers_do_not_alias():
     arrays = [getattr(ledger, name) for ledger in ledgers
               for name in ("gains", "cost_flow", "liquidation_penalty", "values")]
     assert not any(np.shares_memory(a, b) for i, a in enumerate(arrays) for b in arrays[i + 1:])
-    for out in (np.empty((3, 8, 129)), np.empty((4, 8, 129), dtype=np.float32)):
-        with pytest.raises(InvalidArgumentError, match="out must be a float64 array"):
-            liquidation_value(strategies[0], prices[0], CostModel(0.01), out=out)
 
 
 @pytest.mark.parametrize("strategy_rows, price_rows", [(6, 4), (1, 4), (4, None)],
