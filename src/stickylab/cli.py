@@ -118,6 +118,8 @@ class ExperimentConfig:
         # each value goes through the validator of what it feeds, here, so a
         # bad one is refused before any ensemble is sampled
         _count(self.n_paths, "n_paths")
+        if any(c in text for text in (self.tau, self.event, self.strategy) for c in '\n\r,"'):
+            raise ConfigError("tau, event and strategy must hold no line break, comma or quote")
         query = _stickiness_query(self, self.horizon)
         _check_window_end(self.query_horizon, self.horizon)
         HittingFrom(query.tau, self.delta)  # the ladder's restart rule
@@ -194,8 +196,8 @@ def _ensemble_blocks(config: ExperimentConfig,
                                     first=rows.start)
 
 
-def _hurst_cell(config: ExperimentConfig) -> object:
-    return config.hurst if "hurst" in _PROCESS_READS.get(config.process, ()) else ""
+def _process_cell(config: ExperimentConfig, name: str) -> object:
+    return getattr(config, name) if name in _PROCESS_READS.get(config.process, ()) else ""
 
 
 # ------------------------------ experiment runners ------------------------------ #
@@ -215,7 +217,7 @@ def _stickiness_row(config: ExperimentConfig, est: StickinessEstimate, process: 
     # ZERO verdicts report the one-sided upper bound, per the convention
     upper = est.zero_upper if est.successes == 0 else est.ci_high
     row = (
-        process, _hurst_cell(config), config.tau, config.event, config.epsilon,
+        process, _process_cell(config, "hurst"), config.tau, config.event, config.epsilon,
         est.query.horizon, est.n, est.successes, est.p_hat, est.ci_low, upper,
         config.master_seed, config.steps, est.verdict,
     )
@@ -234,7 +236,7 @@ def _run_ladder(config: ExperimentConfig) -> ResultTable:
     fractions = survival_ladder((block for _, block in _ensemble_blocks(config)),
                                 parse_rule(config.tau), config.delta, horizons)
     rows = tuple(
-        (config.process, _hurst_cell(config), config.tau, config.delta, h, f,
+        (config.process, _process_cell(config, "hurst"), config.tau, config.delta, h, f,
          config.n_paths, config.master_seed, config.steps)
         for h, f in zip(horizons, fractions)
     )
@@ -359,8 +361,9 @@ def _preset_dds_check(config: ExperimentConfig) -> ResultTable:
             unit_qv[i] = float(np.sum(np.diff(out.values[: k + 1]) ** 2))
             dus[i] = du
     row = (
-        config.process, config.sigma, config.n_paths, qv_steps, float(dus.mean()),
-        float(ratios.mean()), float(unit_qv.mean()), config.master_seed, config.steps,
+        config.process, _process_cell(config, "sigma"), config.n_paths, qv_steps,
+        float(dus.mean()), float(ratios.mean()), float(unit_qv.mean()), config.master_seed,
+        config.steps,
     )
     return ResultTable(DDS_COLUMNS, (row,), _provenance(config))
 
@@ -439,7 +442,7 @@ _RUNNERS = {
                                   dict(process="fbm", hurst=0.75, epsilon=0.5)),
     "passage-counterexample": _Experiment(_preset_passage_counterexample, _QUERY, dict(
         process="bm", horizon=32.0, steps=8192, epsilon=0.25, tau="det:0", query_horizon=0.5)),
-    "dds-check": _Experiment(_preset_dds_check, ("sigma",),  # its row prints sigma
+    "dds-check": _Experiment(_preset_dds_check, (),
                              dict(process="bm", sigma=2.0, steps=4096, n_paths=1000)),
     "cos-drift": _Experiment(_run_stickiness, _QUERY, dict(process="cos-drift", epsilon=0.5)),
     "abs-cuberoot": _Experiment(_run_stickiness, _QUERY,

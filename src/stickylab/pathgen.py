@@ -170,7 +170,8 @@ class SeedSpec:
     def __post_init__(self):
         for name in ("master_seed", "path_index"):
             value = getattr(self, name)
-            if not hasattr(value, "__index__") or not 0 <= operator.index(value) < 2**64:
+            if (isinstance(value, bool) or not hasattr(value, "__index__")
+                    or not 0 <= operator.index(value) < 2**64):
                 raise InvalidArgumentError(f"{name} must be an integer in [0, 2**64), got {value!r}")
             object.__setattr__(self, name, operator.index(value))
 
@@ -304,9 +305,9 @@ def _row_blocks(n_rows: int, row_bytes: int = 0, *, rows: int = 0) -> Iterator[s
 
 
 def _count(value, name: str, least: int = 1) -> int:
-    """The count ``value`` read with ``operator.index``, so ``2.5`` or ``'3'`` is
-    refused, not truncated; ``InvalidArgumentError`` when it is below ``least``."""
-    if not hasattr(value, "__index__"):
+    """The count ``value`` read with ``operator.index``, so ``2.5``, ``'3'`` or ``True``
+    is refused, not truncated; ``InvalidArgumentError`` when it is below ``least``."""
+    if isinstance(value, bool) or not hasattr(value, "__index__"):
         raise InvalidArgumentError(f"{name} must be an integer, got {value!r}")
     n = operator.index(value)
     if n < least:

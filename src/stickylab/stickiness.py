@@ -98,17 +98,14 @@ def _check_window_end(horizon: float | None, span: float) -> None:
 
 @dataclass(frozen=True)
 class StickinessQuery:
-    """The (tau, T, epsilon, A) tuple plus the characterization to count by."""
+    """The (tau, T, epsilon, A) tuple plus the characterization to count by; prop-c's
+    restart from tau ^ T leaves the same epsilon-tube by T (see ``_stays``)."""
 
     tau: StoppingRule
     horizon: float
     epsilon: float
     event: EventDescriptor = WholeSpace()
     characterization: Characterization = "def-a"
-    # prop-c hitting threshold; defaults to epsilon so the three forms count
-    # events on the same scale (the restart survives iff sup <= delta)
-    delta: float | None = None
-    ladder: tuple[float, ...] | None = None  # prop-c horizons; defaults to (horizon,)
     confidence: float = 0.95
 
     def __post_init__(self):
@@ -120,11 +117,6 @@ class StickinessQuery:
             raise InvalidArgumentError("confidence must lie in (0, 1)")
         if self.characterization not in ("def-a", "prop-b", "prop-c"):
             raise InvalidArgumentError(f"unknown characterization {self.characterization!r}")
-        if self.characterization == "prop-c":
-            if self.delta is not None and not (np.isfinite(self.delta) and self.delta > 0.0):
-                raise InvalidArgumentError("prop-c delta must be finite and positive")
-            if self.ladder is not None:
-                _check_ladder(self.ladder)
 
 
 @dataclass(frozen=True)
@@ -264,16 +256,10 @@ def _verdict(successes: int, ci_low: float) -> str:
 _TUBE_POINT_BYTES = 9
 
 
-def _stays(query: StickinessQuery, x: Array, grid: TimeGrid, k: Array, end_index: int) -> Array:
-    """Whether each row of ``x``, stopped at ``k``, passes the query's tube check."""
-    if query.characterization == "prop-c":
-        # the restart time from the capped stop survives the top of the ladder;
-        # the scan runs over the whole path, so a top before the stop survives
-        delta = query.delta if query.delta is not None else query.epsilon
-        top = query.ladder[-1] if query.ladder else query.horizon
-        return _exit_indices(x, k, delta, True) > grid.last_index_at_or_before(top)
-    # def-a and prop-b fail at a deviation >= epsilon over [tau, T], not at > delta
-    return _exit_indices(x, k, query.epsilon, False) > end_index
+def _stays(query: StickinessQuery, x: Array, k: Array, end_index: int) -> Array:
+    """Whether each row of ``x``, stopped at ``k``, stays in the epsilon-tube through
+    ``end_index``: def-a and prop-b exit at a deviation >= epsilon, prop-c at > epsilon."""
+    return _exit_indices(x, k, query.epsilon, query.characterization == "prop-c") > end_index
 
 
 def _success(query: StickinessQuery, path: Path, end_index: int) -> bool:
@@ -287,8 +273,7 @@ def _success(query: StickinessQuery, path: Path, end_index: int) -> bool:
         stop = StopResult.at(path.grid.times[end_index], end_index)
     if not evaluate_event(query.event, path, stop):
         return False
-    return bool(_stays(query, path.values[None, :], path.grid, np.array([stop.index]),
-                       end_index)[0])
+    return bool(_stays(query, path.values[None, :], np.array([stop.index]), end_index)[0])
 
 
 def _success_mask(query: StickinessQuery, x: Array, grid: TimeGrid, end_index: int,
@@ -300,7 +285,7 @@ def _success_mask(query: StickinessQuery, x: Array, grid: TimeGrid, end_index: i
     else:
         k, won = np.minimum(stop, end_index), np.ones(len(stop), dtype=bool)
     won &= _event_mask(query.event, x, grid, k)
-    return won & _stays(query, x, grid, k, end_index)
+    return won & _stays(query, x, k, end_index)
 
 
 def _estimate(query: StickinessQuery, successes: int, n: int) -> StickinessEstimate:
@@ -319,12 +304,12 @@ def _estimate(query: StickinessQuery, successes: int, n: int) -> StickinessEstim
     )
 
 
-def _chunks(ensemble: Ensemble | Iterable[Ensemble], horizon: float | None,
-            ladders=()) -> Iterator[tuple[Array, TimeGrid, Path, int]]:
+def _chunks(ensemble: Ensemble | Iterable[Ensemble],
+            horizon: float | None) -> Iterator[tuple[Array, TimeGrid, Path, int]]:
     """The counting chunks of ``ensemble``, an ``Ensemble`` or an iterable of
     ``Ensemble`` blocks on one grid read once, as ``(rows, grid, first path, its
-    index among the rows seen)``. The window end ``horizon`` and the ``ladders``
-    are checked against the first block's grid before any chunk is yielded."""
+    index among the rows seen)``. The window end ``horizon`` (``None``: none) is
+    checked against the first block's grid before any chunk is yielded."""
     grid, n = None, 0
     for block in [ensemble] if isinstance(ensemble, Ensemble) else ensemble:
         if not isinstance(block, Ensemble):
@@ -332,8 +317,6 @@ def _chunks(ensemble: Ensemble | Iterable[Ensemble], horizon: float | None,
         if grid is None:
             grid = block.grid
             _check_window_end(horizon, grid.horizon)
-            for ladder in ladders:
-                _check_ladder(ladder, grid.horizon)
         elif block.grid != grid:
             raise GridMismatchError("every block to count must share the first block's grid")
         for rows in _row_blocks(block.n_paths, _TUBE_POINT_BYTES * grid.n_points):
@@ -350,9 +333,8 @@ def _estimates(ensemble: Ensemble | Iterable[Ensemble],
     queries share tau and T, so tau's stop indices are found once per chunk. Each
     chunk's first path is recounted through ``_success`` for every query; a
     disagreement raises ``NumericalFailureError``."""
-    ladders = [q.ladder for q in queries if q.characterization == "prop-c" and q.ladder]
     successes, n = np.zeros(len(queries), dtype=np.int64), 0
-    for x, grid, path, i in _chunks(ensemble, queries[0].horizon, ladders):
+    for x, grid, path, i in _chunks(ensemble, queries[0].horizon):
         end_index = grid.last_index_at_or_before(queries[0].horizon)
         stop = _stop_indices(queries[0].tau, x, grid)
         for j, query in enumerate(queries):
@@ -393,7 +375,9 @@ def survival_ladder(
         raise InvalidArgumentError("delta must be finite and positive")
     restart = HittingFrom(tau0, delta)
     survivors, n = np.zeros(horizons.size, dtype=np.int64), 0
-    for x, grid, path, i in _chunks(ensemble, None, [horizons]):
+    for x, grid, path, i in _chunks(ensemble, None):
+        if i == 0:  # refused on the first block's grid, before a second is drawn
+            _check_ladder(horizons, grid.horizon)
         k = _stop_indices(restart, x, grid)
         stop = evaluate_rule(restart, path)
         if (stop.index if stop.stopped else grid.n_points) != k[0]:

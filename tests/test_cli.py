@@ -672,6 +672,27 @@ def test_cli_refuses_an_empty_output_path(tmp_path, monkeypatch, capsys, argv, c
     assert sorted(p.name for p in tmp_path.iterdir()) == ([] if config is None else ["c.json"])
 
 
+@pytest.mark.parametrize("argv,config", [
+    (["stickiness", "--tau", "det:0\n"], None),
+    (["stickiness", "--event", "before:0.5\r"], None),
+    (["stickiness", "--tau", 'det:"0"'], None),
+    (["portfolio", "--strategy", "momentum:0.1:1,"], None),
+    (["stickiness"], {"experiment": {"tau": "det:0\n"}}),
+], ids=["tau-newline", "event-return", "tau-quote", "strategy-comma", "config-key"])
+def test_cli_refuses_a_rule_event_or_strategy_that_would_split_its_csv_cell(
+    tmp_path, monkeypatch, capsys, argv, config
+):
+    # parse_rule, parse_event and float() strip whitespace, but the row prints
+    # the text as given: a line break would split the row in two
+    monkeypatch.chdir(tmp_path)
+    if config is not None:
+        (tmp_path / "c.json").write_text(json.dumps(config))
+        argv = [*argv, "--config", "c.json"]
+    assert main([*argv, "--paths", "8", "--steps", "8", "--out", "x.csv"]) == 2
+    assert "must hold no line break, comma or quote" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_cli_malformed_ladder_flag_exits_2_without_a_traceback(tmp_path):
     result = run_cli(["ladder", "--ladder", "0.5,x", "--out", str(tmp_path / "x.csv")])
     assert result.returncode == 2
@@ -759,7 +780,7 @@ EXPERIMENT_READS = {
     "fbm-sticky": ("fbm", QUERY_READS),
     "timechange-cap": ("fbm", QUERY_READS),
     "passage-counterexample": ("bm", QUERY_READS),
-    "dds-check": ("bm", {"sigma"}),  # its row prints sigma whatever the process
+    "dds-check": ("bm", set()),
     "cos-drift": ("cos-drift", QUERY_READS),
     "abs-cuberoot": ("abs-cuberoot", QUERY_READS),
     "costs-fbm-momentum": ("fbm", {"rate", "strategy"}),
@@ -904,6 +925,17 @@ def test_hurst_and_sigma_are_read_only_where_the_process_or_run_reads_them(
             assert (config.process, getattr(config, field)) == (process, value)
         else:
             _assert_refused(tmp_path, monkeypatch, capsys, argv, named)
+
+
+@pytest.mark.parametrize("process, flags, cell", [("fbm", [], ""), ("bm", ["--sigma", "3"], "3")])
+def test_dds_check_prints_sigma_only_where_the_process_reads_it(tmp_path, monkeypatch, process,
+                                                                flags, cell):
+    # fbm ignores sigma (and refuses --sigma, above), so its row leaves the cell
+    # blank, as a row leaves H
+    monkeypatch.chdir(tmp_path)
+    assert main(["experiment", "dds-check", "--process", process, *flags, "--paths", "4",
+                 "--steps", "256", "--out", "x.csv"]) == 0
+    assert _csv_row(tmp_path / "x.csv")["sigma"] == cell
 
 
 def _readme_table(readme: str, header: str) -> dict:
@@ -1216,7 +1248,7 @@ def _frozen_ladder(config):
     horizons = config.ladder or (config.horizon / 4.0, config.horizon / 2.0, config.horizon)
     fractions = survival_ladder(ensemble, cli.parse_rule(config.tau), config.delta, horizons)
     rows = tuple(
-        (config.process, cli._hurst_cell(config), config.tau, config.delta, h, f,
+        (config.process, cli._process_cell(config, "hurst"), config.tau, config.delta, h, f,
          ensemble.n_paths, config.master_seed, config.steps)
         for h, f in zip(horizons, fractions)
     )

@@ -81,3 +81,14 @@ def test_cli_counts_only_through_the_public_estimators():
                if isinstance(node, ast.ImportFrom) and node.module == "stickiness"
                for alias in node.names if alias.name.startswith("_")}
     assert private == {"_check_ladder", "_check_window_end"}
+
+
+def test_stickiness_query_holds_one_tube():
+    # every characterization counts the query's own (tau, T, epsilon); a ladder
+    # of horizons is survival_ladder's
+    import dataclasses
+
+    from stickylab import StickinessQuery
+
+    assert tuple(f.name for f in dataclasses.fields(StickinessQuery)) == (
+        "tau", "horizon", "epsilon", "event", "characterization", "confidence")

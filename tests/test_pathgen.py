@@ -299,9 +299,10 @@ def test_ensemble_block_rows_match_the_whole_ensemble(spec):
         ({"workers": "x"}, "workers must be an integer, got 'x'"),
         ({"workers": 1.5}, "workers must be an integer, got 1.5"),  # not truncated to 1
         ({"workers": 0}, "workers must be at least 1"),
+        ({"first": True}, "first must be an integer, got True"),  # not path 1
     ],
     ids=["first-negative", "first-str", "first-none", "workers-str", "workers-float",
-         "workers-zero"],
+         "workers-zero", "first-bool"],
 )
 def test_ensemble_block_refuses_a_bad_first_path_or_worker_count(kwargs, match):
     with pytest.raises(InvalidArgumentError, match=match):
@@ -675,6 +676,11 @@ def test_fractional_path_counts_are_refused():
         sample_ensemble(BrownianMotion(1.0), grid, 1, 2.5)
     with pytest.raises(InvalidArgumentError, match="n_paths must be an integer, got 2.5"):
         sample_fbm(grid, SeedSpec(1), 0.7, n_paths=2.5)
+    # True would draw one path on a one-step grid
+    with pytest.raises(InvalidArgumentError, match="n_paths must be an integer, got True"):
+        sample_ensemble(BrownianMotion(1.0), grid, 1, True)
+    with pytest.raises(InvalidArgumentError, match="steps must be an integer, got True"):
+        make_uniform_grid(1.0, True)
     assert sample_ensemble(BrownianMotion(1.0), grid, 1, np.int64(3)).n_paths == 3
 
 
@@ -712,6 +718,8 @@ def test_fbm_block_temporaries_stay_bounded():
         ((0, -1), "path_index must be an integer in"),
         ((2**64,), "master_seed must be an integer in"),
         ((-1,), "master_seed must be an integer in"),
+        ((True,), "master_seed must be an integer"),  # not seed 1
+        ((0, False), "path_index must be an integer"),
     ],
 )
 def test_seed_spec_refuses_keys_that_would_collide_or_overflow(args, match):

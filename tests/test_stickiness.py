@@ -370,22 +370,6 @@ def test_ladder_validation():
 
 
 @pytest.mark.parametrize(
-    "kwargs",
-    [
-        {"delta": float("nan")},
-        {"delta": float("inf")},
-        {"delta": 0.0},
-        {"ladder": (0.25, float("nan"))},
-        {"ladder": (float("-inf"), 0.5)},
-        {"ladder": ()},
-    ],
-)
-def test_prop_c_query_rejects_bad_delta_and_ladder(kwargs):
-    with pytest.raises(InvalidArgumentError):
-        q(0.5, characterization="prop-c", **kwargs)
-
-
-@pytest.mark.parametrize(
     "kwargs, match",
     [
         ({"confidence": 1.0}, r"confidence must lie in \(0, 1\)"),
@@ -402,13 +386,10 @@ def test_query_refuses_a_bad_confidence_or_characterization(kwargs, match):
     "ladder",
     [(), (0.5, 0.5), (0.75, 0.25), (0.25, float("nan")), (float("-inf"), 0.5), (0.5, 1.5)],
 )
-def test_ladder_and_prop_c_reject_the_same_ladders(ladder):
+def test_ladder_rejects_bad_ladders(ladder):
     # (0.5, 1.5) is well formed but ends past the grid span of 1
-    ens = constant_ensemble()
     with pytest.raises(InvalidArgumentError):
-        survival_ladder(ens, Deterministic(0.0), 0.5, ladder)
-    with pytest.raises(InvalidArgumentError):
-        estimate_stickiness(ens, q(0.5, characterization="prop-c", ladder=ladder))
+        survival_ladder(constant_ensemble(), Deterministic(0.0), 0.5, ladder)
 
 
 # ---------------------------------------------------------------- cross checks
@@ -583,14 +564,10 @@ def _reference_success(query, path, end_index):
         if not evaluate_event(query.event, path, stop):
             return False
         return _reference_window_sup(path.values, stop.index, end_index) < query.epsilon
-    delta = query.delta if query.delta is not None else query.epsilon
-    top = query.ladder[-1] if query.ladder else query.horizon
-    top_index = path.grid.last_index_at_or_before(top)
     stop = _reference_capped_stop(query, path, end_index)
     if not evaluate_event(query.event, path, stop):
         return False
-    seg = np.abs(path.values[stop.index : top_index + 1] - path.values[stop.index])
-    return not (seg > delta).any()
+    return not _reference_window_sup(path.values, stop.index, end_index) > query.epsilon
 
 
 def _reference_ladder(ensemble, tau0, delta, horizons):
@@ -630,25 +607,18 @@ REFERENCE_EVENTS = (
     WholeSpace(),
     Conjunction((ValueAtStopInRange(-0.25, 0.25), StoppedBeforeHorizon(0.75))),
 )
-# prop-c (delta, ladder); a ladder topping out at 0.25 lies before the capped
-# stop of det:0.3 and of hit:0.25@det:0.5
-PROP_C_VARIANTS = ((None, None), (0.25, None), (0.375, (0.1, 0.25)), (0.25, (0.5, 0.75)))
 
 
 def _reference_queries(grid):
-    """``(end index, queries)`` for every rule, epsilon, event and horizon, the
-    queries covering each characterization and prop-c variant."""
+    """``(end index, queries)`` for every rule, epsilon, event and horizon, one
+    query per characterization."""
     for rule in REFERENCE_RULES:
         for epsilon in (0.125, 0.25, 0.5):
             for event in REFERENCE_EVENTS:
                 for horizon in (0.75, 1.0):
                     yield grid.last_index_at_or_before(horizon), [
                         q(epsilon, parse_rule(rule), horizon, event=event, characterization=c)
-                        for c in ("def-a", "prop-b")
-                    ] + [
-                        q(epsilon, parse_rule(rule), horizon, event=event,
-                          characterization="prop-c", delta=d, ladder=lad)
-                        for d, lad in PROP_C_VARIANTS
+                        for c in ("def-a", "prop-b", "prop-c")
                     ]
 
 
@@ -675,6 +645,21 @@ def test_survival_ladder_matches_reference(kind):
             got = survival_ladder(ens, parse_rule(rule), delta, horizons)
             want = _reference_ladder(ens, parse_rule(rule), delta, horizons)
             assert np.array_equal(got, want), (rule, delta)
+
+
+@pytest.mark.parametrize("spec", [BrownianMotion(1.0), FractionalBrownianMotion(0.3),
+                                  FractionalBrownianMotion(0.75)], ids=["bm", "0.3", "0.75"])
+def test_prop_c_counts_the_ladder_at_its_horizon(spec):
+    # prop-c's restart from tau ^ T survives T exactly when survival_ladder's
+    # restart from tau does: a tau after T survives both
+    ens = sample_ensemble(spec, make_uniform_grid(1.0, 256), 11, 400)
+    horizons = (0.1, 0.5, 0.75, 1.0)
+    for rule in REFERENCE_RULES:
+        for epsilon in (0.125, 0.25, 0.5):
+            ladder = survival_ladder(ens, parse_rule(rule), epsilon, horizons)
+            for horizon, fraction in zip(horizons, ladder):
+                query = q(epsilon, parse_rule(rule), horizon, characterization="prop-c")
+                assert estimate_stickiness(ens, query).p_hat == fraction, query
 
 
 @functools.lru_cache(maxsize=None)
@@ -804,12 +789,11 @@ def test_block_streams_refuse_other_grids_other_items_and_no_blocks(count):
     "count",
     [
         lambda blocks: estimate_stickiness(blocks, q(0.5, horizon=2.0)),
-        lambda blocks: cross_check_characterizations(blocks, q(0.5, ladder=(0.5, 2.0))),
-        lambda blocks: estimate_stickiness(
-            blocks, q(0.5, characterization="prop-c", ladder=(0.5, 2.0))),
+        lambda blocks: cross_check_characterizations(blocks, q(0.5, horizon=2.0)),
+        lambda blocks: estimate_stickiness(blocks, q(0.5, horizon=2.0, characterization="prop-c")),
         lambda blocks: survival_ladder(blocks, Deterministic(0.0), 0.5, [0.5, 2.0]),
     ],
-    ids=["window", "cross-check-ladder", "prop-c-ladder", "survival-ladder"],
+    ids=["window", "cross-check", "prop-c", "survival-ladder"],
 )
 def test_window_past_the_grid_is_refused_before_a_second_block_is_drawn(count):
     def spy():
