@@ -38,7 +38,7 @@ from .pathgen import (
 )
 from .stickiness import (StickinessEstimate, StickinessQuery, _check_ladder, _check_window_end,
                          estimate_stickiness, survival_ladder)
-from .stopping import HittingFrom, parse_event, parse_rule
+from .stopping import parse_event, parse_rule
 from .transforms import (
     AbsCubeRootOfMartingale,
     CosDriftExample,
@@ -120,11 +120,10 @@ class ExperimentConfig:
         _count(self.n_paths, "n_paths")
         if any(c in text for text in (self.tau, self.event, self.strategy) for c in '\n\r,"'):
             raise ConfigError("tau, event and strategy must hold no line break, comma or quote")
-        query = _stickiness_query(self, self.horizon)
+        _stickiness_query(self, self.horizon)
         _check_window_end(self.query_horizon, self.horizon)
-        HittingFrom(query.tau, self.delta)  # the ladder's restart rule
-        if self.ladder:
-            _check_ladder(self.ladder, self.horizon)
+        _check_ladder(self.ladder or (self.horizon,), self.delta)  # delta, even with no ladder
+        _check_window_end(max(self.ladder, default=None), self.horizon)
         _parse_strategy(self.strategy)
         CostModel(self.rate)
         if self.output == "":

@@ -23,6 +23,7 @@ fires before the horizon.
 from __future__ import annotations
 
 import math
+import numbers
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, replace
 from typing import Literal
@@ -75,18 +76,23 @@ __all__ = [
 Characterization = Literal["def-a", "prop-b", "prop-c"]
 
 
-def _check_ladder(horizons, span: float | None = None) -> Array:
-    """``horizons`` as an array; raises unless they are nonempty, finite,
-    strictly increasing and, when ``span`` is given, end within the grid span."""
-    horizons = np.asarray(horizons, dtype=np.float64)
-    if horizons.size == 0:
+def _positive(value, name: str) -> None:
+    """Raises unless ``value`` is a finite positive real number; a boolean is none."""
+    if isinstance(value, bool) or not (isinstance(value, numbers.Real) and 0.0 < value < math.inf):
+        raise InvalidArgumentError(f"{name} must be a finite positive number, got {value!r}")
+
+
+def _check_ladder(horizons, delta) -> tuple:
+    """``horizons`` as a tuple; raises unless ``delta`` and every horizon are finite
+    positive numbers and the horizons are nonempty and strictly increasing."""
+    _positive(delta, "delta")
+    horizons = tuple(horizons)
+    if not horizons:
         raise InvalidArgumentError("horizon ladder must be nonempty")
-    if not np.isfinite(horizons).all():
-        raise InvalidArgumentError("ladder horizons must be finite")
-    if np.any(np.diff(horizons) <= 0.0):
+    for h in horizons:
+        _positive(h, "a ladder horizon")
+    if any(b <= a for a, b in zip(horizons, horizons[1:])):
         raise InvalidArgumentError("horizon ladder must be strictly increasing")
-    if span is not None and horizons[-1] > span * (1.0 + 1e-12):
-        raise InvalidArgumentError("ladder horizons exceed the grid span")
     return horizons
 
 
@@ -98,8 +104,8 @@ def _check_window_end(horizon: float | None, span: float) -> None:
 
 @dataclass(frozen=True)
 class StickinessQuery:
-    """The (tau, T, epsilon, A) tuple plus the characterization to count by; prop-c's
-    restart from tau ^ T leaves the same epsilon-tube by T (see ``_stays``)."""
+    """The (tau, T, epsilon, A) tuple plus the characterization to count by; prop-c
+    counts the restart from tau ^ T that survives T (see ``survival_ladder``)."""
 
     tau: StoppingRule
     horizon: float
@@ -109,10 +115,8 @@ class StickinessQuery:
     confidence: float = 0.95
 
     def __post_init__(self):
-        if not (np.isfinite(self.epsilon) and self.epsilon > 0.0):
-            raise InvalidArgumentError("epsilon must be positive")
-        if not (np.isfinite(self.horizon) and self.horizon > 0.0):
-            raise InvalidArgumentError("horizon must be positive")
+        _positive(self.epsilon, "epsilon")
+        _positive(self.horizon, "horizon")
         if not (0.0 < self.confidence < 1.0):
             raise InvalidArgumentError("confidence must lie in (0, 1)")
         if self.characterization not in ("def-a", "prop-b", "prop-c"):
@@ -256,14 +260,10 @@ def _verdict(successes: int, ci_low: float) -> str:
 _TUBE_POINT_BYTES = 9
 
 
-def _stays(query: StickinessQuery, x: Array, k: Array, end_index: int) -> Array:
-    """Whether each row of ``x``, stopped at ``k``, stays in the epsilon-tube through
-    ``end_index``: def-a and prop-b exit at a deviation >= epsilon, prop-c at > epsilon."""
-    return _exit_indices(x, k, query.epsilon, query.characterization == "prop-c") > end_index
-
-
 def _success(query: StickinessQuery, path: Path, end_index: int) -> bool:
-    """One path's success, through ``evaluate_rule`` and ``evaluate_event``."""
+    """One path's success, through ``evaluate_rule`` and ``evaluate_event``: it stays in
+    the epsilon-tube through ``end_index``, which def-a and prop-b leave at a deviation
+    >= epsilon and prop-c at > epsilon."""
     stop = evaluate_rule(query.tau, path)
     if query.characterization == "def-a":
         if not (stop.stopped and stop.time < query.horizon):
@@ -273,19 +273,23 @@ def _success(query: StickinessQuery, path: Path, end_index: int) -> bool:
         stop = StopResult.at(path.grid.times[end_index], end_index)
     if not evaluate_event(query.event, path, stop):
         return False
-    return bool(_stays(query, path.values[None, :], np.array([stop.index]), end_index)[0])
+    strict = query.characterization == "prop-c"
+    return bool(_exit_indices(path.values[None, :], np.array([stop.index]), query.epsilon,
+                              strict)[0] > end_index)
 
 
 def _success_mask(query: StickinessQuery, x: Array, grid: TimeGrid, end_index: int,
-                  stop: Array) -> Array:
-    """``_success`` of every row of the block ``x``, whose tau stops at ``stop``
-    (``_stop_indices``), with no loop over rows."""
+                  stop: Array, exits: Array) -> Array:
+    """``_success`` of every row of the block ``x``, with no loop over rows: tau stops
+    at ``stop`` (``_stop_indices``) and the tube from there is left at ``exits``
+    (``_exit_indices`` at epsilon, strict for prop-c). Starting every tube at tau, not
+    at prop-b's and prop-c's tau ^ T, counts the same: def-a counts only rows whose tau
+    is at most ``end_index``, and a tube started past ``end_index`` is not left by then."""
     if query.characterization == "def-a":
         k, won = stop, np.append(grid.times, np.inf)[stop] < query.horizon  # stopped before T
     else:
         k, won = np.minimum(stop, end_index), np.ones(len(stop), dtype=bool)
-    won &= _event_mask(query.event, x, grid, k)
-    return won & _stays(query, x, k, end_index)
+    return won & _event_mask(query.event, x, grid, k) & (exits > end_index)
 
 
 def _estimate(query: StickinessQuery, successes: int, n: int) -> StickinessEstimate:
@@ -305,11 +309,11 @@ def _estimate(query: StickinessQuery, successes: int, n: int) -> StickinessEstim
 
 
 def _chunks(ensemble: Ensemble | Iterable[Ensemble],
-            horizon: float | None) -> Iterator[tuple[Array, TimeGrid, Path, int]]:
+            horizon: float) -> Iterator[tuple[Array, TimeGrid, Path, int]]:
     """The counting chunks of ``ensemble``, an ``Ensemble`` or an iterable of
     ``Ensemble`` blocks on one grid read once, as ``(rows, grid, first path, its
-    index among the rows seen)``. The window end ``horizon`` (``None``: none) is
-    checked against the first block's grid before any chunk is yielded."""
+    index among the rows seen)``. The last window end ``horizon`` is checked
+    against the first block's grid before any chunk is yielded."""
     grid, n = None, 0
     for block in [ensemble] if isinstance(ensemble, Ensemble) else ensemble:
         if not isinstance(block, Ensemble):
@@ -330,15 +334,19 @@ def _chunks(ensemble: Ensemble | Iterable[Ensemble],
 def _estimates(ensemble: Ensemble | Iterable[Ensemble],
                queries: list[StickinessQuery]) -> list[StickinessEstimate]:
     """Each query's estimate over the rows of ``ensemble`` (see ``_chunks``). The
-    queries share tau and T, so tau's stop indices are found once per chunk. Each
-    chunk's first path is recounted through ``_success`` for every query; a
-    disagreement raises ``NumericalFailureError``."""
+    queries share tau, so tau's stop indices are found once per chunk, and so is
+    the tube exit from them for each (epsilon, strictness), whatever each query's
+    T. Each chunk's first path is recounted through ``_success`` for every query;
+    a disagreement raises ``NumericalFailureError``."""
     successes, n = np.zeros(len(queries), dtype=np.int64), 0
-    for x, grid, path, i in _chunks(ensemble, queries[0].horizon):
-        end_index = grid.last_index_at_or_before(queries[0].horizon)
-        stop = _stop_indices(queries[0].tau, x, grid)
+    for x, grid, path, i in _chunks(ensemble, max(query.horizon for query in queries)):
+        stop, exits = _stop_indices(queries[0].tau, x, grid), {}
         for j, query in enumerate(queries):
-            won = _success_mask(query, x, grid, end_index, stop)
+            end_index = grid.last_index_at_or_before(query.horizon)
+            scan = (query.epsilon, query.characterization == "prop-c")
+            if scan not in exits:
+                exits[scan] = _exit_indices(x, stop, *scan)
+            won = _success_mask(query, x, grid, end_index, stop, exits[scan])
             if _success(query, path, end_index) != won[0]:
                 raise NumericalFailureError(f"path {i}: the block count disagrees with one path's")
             successes[j] += np.count_nonzero(won)
@@ -365,28 +373,14 @@ def survival_ladder(
     horizons,
 ) -> Array:
     """Fraction of paths whose restart time ``inf{t >= tau0 : |X_t - X_tau0| > delta}``
-    exceeds each horizon; nonincreasing in the horizon by construction.
-
-    Paths whose restart never triggers within the grid survive every horizon.
-    ``ensemble`` is read as by ``estimate_stickiness``.
+    exceeds each horizon ``h``: prop-c's ``p_hat`` for ``(tau0, h, delta)``, all
+    counted in one pass with one tube scan per chunk (see ``_estimates``), so
+    nonincreasing in ``h``. Paths whose restart never triggers within the grid
+    survive every horizon. ``ensemble`` is read as by ``estimate_stickiness``.
     """
-    horizons = _check_ladder(horizons)
-    if not (np.isfinite(delta) and delta > 0.0):
-        raise InvalidArgumentError("delta must be finite and positive")
-    restart = HittingFrom(tau0, delta)
-    survivors, n = np.zeros(horizons.size, dtype=np.int64), 0
-    for x, grid, path, i in _chunks(ensemble, None):
-        if i == 0:  # refused on the first block's grid, before a second is drawn
-            _check_ladder(horizons, grid.horizon)
-        k = _stop_indices(restart, x, grid)
-        stop = evaluate_rule(restart, path)
-        if (stop.index if stop.stopped else grid.n_points) != k[0]:
-            raise NumericalFailureError(f"path {i}: the block restart disagrees with one path's")
-        times = np.append(grid.times, np.inf)  # index n_points: never stopped
-        survivors += np.count_nonzero(times[k][:, None] > horizons, axis=0)
-        n = i + len(x)  # the rows seen
-        del x, path  # as in _estimates
-    return survivors / n
+    queries = [StickinessQuery(tau0, h, delta, characterization="prop-c")
+               for h in _check_ladder(horizons, delta)]
+    return np.array([est.p_hat for est in _estimates(ensemble, queries)])
 
 
 def cross_check_characterizations(
@@ -498,7 +492,9 @@ def estimate_stickiness_sis(
 
     samples = Ensemble(grid, x.T, master_seed).values  # one row per sample
     found = _stop_indices(tau, samples, grid)
-    wrong = (found != stop) | (_success_mask(query, samples, grid, end_index, found) != weighted)
+    exits = _exit_indices(samples, found, query.epsilon, False)
+    wrong = (found != stop) | (_success_mask(query, samples, grid, end_index, found, exits)
+                               != weighted)
     if wrong.any():
         raise NumericalFailureError(f"importance sample {int(np.argmax(wrong))} disagrees "
                                     "with the stopping rule or the tube check")

@@ -364,6 +364,7 @@ def test_passage_preset_reads_the_window_end(tmp_path, monkeypatch, capsys):
         ["ladder", "--delta", "-1"],
         ["ladder", "--ladder", "0.5,0.25"],
         ["ladder", "--ladder", "0.5,2"],
+        ["ladder", "--ladder", "0,1"],
         ["portfolio", "--strategy", "buyhold"],
         ["portfolio", "--k", "1.5"],
         ["stickiness", "--big-t", "2", "--steps", "8192"],
@@ -1248,8 +1249,8 @@ def _frozen_ladder(config):
     horizons = config.ladder or (config.horizon / 4.0, config.horizon / 2.0, config.horizon)
     fractions = survival_ladder(ensemble, cli.parse_rule(config.tau), config.delta, horizons)
     rows = tuple(
-        (config.process, cli._process_cell(config, "hurst"), config.tau, config.delta, h, f,
-         ensemble.n_paths, config.master_seed, config.steps)
+        (config.process, config.hurst if config.process == "fbm" else "", config.tau,
+         config.delta, h, f, ensemble.n_paths, config.master_seed, config.steps)
         for h, f in zip(horizons, fractions)
     )
     return ResultTable(cli.LADDER_COLUMNS, rows, cli._provenance(config))

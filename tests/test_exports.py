@@ -69,6 +69,21 @@ def test_only_importance_sampling_loads_scipy(tmp_path, runs, library, codes, lo
     assert out.stdout == f"{codes} {loaded}\n"
 
 
+@pytest.mark.parametrize("module_file", sorted(
+    name for name in os.listdir(os.path.dirname(stickylab.__file__))
+    if name.endswith(".py") and name != "__init__.py"))
+def test_no_module_imports_a_name_it_never_uses(module_file):
+    # a deletion can leave its imports behind; only __init__ imports names to re-export
+    with open(os.path.join(os.path.dirname(stickylab.__file__), module_file)) as fh:
+        tree = ast.parse(fh.read())
+    imported = {(alias.asname or alias.name).split(".")[0] for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom)) and (
+                    getattr(node, "module", None) != "__future__")
+                for alias in node.names}
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert sorted(imported - used) == []
+
+
 def test_cli_counts_only_through_the_public_estimators():
     # the streamed runs count through estimate_stickiness, survival_ladder and
     # the cross-check; cli keeps only the two checks that refuse a bad config

@@ -374,22 +374,36 @@ def test_ladder_validation():
     [
         ({"confidence": 1.0}, r"confidence must lie in \(0, 1\)"),
         ({"characterization": "prop-d"}, "unknown characterization 'prop-d'"),
+        ({"horizon": True, "epsilon": True}, "epsilon must be a finite positive number, got True"),
+        ({"horizon": np.True_}, "horizon must be a finite positive number, got np.True_"),
+        ({"epsilon": np.array([0.5])}, "epsilon must be a finite positive number"),
+        ({"epsilon": "0.5"}, "epsilon must be a finite positive number, got '0.5'"),
+        ({"horizon": 0}, "horizon must be a finite positive number, got 0"),
+        ({"epsilon": float("nan")}, "epsilon must be a finite positive number, got nan"),
     ],
-    ids=["confidence-one", "unknown-characterization"],
+    ids=["confidence-one", "unknown-characterization", "booleans", "numpy-boolean", "array",
+         "string", "zero-horizon", "nan-epsilon"],
 )
 def test_query_refuses_a_bad_confidence_or_characterization(kwargs, match):
     with pytest.raises(InvalidArgumentError, match=match):
-        q(0.5, **kwargs)
+        q(**{"epsilon": 0.5, **kwargs})
 
 
 @pytest.mark.parametrize(
     "ladder",
-    [(), (0.5, 0.5), (0.75, 0.25), (0.25, float("nan")), (float("-inf"), 0.5), (0.5, 1.5)],
+    [(), (0.5, 0.5), (0.75, 0.25), (0.25, float("nan")), (float("-inf"), 0.5), (0.5, 1.5),
+     (True,), (0.5, "1"), ([0.5, 1.0],), (-1.0, 0.0, 0.5), (0.0, 1.0)],
 )
 def test_ladder_rejects_bad_ladders(ladder):
     # (0.5, 1.5) is well formed but ends past the grid span of 1
     with pytest.raises(InvalidArgumentError):
         survival_ladder(constant_ensemble(), Deterministic(0.0), 0.5, ladder)
+
+
+@pytest.mark.parametrize("delta", [True, -1.0, 0.0, float("nan"), "0.5", np.array([0.5])])
+def test_ladder_refuses_a_bad_delta_by_name(delta):
+    with pytest.raises(InvalidArgumentError, match="delta must be a finite positive number"):
+        survival_ladder(constant_ensemble(), Deterministic(0.0), delta, [1.0])
 
 
 # ---------------------------------------------------------------- cross checks
@@ -703,8 +717,8 @@ def test_block_counts_match_reference(monkeypatch, kind, rows, split):
         chunk_bytes = rows * stickiness._TUBE_POINT_BYTES * ens.grid.n_points
         monkeypatch.setattr(pg, "_BLOCK_BYTES", chunk_bytes)
     blocks = ens if split is None else _split(ens, SPLITS[split])
-    # each chunk recounts its first path through evaluate_rule once, so the
-    # recounts show the chunking took the patched budget
+    # each chunk recounts its first path through evaluate_rule once per query (a
+    # ladder: per horizon), so the recounts show the chunking took the patched budget
     recounts = []
     monkeypatch.setattr(stickiness, "evaluate_rule",
                         lambda rule, path: recounts.append(path) or evaluate_rule(rule, path))
@@ -722,7 +736,7 @@ def test_block_counts_match_reference(monkeypatch, kind, rows, split):
         for delta in (0.125, 0.25, 0.5):
             recounts.clear()
             got = survival_ladder(blocks, parse_rule(rule), delta, horizons)
-            assert len(recounts) == chunks, (rule, delta)
+            assert len(recounts) == chunks * len(horizons), (rule, delta)
             want = _reference_ladder(ens, parse_rule(rule), delta, horizons)
             assert np.array_equal(got.view(np.int64), want.view(np.int64)), (rule, delta)
 
@@ -736,11 +750,31 @@ def test_block_and_one_path_disagreement_raises(monkeypatch):
         estimate_stickiness(ens, q(0.5))  # every block row succeeds
     with pytest.raises(NumericalFailureError, match="path 0"):
         estimate_stickiness(iter([ens, ens]), q(0.5))
-    monkeypatch.setattr(stickiness, "evaluate_rule", lambda rule, path: StopResult.at(0.0, 0))
+    monkeypatch.setattr(stickiness, "evaluate_rule", evaluate_rule)
+    monkeypatch.setattr(stickiness, "evaluate_event", lambda event, path, stop: False)
     with pytest.raises(NumericalFailureError, match="path 0"):
-        survival_ladder(ens, Deterministic(0.0), 0.5, [1.0])  # no block row restarts
+        survival_ladder(ens, Deterministic(0.0), 0.5, [1.0])  # every block row survives
     with pytest.raises(NumericalFailureError, match="path 0"):
-        survival_ladder(iter([ens, ens]), Deterministic(0.0), 0.5, [1.0])
+        survival_ladder(iter([ens, ens]), Deterministic(0.0), 0.5, [0.5, 1.0])
+
+
+@pytest.mark.parametrize("count, scans", [
+    (lambda ens: estimate_stickiness(ens, q(0.5)), 1),
+    (lambda ens: cross_check_characterizations(ens, q(0.5)), 2),  # def-a and prop-b share one
+    (lambda ens: survival_ladder(ens, Deterministic(0.0), 0.5, [0.1, 0.25, 0.5, 0.75, 1.0]), 1),
+], ids=["estimate", "cross-check", "ladder"])
+def test_one_tube_scan_per_epsilon_and_strictness_per_chunk(monkeypatch, count, scans):
+    # the queries of one count share tau's stop and scan the tube from it once for
+    # each (epsilon, strictness), whatever their T; the one-row recounts are apart
+    blocks, calls = _split(_reference_ensemble("bm"), [20, 45]), []
+
+    def exit_indices(x, start, delta, strict):
+        calls.append(len(x))
+        return _exit_indices(x, start, delta, strict)
+
+    monkeypatch.setattr(stickiness, "_exit_indices", exit_indices)
+    count(blocks)
+    assert [rows for rows in calls if rows > 1] == [20] * scans + [25] * scans + [15] * scans
 
 
 def test_streamed_disagreement_names_the_row_among_the_rows_seen(monkeypatch):
@@ -815,6 +849,7 @@ def test_count_temporaries_stay_bounded():
     counts = (
         lambda: estimate_stickiness(ens, q(0.5, tau=hit)),
         lambda: estimate_stickiness(ens, q(0.5, tau=hit, characterization="prop-c")),
+        lambda: cross_check_characterizations(ens, q(0.5, tau=hit)),  # two scans' exits held
         lambda: survival_ladder(ens, hit, 0.5, [0.5, 1.0]),
     )
     for count in counts:
