@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AlignmentError, InvalidArgumentError
-from .pathgen import Array, Ensemble, Path, TimeGrid
+from .pathgen import Array, Ensemble, Path, TimeGrid, _real
 
 __all__ = [
     "Strategy",
@@ -75,10 +75,8 @@ class CostModel:
     admissibility_floor: float = 1e6
 
     def __post_init__(self):
-        if not (0.0 <= self.rate < 1.0):
-            raise InvalidArgumentError("cost rate must lie in [0, 1)")
-        if not (self.admissibility_floor > 0.0):
-            raise InvalidArgumentError("admissibility floor must be positive")
+        _real(self.rate, "cost rate", "[0, 1)")
+        _real(self.admissibility_floor, "admissibility floor")
 
 
 @dataclass(frozen=True, eq=False)
@@ -191,8 +189,7 @@ def terminal_stats(terminal: Array, tol: float = 1e-9) -> ArbitrageStats:
     mean and standard deviation from the values divided by their largest
     magnitude; a statistic that still exceeds the float range is refused.
     """
-    if not (np.isfinite(tol) and tol >= 0.0):
-        raise InvalidArgumentError("tol must be finite and nonnegative")
+    _real(tol, "tol", "[0, inf)")
     terminal = np.asarray(terminal, dtype=np.float64)
     if terminal.size == 0:
         raise InvalidArgumentError("need at least one terminal value")
@@ -225,8 +222,8 @@ def momentum_strategy(price: Path | Ensemble, threshold: float, unit: float) -> 
     """Hold +unit / -unit when the last observed move from the start exceeds
     the threshold band; decisions at ``t`` use values strictly before ``t``.
     A row block gets one column per grid time, one path its breakpoints only."""
-    if not (threshold > 0.0 and unit > 0.0):
-        raise InvalidArgumentError("threshold and unit must be positive")
+    _real(threshold, "threshold")
+    _real(unit, "unit")
     x = price.values
     desired = np.empty(x.shape)
     desired[..., 0] = 0.0

@@ -27,6 +27,7 @@ Conventions
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 from functools import lru_cache
@@ -142,8 +143,7 @@ class TimeGrid:
 
 def make_uniform_grid(horizon: float, steps: int) -> TimeGrid:
     """Uniform grid ``{0, h, 2h, ..., horizon}`` with ``h = horizon / steps``."""
-    if not np.isfinite(horizon) or horizon <= 0.0:
-        raise InvalidArgumentError(f"horizon must be positive, got {horizon}")
+    _real(horizon, "horizon")
     steps = _count(steps, "steps")
     try:  # refused before any sampling, as _empty refuses an ensemble
         times = np.linspace(0.0, float(horizon), steps + 1)
@@ -271,8 +271,7 @@ class BrownianMotion:
     volatility: float = 1.0
 
     def __post_init__(self):
-        if not (np.isfinite(self.volatility) and self.volatility > 0.0):
-            raise InvalidArgumentError("volatility must be positive")
+        _real(self.volatility, "volatility")
 
 
 @dataclass(frozen=True)
@@ -280,8 +279,7 @@ class FractionalBrownianMotion:
     hurst: float
 
     def __post_init__(self):
-        if not (0.0 < self.hurst < 1.0):
-            raise InvalidArgumentError("hurst must lie strictly inside (0, 1)")
+        _real(self.hurst, "hurst", "(0, 1)")
 
 
 ProcessSpec = Union[BrownianMotion, FractionalBrownianMotion]
@@ -314,6 +312,21 @@ def _count(value, name: str, least: int = 1) -> int:
         bound = f"at least {least}" if least else "nonnegative"
         raise InvalidArgumentError(f"{name} must be {bound}")
     return n
+
+
+def _real(value, name: str, interval: str = "(0, inf)", error: type = InvalidArgumentError) -> None:
+    """Raises ``error`` naming ``name`` unless ``value`` is a real number in ``interval``,
+    written ``'(0, inf)'``, ``'[0, 1)'``, ...; a boolean, a string, an array, NaN or an
+    integer beyond the float range is none. The caller keeps ``value`` as given."""
+    low, high = map(float, interval[1:-1].split(","))
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    try:  # NaN, like a non-number, fails every comparison below
+        x = float(value) if real else math.nan
+    except OverflowError:  # an integer beyond the float range
+        x = math.nan
+    if not ((low <= x if interval[0] == "[" else low < x)
+            and (x <= high if interval[-1] == "]" else x < high)):
+        raise error(f"{name} must be a real number in {interval}, got {value!r}")
 
 
 def _empty(n_paths: int, *shape: int) -> Array:
@@ -352,8 +365,7 @@ def sample_brownian(grid: TimeGrid, seed: SeedSpec, volatility: float = 1.0, *,
     Identical ``(grid, seed, volatility)`` yield a bit-identical path.
     ``n_paths=k`` returns the k-row ``Ensemble`` of paths ``seed.path_index, ...``.
     """
-    if not (np.isfinite(volatility) and volatility > 0.0):
-        raise InvalidArgumentError("volatility must be positive")
+    _real(volatility, "volatility")
     values = _output(grid, n_paths)
     first = seed.path_index
     for rows in _row_blocks(len(values), 8 * grid.n_steps):  # the increments are the buffer
@@ -438,8 +450,7 @@ def sample_fbm(grid: TimeGrid, seed: SeedSpec, hurst: float, *,
     Falls back to dense covariance factorization if the embedding fails.
     ``n_paths`` works as for ``sample_brownian``.
     """
-    if not (0.0 < hurst < 1.0):
-        raise InvalidArgumentError("hurst must lie strictly inside (0, 1)")
+    _real(hurst, "hurst", "(0, 1)")
     dt = grid.uniform_spacing()
     n = grid.n_steps
     weights = _fgn_sqrt_spectrum(n, dt, float(hurst))

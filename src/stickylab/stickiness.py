@@ -23,7 +23,6 @@ fires before the horizon.
 from __future__ import annotations
 
 import math
-import numbers
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, replace
 from typing import Literal
@@ -43,6 +42,7 @@ from .pathgen import (
     TimeGrid,
     _count,
     _fbm_dense_factor,
+    _real,
     _row_blocks,
     _streams,
 )
@@ -76,21 +76,15 @@ __all__ = [
 Characterization = Literal["def-a", "prop-b", "prop-c"]
 
 
-def _positive(value, name: str) -> None:
-    """Raises unless ``value`` is a finite positive real number; a boolean is none."""
-    if isinstance(value, bool) or not (isinstance(value, numbers.Real) and 0.0 < value < math.inf):
-        raise InvalidArgumentError(f"{name} must be a finite positive number, got {value!r}")
-
-
 def _check_ladder(horizons, delta) -> tuple:
     """``horizons`` as a tuple; raises unless ``delta`` and every horizon are finite
     positive numbers and the horizons are nonempty and strictly increasing."""
-    _positive(delta, "delta")
+    _real(delta, "delta")
     horizons = tuple(horizons)
     if not horizons:
         raise InvalidArgumentError("horizon ladder must be nonempty")
     for h in horizons:
-        _positive(h, "a ladder horizon")
+        _real(h, "a ladder horizon")
     if any(b <= a for a, b in zip(horizons, horizons[1:])):
         raise InvalidArgumentError("horizon ladder must be strictly increasing")
     return horizons
@@ -115,10 +109,9 @@ class StickinessQuery:
     confidence: float = 0.95
 
     def __post_init__(self):
-        _positive(self.epsilon, "epsilon")
-        _positive(self.horizon, "horizon")
-        if not (0.0 < self.confidence < 1.0):
-            raise InvalidArgumentError("confidence must lie in (0, 1)")
+        _real(self.epsilon, "epsilon")
+        _real(self.horizon, "horizon")
+        _real(self.confidence, "confidence", "(0, 1)")
         if self.characterization not in ("def-a", "prop-b", "prop-c"):
             raise InvalidArgumentError(f"unknown characterization {self.characterization!r}")
 
@@ -226,8 +219,7 @@ def wilson_ci(successes: int, n: int, level: float = 0.95) -> tuple[float, float
     successes, n = _count(successes, "successes", 0), _count(n, "n")
     if successes > n:
         raise InvalidArgumentError(f"invalid counts: {successes} successes of {n}")
-    if not (0.0 < level < 1.0):
-        raise InvalidArgumentError("confidence level must lie in (0, 1)")
+    _real(level, "confidence level", "(0, 1)")
     z = _ndtri(0.5 + level / 2.0)
     p = successes / n
     denom = 1.0 + z * z / n
@@ -241,8 +233,7 @@ def wilson_ci(successes: int, n: int, level: float = 0.95) -> tuple[float, float
 def zero_success_upper_bound(n: int, level: float = 0.95) -> float:
     """One-sided Wilson upper bound on p when no successes were observed."""
     n = _count(n, "n")
-    if not (0.0 < level < 1.0):
-        raise InvalidArgumentError("confidence level must lie in (0, 1)")
+    _real(level, "confidence level", "(0, 1)")
     z = _ndtri(level)
     return z * z / (n + z * z)
 

@@ -22,7 +22,7 @@ from typing import Union
 import numpy as np
 
 from .errors import InvalidRuleError
-from .pathgen import Array, Ensemble, Path, TimeGrid
+from .pathgen import Array, Ensemble, Path, TimeGrid, _real
 
 __all__ = [
     "Deterministic",
@@ -54,8 +54,7 @@ class Deterministic:
     time: float
 
     def __post_init__(self):
-        if not (np.isfinite(self.time) and self.time >= 0.0):
-            raise InvalidRuleError("deterministic time must be finite and nonnegative")
+        _real(self.time, "deterministic time", "[0, inf)", InvalidRuleError)
 
 
 @dataclass(frozen=True)
@@ -66,8 +65,7 @@ class HittingFrom:
     delta: float
 
     def __post_init__(self):
-        if not (np.isfinite(self.delta) and self.delta > 0.0):
-            raise InvalidRuleError("hitting delta must be positive")
+        _real(self.delta, "hitting delta", error=InvalidRuleError)
 
 
 @dataclass(frozen=True)
@@ -82,8 +80,7 @@ class PassageToLevel:
         if np.ndim(self.level) != 0:
             raise InvalidRuleError("a passage level is one number; passage_time takes an array "
                                    "of levels with an Ensemble block")
-        if not np.isfinite(self.level):
-            raise InvalidRuleError("passage level must be finite")
+        _real(self.level, "passage level", "(-inf, inf)", InvalidRuleError)
 
 
 @dataclass(frozen=True)
@@ -93,8 +90,7 @@ class FirstAbsExceed:
     level: float
 
     def __post_init__(self):
-        if not (np.isfinite(self.level) and self.level > 0.0):
-            raise InvalidRuleError("exceedance level must be positive")
+        _real(self.level, "exceedance level", error=InvalidRuleError)
 
 
 StoppingRule = Union[Deterministic, HittingFrom, PassageToLevel, FirstAbsExceed]
@@ -236,6 +232,8 @@ class ValueAtStopInRange:
     high: float
 
     def __post_init__(self):
+        _real(self.low, "range low", "[-inf, inf]", InvalidRuleError)
+        _real(self.high, "range high", "[-inf, inf]", InvalidRuleError)
         if not (self.low <= self.high):
             raise InvalidRuleError("range event needs low <= high")
 
@@ -245,8 +243,7 @@ class StoppedBeforeHorizon:
     horizon: float
 
     def __post_init__(self):
-        if not (np.isfinite(self.horizon) and self.horizon > 0.0):
-            raise InvalidRuleError("event horizon must be positive")
+        _real(self.horizon, "event horizon", error=InvalidRuleError)
 
 
 @dataclass(frozen=True)

@@ -32,6 +32,7 @@ from .pathgen import (
     _count,
     _normals,
     _output,
+    _real,
     _result,
     _row_blocks,
     build_path,
@@ -86,8 +87,7 @@ class SignedPower:
     p: float
 
     def __post_init__(self):
-        if not (np.isfinite(self.p) and self.p > 0.0):
-            raise InvalidArgumentError("signed power exponent must be positive")
+        _real(self.p, "signed power exponent")
 
     def __call__(self, x: Array) -> Array:
         x = np.asarray(x, dtype=np.float64)
@@ -134,8 +134,7 @@ class IdentityCap:
     cap: float
 
     def __post_init__(self):
-        if not (np.isfinite(self.cap) and self.cap > 0.0):
-            raise InvalidArgumentError("cap must be positive")
+        _real(self.cap, "cap")
 
 
 @dataclass(frozen=True, eq=False)
@@ -188,6 +187,8 @@ def time_change(path: Path | Ensemble, nu: TimeChange) -> Path | Ensemble | tupl
             raise TimeChangeRangeError(f"level {level} not attained within the grid horizon")
         label = f"{path.label}@passage" if path.label else "passage-ramp"
         return Path(nu.grid, values[0], label=label)
+    if not isinstance(nu, IdentityCap):
+        raise InvalidArgumentError(f"unknown time change: {nu!r}")
     # min(t, cap) stays within [0, horizon], so no range check is needed
     t, x, cap = block.grid.times, block.values.copy(), nu.cap
     j = block.grid.last_index_at_or_before(cap)
@@ -257,8 +258,7 @@ class NonStickyMartingale:
     barrier: float = 2.0
 
     def __post_init__(self):
-        if not (np.isfinite(self.barrier) and self.barrier > 0.0):
-            raise InvalidArgumentError("barrier must be positive")
+        _real(self.barrier, "barrier")
 
 
 @dataclass(frozen=True)
@@ -278,8 +278,7 @@ class CosDriftExample:
     hit_level: float = 1.0
 
     def __post_init__(self):
-        if not (np.isfinite(self.hit_level) and self.hit_level > 0.0):
-            raise InvalidArgumentError("hit level must be positive")
+        _real(self.hit_level, "hit level")
 
 
 ExampleSpec = Union[NonStickyMartingale, AbsCubeRootOfMartingale, CosDriftExample]

@@ -123,20 +123,53 @@ def test_breakpoint_off_grid_rejected():
         liquidation_value(Strategy(np.array([0.3]), np.array([1.0])), price, CostModel(0.0))
 
 
+#: a string, None, a boolean and NaN: no number argument takes any of them
+NOT_REAL = {"str": "1", "none": None, "bool": True, "nan": float("nan")}
+FLAT = Path(make_uniform_grid(1.0, 4), np.ones(5))
+
+
 @pytest.mark.parametrize(
     "build, match",
     [
-        (lambda: Strategy(np.array([0.5, 0.25]), np.array([1.0, 2.0])),
-         "breakpoints must be strictly increasing"),
-        (lambda: Strategy(np.array([0.25, 0.5]), np.array([1.0, np.nan])),
-         "strategy data must be finite"),
-        (lambda: terminal_stats(np.array([])), "at least one terminal value"),
-        (lambda: terminal_stats(np.ones(3), tol=float("nan")), "tol must be finite"),
-        (lambda: terminal_stats(np.ones(3), tol=float("inf")), "tol must be finite"),
-        (lambda: terminal_stats(np.ones(3), tol=-1e-9), "tol must be finite and nonnegative"),
+        pytest.param(lambda: Strategy(np.array([0.5, 0.25]), np.array([1.0, 2.0])),
+                     "breakpoints must be strictly increasing", id="unsorted-breakpoints"),
+        pytest.param(lambda: Strategy(np.array([0.25, 0.5]), np.array([1.0, np.nan])),
+                     "strategy data must be finite", id="nan-holding"),
+        pytest.param(lambda: terminal_stats(np.array([])), "at least one terminal value",
+                     id="no-terminals"),
+        pytest.param(lambda: terminal_stats(np.ones(3), tol=float("nan")),
+                     r"tol must be a real number in \[0, inf\), got nan", id="nan-tol"),
+        pytest.param(lambda: terminal_stats(np.ones(3), tol=float("inf")),
+                     r"tol must be a real number in \[0, inf\), got inf", id="inf-tol"),
+        pytest.param(lambda: terminal_stats(np.ones(3), tol=-1e-9),
+                     r"tol must be a real number in \[0, inf\), got -1e-09", id="negative-tol"),
+        # an infinite floor, threshold or unit was taken, though the CLI refuses the last two
+        pytest.param(lambda: CostModel(0.1, admissibility_floor=float("inf")),
+                     r"admissibility floor must be a real number in \(0, inf\), got inf",
+                     id="infinite-floor"),
+        pytest.param(lambda: momentum_strategy(FLAT, float("inf"), 1.0),
+                     r"threshold must be a real number in \(0, inf\), got inf",
+                     id="infinite-threshold"),
+        pytest.param(lambda: momentum_strategy(FLAT, 0.1, float("inf")),
+                     r"unit must be a real number in \(0, inf\), got inf", id="infinite-unit"),
+        pytest.param(lambda: CostModel(False),
+                     r"cost rate must be a real number in \[0, 1\), got False", id="false-rate"),
+        *(pytest.param(lambda v=v: CostModel(v),
+                       rf"cost rate must be a real number in \[0, 1\), got {v!r}",
+                       id=f"rate-{k}") for k, v in NOT_REAL.items()),
+        *(pytest.param(lambda v=v: CostModel(0.1, admissibility_floor=v),
+                       rf"admissibility floor must be a real number in \(0, inf\), got {v!r}",
+                       id=f"floor-{k}") for k, v in NOT_REAL.items()),
+        *(pytest.param(lambda v=v: terminal_stats(np.ones(3), tol=v),
+                       rf"tol must be a real number in \[0, inf\), got {v!r}",
+                       id=f"tol-{k}") for k, v in NOT_REAL.items()),
+        *(pytest.param(lambda v=v: momentum_strategy(FLAT, v, 1.0),
+                       rf"threshold must be a real number in \(0, inf\), got {v!r}",
+                       id=f"threshold-{k}") for k, v in NOT_REAL.items()),
+        *(pytest.param(lambda v=v: momentum_strategy(FLAT, 0.1, v),
+                       rf"unit must be a real number in \(0, inf\), got {v!r}",
+                       id=f"unit-{k}") for k, v in NOT_REAL.items()),
     ],
-    ids=["unsorted-breakpoints", "nan-holding", "no-terminals", "nan-tol", "inf-tol",
-         "negative-tol"],
 )
 def test_bad_strategies_and_empty_terminals_are_refused(build, match):
     with pytest.raises(InvalidArgumentError, match=match):

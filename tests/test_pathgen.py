@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -9,8 +10,11 @@ from scipy.stats import ks_2samp
 from stickylab.errors import (
     GridMismatchError,
     InvalidArgumentError,
+    InvalidRuleError,
+    StickyLabError,
     UnsupportedGridError,
 )
+from stickylab.market import CostModel, momentum_strategy, terminal_stats
 from stickylab.pathgen import (
     BrownianMotion,
     Ensemble,
@@ -25,6 +29,11 @@ from stickylab.pathgen import (
     sample_ensemble,
     sample_fbm,
 )
+from stickylab.stickiness import (StickinessQuery, survival_ladder, wilson_ci,
+                                  zero_success_upper_bound)
+from stickylab.stopping import (Deterministic, FirstAbsExceed, HittingFrom, PassageToLevel,
+                                StoppedBeforeHorizon, ValueAtStopInRange)
+from stickylab.transforms import CosDriftExample, IdentityCap, NonStickyMartingale, SignedPower
 
 from oracles import fbm_covariance
 
@@ -88,21 +97,118 @@ def test_equal_grids_hash_equally():
     assert np.signbit(a.times[0])  # the stored times are left as given
 
 
+#: a string, None, a boolean and NaN: no number argument takes any of them
+NOT_REAL = {"str": "1", "none": None, "bool": True, "nan": float("nan")}
+
+
 @pytest.mark.parametrize(
     "build, match",
     [
-        (lambda: BrownianMotion(0.0), "volatility must be positive"),
-        (lambda: FractionalBrownianMotion(1.0), "hurst must lie strictly inside"),
-        (lambda: sample_brownian(make_uniform_grid(1.0, 4), SeedSpec(1, 0), 0.0),
-         "volatility must be positive"),
-        (lambda: Ensemble(make_uniform_grid(1.0, 4), np.zeros(5), 1), r"must be \(n_paths"),
-        (lambda: Ensemble(make_uniform_grid(1.0, 4), np.zeros((0, 5)), 1), "at least one path"),
+        pytest.param(lambda: BrownianMotion(0.0),
+                     r"volatility must be a real number in \(0, inf\), got 0.0",
+                     id="bm-volatility"),
+        pytest.param(lambda: BrownianMotion(10**400),  # leaked a TypeError from np.isfinite
+                     r"volatility must be a real number in \(0, inf\), got 1000",
+                     id="bm-volatility-beyond-float"),
+        pytest.param(lambda: FractionalBrownianMotion(1.0),
+                     r"hurst must be a real number in \(0, 1\), got 1.0", id="fbm-hurst"),
+        pytest.param(lambda: sample_brownian(make_uniform_grid(1.0, 4), SeedSpec(1, 0), 0.0),
+                     r"volatility must be a real number in \(0, inf\), got 0.0",
+                     id="sample-volatility"),
+        pytest.param(lambda: Ensemble(make_uniform_grid(1.0, 4), np.zeros(5), 1),
+                     r"must be \(n_paths", id="ensemble-1d"),
+        pytest.param(lambda: Ensemble(make_uniform_grid(1.0, 4), np.zeros((0, 5)), 1),
+                     "at least one path", id="ensemble-no-rows"),
+        *(pytest.param(lambda v=v: make_uniform_grid(v, 4),
+                       rf"horizon must be a real number in \(0, inf\), got {v!r}",
+                       id=f"grid-horizon-{k}") for k, v in NOT_REAL.items()),
+        *(pytest.param(lambda v=v: BrownianMotion(v),
+                       rf"volatility must be a real number in \(0, inf\), got {v!r}",
+                       id=f"bm-volatility-{k}") for k, v in NOT_REAL.items()),
+        *(pytest.param(lambda v=v: sample_brownian(make_uniform_grid(1.0, 4), SeedSpec(1), v),
+                       rf"volatility must be a real number in \(0, inf\), got {v!r}",
+                       id=f"sample-volatility-{k}") for k, v in NOT_REAL.items()),
+        *(pytest.param(lambda v=v: FractionalBrownianMotion(v),
+                       rf"hurst must be a real number in \(0, 1\), got {v!r}",
+                       id=f"fbm-hurst-{k}") for k, v in NOT_REAL.items()),
+        *(pytest.param(lambda v=v: sample_fbm(make_uniform_grid(1.0, 4), SeedSpec(1), v),
+                       rf"hurst must be a real number in \(0, 1\), got {v!r}",
+                       id=f"sample-hurst-{k}") for k, v in NOT_REAL.items()),
     ],
-    ids=["bm-volatility", "fbm-hurst", "sample-volatility", "ensemble-1d", "ensemble-no-rows"],
 )
 def test_bad_process_and_ensemble_arguments_are_refused(build, match):
     with pytest.raises(InvalidArgumentError, match=match):
         build()
+
+
+def _number_sites():
+    """Every number argument as ``(name, its call on x, its error class, the check it
+    made before the shared reader, frozen, on floats and ints)``."""
+    grid, seed = make_uniform_grid(1.0, 4), SeedSpec(1)
+    flat = Path(grid, np.ones(5))
+    ensemble = Ensemble(grid, np.zeros((2, 5)), 1)
+    positive = lambda x: np.isfinite(x) and x > 0.0  # noqa: E731
+    nonnegative = lambda x: np.isfinite(x) and x >= 0.0  # noqa: E731
+    inside = lambda x: 0.0 < x < 1.0  # noqa: E731
+    return [
+        ("horizon", lambda x: make_uniform_grid(x, 4), InvalidArgumentError, positive),
+        ("volatility", BrownianMotion, InvalidArgumentError, positive),
+        ("volatility", lambda x: sample_brownian(grid, seed, x), InvalidArgumentError, positive),
+        ("hurst", FractionalBrownianMotion, InvalidArgumentError, inside),
+        ("hurst", lambda x: sample_fbm(grid, seed, x), InvalidArgumentError, inside),
+        ("deterministic time", Deterministic, InvalidRuleError, nonnegative),
+        ("hitting delta", lambda x: HittingFrom(Deterministic(0.0), x), InvalidRuleError, positive),
+        ("passage level", PassageToLevel, InvalidRuleError, np.isfinite),
+        ("exceedance level", FirstAbsExceed, InvalidRuleError, positive),
+        ("event horizon", StoppedBeforeHorizon, InvalidRuleError, positive),
+        ("range low", lambda x: ValueAtStopInRange(x, x), InvalidRuleError, lambda x: x <= x),
+        ("signed power exponent", SignedPower, InvalidArgumentError, positive),
+        ("cap", IdentityCap, InvalidArgumentError, positive),
+        ("barrier", NonStickyMartingale, InvalidArgumentError, positive),
+        ("hit level", CosDriftExample, InvalidArgumentError, positive),
+        ("cost rate", CostModel, InvalidArgumentError, lambda x: 0.0 <= x < 1.0),
+        ("admissibility floor", lambda x: CostModel(0.1, x), InvalidArgumentError,
+         lambda x: x > 0.0),
+        ("tol", lambda x: terminal_stats(np.ones(3), x), InvalidArgumentError, nonnegative),
+        ("threshold", lambda x: momentum_strategy(flat, x, 1.0), InvalidArgumentError,
+         lambda x: x > 0.0),
+        ("unit", lambda x: momentum_strategy(flat, 0.1, x), InvalidArgumentError,
+         lambda x: x > 0.0),
+        ("confidence", lambda x: StickinessQuery(Deterministic(0.0), 1.0, 0.5, confidence=x),
+         InvalidArgumentError, inside),
+        ("epsilon", lambda x: StickinessQuery(Deterministic(0.0), 1.0, x), InvalidArgumentError,
+         lambda x: 0.0 < x < math.inf),
+        ("horizon", lambda x: StickinessQuery(Deterministic(0.0), x, 0.5), InvalidArgumentError,
+         lambda x: 0.0 < x < math.inf),
+        ("confidence level", lambda x: wilson_ci(1, 10, x), InvalidArgumentError, inside),
+        ("confidence level", lambda x: zero_success_upper_bound(10, x), InvalidArgumentError,
+         inside),
+        ("delta", lambda x: survival_ladder(ensemble, Deterministic(0.0), x, [1.0]),
+         InvalidArgumentError, lambda x: 0.0 < x < math.inf),
+        ("a ladder horizon", lambda x: survival_ladder(ensemble, Deterministic(0.0), 0.5, [x]),
+         InvalidArgumentError, lambda x: 0.0 < x < math.inf),
+    ]
+
+
+SPECIAL_FLOATS = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324,
+                  2.225073858507201e-308, 1e308, -1e308, 1.0, 1.0 - 2.0**-53]
+
+
+@given(st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats(), st.integers(-3, 3)))
+@settings(max_examples=150, deadline=None)
+def test_every_number_argument_accepts_the_reals_it_accepted(x):
+    # the shared reader moved no real number in or out of any site's range, but
+    # an infinite floor, threshold or unit, which the CLI already refused
+    for name, call, error, before in _number_sites():
+        # a call past the check may still refuse x; wilson_ci warns when its z is
+        # infinite, at a level within 2**-53 of 1
+        try:
+            call(x)
+            refused = False
+        except (StickyLabError, RuntimeWarning) as exc:
+            refused = isinstance(exc, error) and str(exc).startswith(f"{name} must be a real")
+        moved = name in ("admissibility floor", "threshold", "unit") and x == math.inf
+        assert refused == (not before(x) or moved), (name, x)
 
 
 def test_grid_uniformity_tolerance_matches_allclose():

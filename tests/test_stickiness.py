@@ -1,4 +1,5 @@
 import functools
+import re
 
 import numpy as np
 import pytest
@@ -174,11 +175,12 @@ def test_wilson_refuses_counts_that_are_not_integers(successes, n):
     assert wilson_ci(np.int64(2), np.int64(10)) == wilson_ci(2, 10)
 
 
-@pytest.mark.parametrize("level", [1.5, 1.0, 0.0, float("nan")])
+@pytest.mark.parametrize("level", [1.5, 1.0, 0.0, float("nan"), "0.9", None, True])
 def test_intervals_refuse_a_level_outside_the_open_unit_interval(level):
-    with pytest.raises(InvalidArgumentError, match="confidence level must lie in"):
+    match = rf"confidence level must be a real number in \(0, 1\), got {level!r}"
+    with pytest.raises(InvalidArgumentError, match=match):
         wilson_ci(2, 10, level)
-    with pytest.raises(InvalidArgumentError, match="confidence level must lie in"):
+    with pytest.raises(InvalidArgumentError, match=match):
         zero_success_upper_bound(10, level)
 
 
@@ -369,20 +371,33 @@ def test_ladder_validation():
             survival_ladder(ens, Deterministic(0.0), 0.5, horizons)
 
 
+REAL = r"must be a real number in \(0, inf\), got"
+CONFIDENCE = r"confidence must be a real number in \(0, 1\), got"
+
+
 @pytest.mark.parametrize(
     "kwargs, match",
     [
-        ({"confidence": 1.0}, r"confidence must lie in \(0, 1\)"),
+        ({"confidence": 1.0}, f"{CONFIDENCE} 1.0"),
         ({"characterization": "prop-d"}, "unknown characterization 'prop-d'"),
-        ({"horizon": True, "epsilon": True}, "epsilon must be a finite positive number, got True"),
-        ({"horizon": np.True_}, "horizon must be a finite positive number, got np.True_"),
-        ({"epsilon": np.array([0.5])}, "epsilon must be a finite positive number"),
-        ({"epsilon": "0.5"}, "epsilon must be a finite positive number, got '0.5'"),
-        ({"horizon": 0}, "horizon must be a finite positive number, got 0"),
-        ({"epsilon": float("nan")}, "epsilon must be a finite positive number, got nan"),
+        ({"horizon": True, "epsilon": True}, f"epsilon {REAL} True"),
+        ({"horizon": np.True_}, f"horizon {REAL} np.True_"),
+        ({"epsilon": np.array([0.5])}, f"epsilon {REAL}"),
+        ({"epsilon": "0.5"}, f"epsilon {REAL} '0.5'"),
+        ({"horizon": 0}, f"horizon {REAL} 0"),
+        ({"epsilon": float("nan")}, f"epsilon {REAL} nan"),
+        # a string or None leaked a TypeError from the comparison
+        ({"confidence": "0.5"}, f"{CONFIDENCE} '0.5'"),
+        ({"confidence": None}, f"{CONFIDENCE} None"),
+        ({"confidence": True}, f"{CONFIDENCE} True"),
+        ({"confidence": float("nan")}, f"{CONFIDENCE} nan"),
+        ({"horizon": "1"}, f"horizon {REAL} '1'"),
+        ({"horizon": None}, f"horizon {REAL} None"),
+        ({"epsilon": None}, f"epsilon {REAL} None"),
     ],
     ids=["confidence-one", "unknown-characterization", "booleans", "numpy-boolean", "array",
-         "string", "zero-horizon", "nan-epsilon"],
+         "string", "zero-horizon", "nan-epsilon", "confidence-str", "confidence-none",
+         "confidence-bool", "confidence-nan", "horizon-str", "horizon-none", "epsilon-none"],
 )
 def test_query_refuses_a_bad_confidence_or_characterization(kwargs, match):
     with pytest.raises(InvalidArgumentError, match=match):
@@ -402,7 +417,7 @@ def test_ladder_rejects_bad_ladders(ladder):
 
 @pytest.mark.parametrize("delta", [True, -1.0, 0.0, float("nan"), "0.5", np.array([0.5])])
 def test_ladder_refuses_a_bad_delta_by_name(delta):
-    with pytest.raises(InvalidArgumentError, match="delta must be a finite positive number"):
+    with pytest.raises(InvalidArgumentError, match=rf"delta {REAL} {re.escape(repr(delta))}"):
         survival_ladder(constant_ensemble(), Deterministic(0.0), delta, [1.0])
 
 

@@ -284,13 +284,46 @@ def test_parse_event_forms():
         parse_event("nonsense")
 
 
+#: a string, None, a boolean and NaN: no number argument takes any of them
+NOT_REAL = {"str": "1", "none": None, "bool": True, "nan": float("nan")}
+
+
 @pytest.mark.parametrize(
     "build, match",
     [
-        (lambda: parse_event("stoprange:1"), "stoprange needs two bounds"),
-        (lambda: StoppedBeforeHorizon(0.0), "event horizon must be positive"),
+        pytest.param(lambda: parse_event("stoprange:1"), "stoprange needs two bounds",
+                     id="stoprange-one-bound"),
+        pytest.param(lambda: StoppedBeforeHorizon(0.0),
+                     r"event horizon must be a real number in \(0, inf\), got 0.0",
+                     id="before-zero"),
+        # a string bound leaked numpy's UFuncTypeError from evaluate_event
+        pytest.param(lambda: ValueAtStopInRange("a", "b"),
+                     r"range low must be a real number in \[-inf, inf\], got 'a'",
+                     id="stoprange-strings"),
+        pytest.param(lambda: ValueAtStopInRange(1.0, 0.0), "range event needs low <= high",
+                     id="stoprange-reversed"),
+        *(pytest.param(lambda v=v: StoppedBeforeHorizon(v),
+                       rf"event horizon must be a real number in \(0, inf\), got {v!r}",
+                       id=f"before-{k}") for k, v in NOT_REAL.items()),
+        *(pytest.param(lambda v=v: ValueAtStopInRange(v, 1.0),
+                       rf"range low must be a real number in \[-inf, inf\], got {v!r}",
+                       id=f"stoprange-low-{k}") for k, v in NOT_REAL.items()),
+        *(pytest.param(lambda v=v: ValueAtStopInRange(0.0, v),
+                       rf"range high must be a real number in \[-inf, inf\], got {v!r}",
+                       id=f"stoprange-high-{k}") for k, v in NOT_REAL.items()),
+        *(pytest.param(lambda v=v: Deterministic(v),
+                       rf"deterministic time must be a real number in \[0, inf\), got {v!r}",
+                       id=f"det-{k}") for k, v in NOT_REAL.items()),
+        *(pytest.param(lambda v=v: HittingFrom(Deterministic(0.0), v),
+                       rf"hitting delta must be a real number in \(0, inf\), got {v!r}",
+                       id=f"hit-{k}") for k, v in NOT_REAL.items()),
+        *(pytest.param(lambda v=v: PassageToLevel(v),
+                       rf"passage level must be a real number in \(-inf, inf\), got {v!r}",
+                       id=f"pass-{k}") for k, v in NOT_REAL.items()),
+        *(pytest.param(lambda v=v: FirstAbsExceed(v),
+                       rf"exceedance level must be a real number in \(0, inf\), got {v!r}",
+                       id=f"absexceed-{k}") for k, v in NOT_REAL.items()),
     ],
-    ids=["stoprange-one-bound", "before-zero"],
 )
 def test_bad_events_are_refused(build, match):
     with pytest.raises(InvalidRuleError, match=match):

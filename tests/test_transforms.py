@@ -276,15 +276,40 @@ def test_dds_constant_input_rejected():
         dds_brownianize(Path(grid, np.full(9, 2.0)), 16)
 
 
+#: a string, None, a boolean and NaN: no number argument takes any of them
+NOT_REAL = {"str": "1", "none": None, "bool": True, "nan": float("nan")}
+
+
 @pytest.mark.parametrize(
     "build, match",
     [
-        (lambda: SignedPower(0.0), "exponent must be positive"),
-        (lambda: IdentityCap(0.0), "cap must be positive"),
-        (lambda: NonStickyMartingale(barrier=0.0), "barrier must be positive"),
-        (lambda: CosDriftExample(hit_level=0.0), "hit level must be positive"),
+        pytest.param(lambda: SignedPower(0.0),
+                     r"signed power exponent must be a real number in \(0, inf\), got 0.0",
+                     id="signed-power"),
+        pytest.param(lambda: IdentityCap(0.0), r"cap must be a real number in \(0, inf\), got 0.0",
+                     id="identity-cap"),
+        pytest.param(lambda: NonStickyMartingale(barrier=0.0),
+                     r"barrier must be a real number in \(0, inf\), got 0.0",
+                     id="nonsticky-barrier"),
+        pytest.param(lambda: CosDriftExample(hit_level=0.0),
+                     r"hit level must be a real number in \(0, inf\), got 0.0",
+                     id="cos-drift-level"),
+        # a bare number leaked AttributeError: 'float' object has no attribute 'cap'
+        pytest.param(lambda: time_change(Path(make_uniform_grid(1.0, 2), np.zeros(3)), 0.5),
+                     "unknown time change: 0.5", id="time-change-number"),
+        *(pytest.param(lambda v=v: SignedPower(v),
+                       rf"signed power exponent must be a real number in \(0, inf\), got {v!r}",
+                       id=f"signed-power-{k}") for k, v in NOT_REAL.items()),
+        *(pytest.param(lambda v=v: IdentityCap(v),
+                       rf"cap must be a real number in \(0, inf\), got {v!r}",
+                       id=f"identity-cap-{k}") for k, v in NOT_REAL.items()),
+        *(pytest.param(lambda v=v: NonStickyMartingale(barrier=v),
+                       rf"barrier must be a real number in \(0, inf\), got {v!r}",
+                       id=f"nonsticky-barrier-{k}") for k, v in NOT_REAL.items()),
+        *(pytest.param(lambda v=v: CosDriftExample(hit_level=v),
+                       rf"hit level must be a real number in \(0, inf\), got {v!r}",
+                       id=f"cos-drift-level-{k}") for k, v in NOT_REAL.items()),
     ],
-    ids=["signed-power", "identity-cap", "nonsticky-barrier", "cos-drift-level"],
 )
 def test_bad_transform_parameters_are_refused(build, match):
     with pytest.raises(InvalidArgumentError, match=match):
