@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AlignmentError, InvalidArgumentError
-from .pathgen import Array, Ensemble, Path, TimeGrid, _real
+from .pathgen import Array, Ensemble, Path, TimeGrid, _finite_array, _real
 
 __all__ = [
     "Strategy",
@@ -46,16 +46,14 @@ class Strategy:
     holdings: Array
 
     def __post_init__(self):
-        breakpoints = np.asarray(self.breakpoints, dtype=np.float64)
-        holdings = np.asarray(self.holdings, dtype=np.float64)
+        breakpoints = _finite_array(self.breakpoints, "strategy data")
+        holdings = _finite_array(self.holdings, "strategy data")
         object.__setattr__(self, "breakpoints", breakpoints)
         object.__setattr__(self, "holdings", holdings)
         if breakpoints.ndim != 1 or holdings.ndim > 2 or holdings.shape[-1:] != breakpoints.shape:
             raise InvalidArgumentError("holdings must have one column per breakpoint")
         if breakpoints.size and np.any(np.diff(breakpoints) <= 0.0):
             raise InvalidArgumentError("breakpoints must be strictly increasing")
-        if not (np.all(np.isfinite(breakpoints)) and np.all(np.isfinite(holdings))):
-            raise InvalidArgumentError("strategy data must be finite")
 
     @property
     def n_jumps(self) -> int:
@@ -91,12 +89,10 @@ class LedgerPath:
 
     def __post_init__(self):
         for name in ("gains", "cost_flow", "liquidation_penalty", "values"):
-            arr = np.asarray(getattr(self, name), dtype=np.float64)
+            arr = _finite_array(getattr(self, name), name)
             object.__setattr__(self, name, arr)
             if arr.ndim not in (1, 2) or arr.shape[-1] != self.grid.n_points:
                 raise InvalidArgumentError(f"{name} must match the grid length")
-            if not np.all(np.isfinite(arr)):
-                raise InvalidArgumentError(f"{name} must be finite")
 
     @property
     def terminal(self) -> float | Array:
@@ -190,11 +186,9 @@ def terminal_stats(terminal: Array, tol: float = 1e-9) -> ArbitrageStats:
     magnitude; a statistic that still exceeds the float range is refused.
     """
     _real(tol, "tol", "[0, inf)")
-    terminal = np.asarray(terminal, dtype=np.float64)
+    terminal = _finite_array(terminal, "terminal values")
     if terminal.size == 0:
         raise InvalidArgumentError("need at least one terminal value")
-    if not np.all(np.isfinite(terminal)):
-        raise InvalidArgumentError("terminal values must be finite")
     with np.errstate(over="ignore", invalid="ignore"):
         mean, std = _mean_std(terminal)
     if not (np.isfinite(mean) and np.isfinite(std)):

@@ -79,13 +79,11 @@ class TimeGrid:
     times: Array
 
     def __post_init__(self):
-        times = np.array(self.times, dtype=np.float64)
+        times = _finite_array(self.times, "grid times").copy()
         times.setflags(write=False)
         object.__setattr__(self, "times", times)
         if times.ndim != 1 or times.size < 2:
             raise InvalidArgumentError("a grid needs at least two time points")
-        if not np.all(np.isfinite(times)):
-            raise InvalidArgumentError("grid times must be finite")
         if times[0] != 0.0:
             raise InvalidArgumentError("grid must start at time 0")
         dt = np.diff(times)
@@ -172,7 +170,8 @@ class SeedSpec:
             value = getattr(self, name)
             if (isinstance(value, bool) or not hasattr(value, "__index__")
                     or not 0 <= operator.index(value) < 2**64):
-                raise InvalidArgumentError(f"{name} must be an integer in [0, 2**64), got {value!r}")
+                raise InvalidArgumentError(
+                    f"{name} must be an integer in [0, 2**64), got {_shown(value)}")
             object.__setattr__(self, name, operator.index(value))
 
     def generator(self) -> np.random.Generator:
@@ -216,14 +215,12 @@ class Path:
     label: str = ""
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=np.float64)
+        values = _finite_array(self.values, "path values")
         object.__setattr__(self, "values", values)
         if values.shape != (self.grid.n_points,):
             raise InvalidArgumentError(
                 f"values length {values.size} does not match grid length {self.grid.n_points}"
             )
-        if not np.isfinite(values).all():  # per path: the method skips np.all's dispatch
-            raise InvalidArgumentError("path values must be finite")
 
     @property
     def terminal(self) -> float:
@@ -245,15 +242,13 @@ class Ensemble:
     process_label: str = ""
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=np.float64)
+        values = _finite_array(self.values, "ensemble values")
         object.__setattr__(self, "values", values)
+        object.__setattr__(self, "master_seed", SeedSpec(self.master_seed).master_seed)
         if values.ndim != 2 or values.shape[1] != self.grid.n_points:
             raise InvalidArgumentError("ensemble values must be (n_paths, n_grid_points)")
         if values.shape[0] < 1:
             raise InvalidArgumentError("ensemble needs at least one path")
-        # a NaN or an infinity shows in the extrema, with no array-sized temporary
-        if not (np.isfinite(values.min()) and np.isfinite(values.max())):
-            raise InvalidArgumentError("ensemble values must be finite")
 
     @property
     def n_paths(self) -> int:
@@ -326,7 +321,29 @@ def _real(value, name: str, interval: str = "(0, inf)", error: type = InvalidArg
         x = math.nan
     if not ((low <= x if interval[0] == "[" else low < x)
             and (x <= high if interval[-1] == "]" else x < high)):
-        raise error(f"{name} must be a real number in {interval}, got {value!r}")
+        raise error(f"{name} must be a real number in {interval}, got {_shown(value)}")
+
+
+def _finite_array(value, name: str, error: type = InvalidArgumentError) -> Array:
+    """``value`` as a float64 array, not copied if it is one; raises ``error`` naming ``name``
+    unless it is an array of integers or floats, not a ragged list, with finite entries."""
+    try:
+        array = np.asarray(value)
+    except (ValueError, TypeError) as exc:  # a ragged list, say
+        raise error(f"{name} must be an array of real numbers: {exc}") from exc
+    if array.dtype.kind not in "iuf":  # strings, booleans, complex numbers, objects
+        raise error(f"{name} must be an array of real numbers, got dtype {array.dtype}")
+    array = array.astype(np.float64, copy=False)
+    if array.size and not (np.isfinite(array.min()) and np.isfinite(array.max())):
+        raise error(f"{name} must be finite")  # the extrema show a NaN or an infinity
+    return array
+
+
+def _shown(value) -> str:
+    """``repr(value)``, or the bit length of an integer past 4,000 digits, which ``repr``
+    refuses past ``sys.get_int_max_str_digits()`` (4,300 by default)."""
+    big = isinstance(value, int) and value.bit_length() > 13_287  # 10**4000 has 13,288 bits
+    return f"an integer of {value.bit_length()} bits" if big else repr(value)
 
 
 def _empty(n_paths: int, *shape: int) -> Array:

@@ -221,6 +221,9 @@ def wilson_ci(successes: int, n: int, level: float = 0.95) -> tuple[float, float
         raise InvalidArgumentError(f"invalid counts: {successes} successes of {n}")
     _real(level, "confidence level", "(0, 1)")
     z = _ndtri(0.5 + level / 2.0)
+    if z == math.inf:  # 0.5 + level / 2 rounds to 1 at level 1 - 2**-53
+        raise InvalidArgumentError(f"confidence level must be a real number in (0, 1) whose "
+                                   f"two-sided z is finite, got {level!r}")
     p = successes / n
     denom = 1.0 + z * z / n
     center = (p + z * z / (2.0 * n)) / denom

@@ -22,7 +22,7 @@ from typing import Union
 import numpy as np
 
 from .errors import InvalidRuleError
-from .pathgen import Array, Ensemble, Path, TimeGrid, _real
+from .pathgen import Array, Ensemble, Path, TimeGrid, _finite_array, _real
 
 __all__ = [
     "Deterministic",
@@ -212,9 +212,9 @@ def passage_time(path: Path | Ensemble, level: float | Array) -> StopResult | Ar
     """
     if isinstance(path, Path):
         return evaluate_rule(PassageToLevel(level), path)
-    levels = np.asarray(level, dtype=np.float64)
-    if levels.ndim != 1 or not np.all(np.isfinite(levels)):
-        raise InvalidRuleError("passage levels must be a finite 1-D array")
+    levels = _finite_array(level, "passage levels", InvalidRuleError)
+    if levels.ndim != 1:
+        raise InvalidRuleError("passage levels must be a 1-D array")
     return _passage_indices(path.values, levels)
 
 

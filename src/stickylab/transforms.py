@@ -112,6 +112,10 @@ class Affine:
     a: float
     b: float
 
+    def __post_init__(self):
+        _real(self.a, "affine a", "(-inf, inf)")
+        _real(self.b, "affine b", "(-inf, inf)")
+
     def __call__(self, x: Array) -> Array:
         return self.a * np.asarray(x, dtype=np.float64) + self.b
 

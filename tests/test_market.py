@@ -125,7 +125,18 @@ def test_breakpoint_off_grid_rejected():
 
 #: a string, None, a boolean and NaN: no number argument takes any of them
 NOT_REAL = {"str": "1", "none": None, "bool": True, "nan": float("nan")}
+#: strings, numeric strings, None, complex numbers, a ragged list and booleans, five
+#: entries where the length shows: no array argument takes any of them
+NOT_REAL_ARRAYS = {
+    "str": np.array(["a", "b", "c", "d", "e"]),
+    "numeric-str": np.array(["0", "1", "2", "3", "4"]),
+    "none": np.array([0.0, None, 2.0, 3.0, 4.0]),
+    "complex": np.array([0.0, 1.0j, 2.0, 3.0, 4.0]),
+    "ragged": [[0.0, 1.0], [2.0]],
+    "bool": np.array([False, True, True, True, True]),
+}
 FLAT = Path(make_uniform_grid(1.0, 4), np.ones(5))
+LEDGER = dict.fromkeys(("gains", "cost_flow", "liquidation_penalty", "values"), np.zeros(5))
 
 
 @pytest.mark.parametrize(
@@ -169,6 +180,19 @@ FLAT = Path(make_uniform_grid(1.0, 4), np.ones(5))
         *(pytest.param(lambda v=v: momentum_strategy(FLAT, 0.1, v),
                        rf"unit must be a real number in \(0, inf\), got {v!r}",
                        id=f"unit-{k}") for k, v in NOT_REAL.items()),
+        # numpy's ValueError leaked, or a numeric string or a boolean was read as a number
+        *(pytest.param(lambda v=v: Strategy(v, np.ones(5)),
+                       "strategy data must be an array of real numbers",
+                       id=f"breakpoints-{k}") for k, v in NOT_REAL_ARRAYS.items()),
+        *(pytest.param(lambda v=v: Strategy(FLAT.grid.times, v),
+                       "strategy data must be an array of real numbers",
+                       id=f"holdings-{k}") for k, v in NOT_REAL_ARRAYS.items()),
+        *(pytest.param(lambda v=v, name=name: LedgerPath(FLAT.grid, **{**LEDGER, name: v}),
+                       f"{name} must be an array of real numbers", id=f"{name}-{k}")
+          for name in LEDGER for k, v in NOT_REAL_ARRAYS.items()),
+        *(pytest.param(lambda v=v: terminal_stats(v),
+                       "terminal values must be an array of real numbers",
+                       id=f"terminals-{k}") for k, v in NOT_REAL_ARRAYS.items()),
     ],
 )
 def test_bad_strategies_and_empty_terminals_are_refused(build, match):

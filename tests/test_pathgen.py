@@ -1,3 +1,4 @@
+import itertools
 import math
 import warnings
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.stats import ks_2samp
 
 from stickylab.errors import (
@@ -14,7 +16,7 @@ from stickylab.errors import (
     StickyLabError,
     UnsupportedGridError,
 )
-from stickylab.market import CostModel, momentum_strategy, terminal_stats
+from stickylab.market import CostModel, LedgerPath, Strategy, momentum_strategy, terminal_stats
 from stickylab.pathgen import (
     BrownianMotion,
     Ensemble,
@@ -32,7 +34,7 @@ from stickylab.pathgen import (
 from stickylab.stickiness import (StickinessQuery, survival_ladder, wilson_ci,
                                   zero_success_upper_bound)
 from stickylab.stopping import (Deterministic, FirstAbsExceed, HittingFrom, PassageToLevel,
-                                StoppedBeforeHorizon, ValueAtStopInRange)
+                                StoppedBeforeHorizon, ValueAtStopInRange, passage_time)
 from stickylab.transforms import CosDriftExample, IdentityCap, NonStickyMartingale, SignedPower
 
 from oracles import fbm_covariance
@@ -99,6 +101,16 @@ def test_equal_grids_hash_equally():
 
 #: a string, None, a boolean and NaN: no number argument takes any of them
 NOT_REAL = {"str": "1", "none": None, "bool": True, "nan": float("nan")}
+#: strings, numeric strings, None, complex numbers, a ragged list and booleans, five
+#: entries where the length shows: no array argument takes any of them
+NOT_REAL_ARRAYS = {
+    "str": np.array(["a", "b", "c", "d", "e"]),
+    "numeric-str": np.array(["0", "1", "2", "3", "4"]),
+    "none": np.array([0.0, None, 2.0, 3.0, 4.0]),
+    "complex": np.array([0.0, 1.0j, 2.0, 3.0, 4.0]),
+    "ragged": [[0.0, 1.0], [2.0]],
+    "bool": np.array([False, True, True, True, True]),
+}
 
 
 @pytest.mark.parametrize(
@@ -134,11 +146,38 @@ NOT_REAL = {"str": "1", "none": None, "bool": True, "nan": float("nan")}
         *(pytest.param(lambda v=v: sample_fbm(make_uniform_grid(1.0, 4), SeedSpec(1), v),
                        rf"hurst must be a real number in \(0, 1\), got {v!r}",
                        id=f"sample-hurst-{k}") for k, v in NOT_REAL.items()),
+        # numpy's ValueError leaked, or a numeric string or a boolean was read as a number
+        *(pytest.param(lambda v=v: TimeGrid(v), "grid times must be an array of real numbers",
+                       id=f"grid-times-{k}") for k, v in NOT_REAL_ARRAYS.items()),
+        *(pytest.param(lambda v=v: Path(make_uniform_grid(1.0, 4), v),
+                       "path values must be an array of real numbers",
+                       id=f"path-values-{k}") for k, v in NOT_REAL_ARRAYS.items()),
+        *(pytest.param(lambda v=v: Ensemble(make_uniform_grid(1.0, 4), [v, v], 1),
+                       "ensemble values must be an array of real numbers",
+                       id=f"ensemble-values-{k}") for k, v in NOT_REAL_ARRAYS.items()),
+        # the seed was stored unread
+        *(pytest.param(lambda v=v: Ensemble(make_uniform_grid(1.0, 4), np.zeros((1, 5)), v),
+                       rf"master_seed must be an integer in \[0, 2\*\*64\), got {v!r}",
+                       id=f"ensemble-seed-{v}") for v in ("x", -1, 1.5)),
+        # the message's own repr raised a ValueError past 4,300 digits
+        pytest.param(lambda: BrownianMotion(10**5000),
+                     r"volatility must be a real number in \(0, inf\), got an integer of 16610",
+                     id="bm-volatility-too-long-to-print"),
+        pytest.param(lambda: SeedSpec(10**5000),
+                     r"master_seed must be an integer in \[0, 2\*\*64\), got an integer of 16610",
+                     id="seed-too-long-to-print"),
+        pytest.param(lambda: sample_ensemble(BrownianMotion(), make_uniform_grid(1.0, 4),
+                                             10**5000, 1),
+                     "master_seed must be an integer", id="ensemble-seed-too-long-to-print"),
     ],
 )
 def test_bad_process_and_ensemble_arguments_are_refused(build, match):
     with pytest.raises(InvalidArgumentError, match=match):
         build()
+
+
+def _wilson_at(level):
+    return wilson_ci(1, 10, level)
 
 
 def _number_sites():
@@ -180,7 +219,7 @@ def _number_sites():
          lambda x: 0.0 < x < math.inf),
         ("horizon", lambda x: StickinessQuery(Deterministic(0.0), x, 0.5), InvalidArgumentError,
          lambda x: 0.0 < x < math.inf),
-        ("confidence level", lambda x: wilson_ci(1, 10, x), InvalidArgumentError, inside),
+        ("confidence level", _wilson_at, InvalidArgumentError, inside),
         ("confidence level", lambda x: zero_success_upper_bound(10, x), InvalidArgumentError,
          inside),
         ("delta", lambda x: survival_ladder(ensemble, Deterministic(0.0), x, [1.0]),
@@ -198,17 +237,107 @@ SPECIAL_FLOATS = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324,
 @settings(max_examples=150, deadline=None)
 def test_every_number_argument_accepts_the_reals_it_accepted(x):
     # the shared reader moved no real number in or out of any site's range, but
-    # an infinite floor, threshold or unit, which the CLI already refused
+    # an infinite floor, threshold or unit, which the CLI already refused, and
+    # wilson_ci's level 1 - 2**-53, whose two-sided z is infinite
     for name, call, error, before in _number_sites():
-        # a call past the check may still refuse x; wilson_ci warns when its z is
-        # infinite, at a level within 2**-53 of 1
-        try:
+        try:  # a call past the check may still refuse x
             call(x)
             refused = False
-        except (StickyLabError, RuntimeWarning) as exc:
+        except StickyLabError as exc:
             refused = isinstance(exc, error) and str(exc).startswith(f"{name} must be a real")
-        moved = name in ("admissibility floor", "threshold", "unit") and x == math.inf
+        moved = (name in ("admissibility floor", "threshold", "unit") and x == math.inf
+                 or call is _wilson_at and x == 1.0 - 2.0**-53)
         assert refused == (not before(x) or moved), (name, x)
+
+
+#: the integer and float dtypes an array argument takes
+REAL_DTYPES = [np.int8, np.int64, np.uint8, np.uint64, np.float16, np.float32, np.float64]
+
+
+@st.composite
+def _real_arrays(draw, *shape):
+    """An integer or float array of ``shape``, NaN and infinities included, or its list."""
+    x = draw(hnp.arrays(st.sampled_from(REAL_DTYPES), shape))
+    return x.tolist() if draw(st.booleans()) else x
+
+
+@st.composite
+def _increasing(draw):
+    """Grid times or breakpoints from 0, of an integer or float dtype, or their list."""
+    steps = draw(st.lists(st.integers(1, 20), min_size=1, max_size=5))
+    x = np.array([0, *itertools.accumulate(steps)], dtype=draw(st.sampled_from(REAL_DTYPES)))
+    return x.tolist() if draw(st.booleans()) else x
+
+
+def _array_sites(data):
+    """Every array argument as ``(an input of its shape, its call, the arrays or result the
+    call keeps, whether it kept a float64 array uncopied before the shared reader)``."""
+    grid = make_uniform_grid(1.0, 4)
+    block = Ensemble(grid, np.zeros((2, 5)), 1)
+    row, rows = data.draw(_real_arrays(5)), data.draw(_real_arrays(3, 5))
+    times = data.draw(_increasing())
+    return [
+        (times, TimeGrid, lambda g: [g.times], False),
+        (row, lambda x: Path(grid, x), lambda p: [p.values], True),
+        (rows, lambda x: Ensemble(grid, x, 1), lambda e: [e.values], True),
+        (times, lambda x: Strategy(x, np.ones(len(x))), lambda s: [s.breakpoints], True),
+        (rows, lambda x: Strategy(grid.times, x), lambda s: [s.holdings], True),
+        (rows, lambda x: LedgerPath(grid, x, x, x, x),
+         lambda v: [v.gains, v.cost_flow, v.liquidation_penalty, v.values], True),
+        (row, terminal_stats, lambda stats: [stats], None),
+        (row, lambda x: passage_time(block, x), lambda k: [k], None),
+    ]
+
+
+def _outcome(call, x, kept):
+    """What ``call(x)`` keeps or returns as a list, or the class and message it raises."""
+    try:
+        return kept(call(x))
+    except StickyLabError as exc:
+        return type(exc), str(exc)
+
+
+def _same(a, b) -> bool:
+    if isinstance(a, np.ndarray):
+        return isinstance(b, np.ndarray) and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    return a == b
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_every_array_argument_takes_the_arrays_it_took(data):
+    # the shared reader takes and refuses the integer and float arrays and lists that
+    # np.asarray(x, dtype=np.float64) and an isfinite check took and refused, keeps
+    # their bits, and copies no float64 array that a site kept uncopied
+    for x, call, kept, shares in _array_sites(data):
+        frozen = np.asarray(x, dtype=np.float64)
+        if not np.all(np.isfinite(frozen)):
+            with pytest.raises(StickyLabError, match="must be finite"):
+                call(x)
+            continue
+        got, want = _outcome(call, x, kept), _outcome(call, frozen, kept)
+        assert type(got) is type(want) and len(got) == len(want), (got, want)
+        assert all(_same(a, b) for a, b in zip(got, want)), (got, want)
+        if isinstance(got, list) and shares is not None and isinstance(x, np.ndarray):
+            assert all(np.shares_memory(a, x) == (shares and x.dtype == np.float64) for a in got)
+
+
+def test_array_arguments_are_read_without_an_array_sized_temporary():
+    # an Ensemble of 2,000 x 1,024 points and a ledger of four 64 x 1,025 blocks, whose
+    # isfinite masks took 4 x 66 kB
+    import tracemalloc
+
+    values, blocks = np.zeros((2000, 1024)), np.zeros((4, 64, 1025))
+    grid, ledger_grid = make_uniform_grid(1.0, 1023), make_uniform_grid(1.0, 1024)
+    for build, nbytes in ((lambda: Ensemble(grid, values, 1), values.nbytes),
+                          (lambda: LedgerPath(ledger_grid, *blocks), blocks.nbytes)):
+        tracemalloc.start()
+        try:
+            build()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.01 * nbytes
 
 
 def test_grid_uniformity_tolerance_matches_allclose():

@@ -184,6 +184,14 @@ def test_intervals_refuse_a_level_outside_the_open_unit_interval(level):
         zero_success_upper_bound(10, level)
 
 
+def test_wilson_refuses_a_level_whose_two_sided_z_is_infinite():
+    # 0.5 + level / 2 rounds to 1; the one-sided bound's z stays finite
+    level = 1.0 - 2.0**-53
+    with pytest.raises(InvalidArgumentError, match=r"whose two-sided z is finite, got 0\.9999"):
+        wilson_ci(1, 10, level)
+    assert 0.0 < zero_success_upper_bound(10, level) < 1.0
+
+
 @pytest.mark.parametrize("n", [10.5, "10", None])
 def test_zero_success_upper_bound_refuses_counts_that_are_not_integers(n):
     with pytest.raises(InvalidArgumentError, match="n must be an integer"):

@@ -127,10 +127,32 @@ def test_passage_indices_match_the_crossing_loop(rows, levels, data):
             assert stop.stopped == (k < x.shape[1]) and stop.index == (k if stop.stopped else None)
 
 
-def test_passage_time_refuses_block_levels_that_are_not_finite():
+#: strings, numeric strings, None, complex numbers, a ragged list and booleans: no
+#: array argument takes any of them
+NOT_REAL_ARRAYS = {
+    "str": np.array(["a", "b", "c"]),
+    "numeric-str": np.array(["0", "1", "2"]),
+    "none": np.array([0.0, None, 2.0]),
+    "complex": np.array([0.0, 1.0j, 2.0]),
+    "ragged": [[0.0, 1.0], [2.0]],
+    "bool": np.array([False, True, True]),
+}
+
+
+@pytest.mark.parametrize(
+    "levels, match",
+    [
+        pytest.param(np.array([0.0, np.nan]), "passage levels must be finite", id="nan"),
+        pytest.param(np.array([[0.0, 1.0]]), "passage levels must be a 1-D array", id="2-d"),
+        # numpy's ValueError leaked, or a numeric string or a boolean was read as a number
+        *(pytest.param(v, "passage levels must be an array of real numbers", id=k)
+          for k, v in NOT_REAL_ARRAYS.items()),
+    ],
+)
+def test_passage_time_refuses_block_levels_that_are_not_finite(levels, match):
     block = Ensemble(TimeGrid(np.array([0.0, 1.0])), np.zeros((2, 2)), 0)
-    with pytest.raises(InvalidRuleError):
-        passage_time(block, np.array([0.0, np.nan]))
+    with pytest.raises(InvalidRuleError, match=match):
+        passage_time(block, levels)
 
 
 def test_passage_time_refuses_a_level_array_for_one_path():

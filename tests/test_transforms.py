@@ -278,6 +278,16 @@ def test_dds_constant_input_rejected():
 
 #: a string, None, a boolean and NaN: no number argument takes any of them
 NOT_REAL = {"str": "1", "none": None, "bool": True, "nan": float("nan")}
+#: strings, numeric strings, None, complex numbers, a ragged list and booleans: no
+#: array argument takes any of them
+NOT_REAL_ARRAYS = {
+    "str": np.array(["a", "b", "c"]),
+    "numeric-str": np.array(["0", "1", "2"]),
+    "none": np.array([0.0, None, 2.0]),
+    "complex": np.array([0.0, 1.0j, 2.0]),
+    "ragged": [[0.0, 1.0], [2.0]],
+    "bool": np.array([False, True, True]),
+}
 
 
 @pytest.mark.parametrize(
@@ -309,6 +319,16 @@ NOT_REAL = {"str": "1", "none": None, "bool": True, "nan": float("nan")}
         *(pytest.param(lambda v=v: CosDriftExample(hit_level=v),
                        rf"hit level must be a real number in \(0, inf\), got {v!r}",
                        id=f"cos-drift-level-{k}") for k, v in NOT_REAL.items()),
+        # Affine was built, and apply_map leaked numpy's UFuncTypeError
+        *(pytest.param(lambda v=v: Affine(v, 1.0),
+                       rf"affine a must be a real number in \(-inf, inf\), got {v!r}",
+                       id=f"affine-a-{k}") for k, v in {**NOT_REAL, "inf": np.inf}.items()),
+        *(pytest.param(lambda v=v: Affine(1.0, v),
+                       rf"affine b must be a real number in \(-inf, inf\), got {v!r}",
+                       id=f"affine-b-{k}") for k, v in {**NOT_REAL, "inf": np.inf}.items()),
+        # the schedule is a grid, so its times are read as a grid's
+        *(pytest.param(lambda v=v: PassageTimes(v), "grid times must be an array of real numbers",
+                       id=f"passage-levels-{k}") for k, v in NOT_REAL_ARRAYS.items()),
     ],
 )
 def test_bad_transform_parameters_are_refused(build, match):
