@@ -382,7 +382,7 @@ def _control_blocks(grid: TimeGrid, increments: np.ndarray,
     for rows in _row_blocks(len(increments), rows=_BLOCK_ROWS):
         block = np.zeros((rows.stop - rows.start, grid.n_points))
         np.cumsum(increments[rows], axis=1, out=block[:, 1:])
-        yield rows, Ensemble(grid, block, master_seed, "shuffled-control")
+        yield rows, Ensemble(grid, block, master_seed)
 
 
 def _pooled_shuffle(ensemble: Ensemble, master_seed: int) -> Ensemble:
@@ -391,7 +391,7 @@ def _pooled_shuffle(ensemble: Ensemble, master_seed: int) -> Ensemble:
     for rows, block in _control_blocks(ensemble.grid, np.diff(ensemble.values, axis=1),
                                        master_seed):
         values[rows] = block.values
-    return Ensemble(ensemble.grid, values, ensemble.master_seed, "shuffled-control")
+    return Ensemble(ensemble.grid, values, ensemble.master_seed)
 
 
 def _preset_costs_momentum(config: ExperimentConfig) -> ResultTable:

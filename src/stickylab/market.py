@@ -107,7 +107,6 @@ class ArbitrageStats:
     mean_terminal: float
     std_terminal: float
     min_terminal: float
-    tolerance: float
     flag: bool  # finite-sample surrogate, not a proof of arbitrage
 
 
@@ -117,8 +116,8 @@ def exp_price(path: Path | Ensemble) -> Path | Ensemble:
     with np.errstate(over="ignore"):
         values = np.exp(path.values)
     if isinstance(path, Ensemble):
-        return Ensemble(path.grid, values, path.master_seed, "exp")
-    return Path(path.grid, values, label=f"exp({path.label})" if path.label else "exp")
+        return Ensemble(path.grid, values, path.master_seed)
+    return Path(path.grid, values)
 
 
 def liquidation_value(strategy: Strategy, price: Path | Ensemble, cost: CostModel) -> LedgerPath:
@@ -207,7 +206,6 @@ def terminal_stats(terminal: Array, tol: float = 1e-9) -> ArbitrageStats:
         mean_terminal=mean,
         std_terminal=std,
         min_terminal=float(terminal.min()),
-        tolerance=tol,
         flag=bool(frac_nonneg == 1.0 and frac_pos > 0.0),
     )
 

@@ -73,7 +73,7 @@ class TimeGrid:
 
     ``times`` is a read-only copy of the array passed in (the caller's array
     stays writeable). The spacings and uniformity are computed once here,
-    since every path sampled on the grid reads them.
+    since every row block sampled on the grid reads them.
     """
 
     times: Array
@@ -212,7 +212,6 @@ class Path:
 
     grid: TimeGrid
     values: Array
-    label: str = ""
 
     def __post_init__(self):
         values = _finite_array(self.values, "path values")
@@ -239,7 +238,7 @@ class Ensemble:
     grid: TimeGrid
     values: Array
     master_seed: int
-    process_label: str = ""
+    process_label: str = ""  # a tag only a caller sets; nothing in the library sets or reads it
 
     def __post_init__(self):
         values = _finite_array(self.values, "ensemble values")
@@ -255,7 +254,7 @@ class Ensemble:
         return int(self.values.shape[0])
 
     def path(self, i: int) -> Path:
-        return Path(self.grid, self.values[i], label=self.process_label)
+        return Path(self.grid, self.values[i])
 
 
 # ------------------------------ process specs ------------------------------ #
@@ -340,10 +339,13 @@ def _finite_array(value, name: str, error: type = InvalidArgumentError) -> Array
 
 
 def _shown(value) -> str:
-    """``repr(value)``, or the bit length of an integer past 4,000 digits, which ``repr``
-    refuses past ``sys.get_int_max_str_digits()`` (4,300 by default)."""
+    """``repr(value)``, the bit length of an integer past 4,000 digits, or a fixed text when
+    ``repr`` refuses a part past ``sys.get_int_max_str_digits()`` (4,300 by default)."""
     big = isinstance(value, int) and value.bit_length() > 13_287  # 10**4000 has 13,288 bits
-    return f"an integer of {value.bit_length()} bits" if big else repr(value)
+    try:
+        return f"an integer of {value.bit_length()} bits" if big else repr(value)
+    except ValueError:  # Fraction(10**5000, 3), say
+        return f"a {type(value).__name__} too long to print"
 
 
 def _empty(n_paths: int, *shape: int) -> Array:
@@ -367,11 +369,10 @@ def _output(grid: TimeGrid, n_paths: int | None) -> Array:
     return values
 
 
-def _result(grid: TimeGrid, seed: SeedSpec, values: Array, n_paths: int | None,
-            path_label: str, ensemble_label: str) -> Union[Path, Ensemble]:
+def _result(grid: TimeGrid, seed: SeedSpec, values: Array, n_paths: int | None) -> Path | Ensemble:
     if n_paths is None:
-        return Path(grid, values[0], label=path_label)
-    return Ensemble(grid, values, seed.master_seed, process_label=ensemble_label)
+        return Path(grid, values[0])
+    return Ensemble(grid, values, seed.master_seed)
 
 
 def sample_brownian(grid: TimeGrid, seed: SeedSpec, volatility: float = 1.0, *,
@@ -388,7 +389,7 @@ def sample_brownian(grid: TimeGrid, seed: SeedSpec, volatility: float = 1.0, *,
     for rows in _row_blocks(len(values), 8 * grid.n_steps):  # the increments are the buffer
         _brownian_rows(grid, seed.master_seed, volatility,
                        range(first + rows.start, first + rows.stop), values[rows])
-    return _result(grid, seed, values, n_paths, "bm", "bm")
+    return _result(grid, seed, values, n_paths)
 
 
 def _brownian_rows(grid: TimeGrid, master_seed: int, volatility: float, indices, values: Array,
@@ -487,7 +488,7 @@ def sample_fbm(grid: TimeGrid, seed: SeedSpec, hurst: float, *,
         np.multiply(z[:, n + 1 :], weights.imag[1:n], out=w.imag[:, 1:n])
         w.imag[:, [0, n]] = 0.0
         np.cumsum(np.fft.irfft(w, 2 * n, norm="forward")[:, :n], axis=1, out=block[:, 1:])
-    return _result(grid, seed, values, n_paths, f"fbm-H{hurst:g}", "fbm")
+    return _result(grid, seed, values, n_paths)
 
 
 def build_path(spec: ProcessSpec, grid: TimeGrid, seed: SeedSpec, *,
@@ -535,5 +536,5 @@ def integrate_ito(integrand: Path | Ensemble, integrator: Path | Ensemble) -> Pa
     np.cumsum(integrand.values[..., :-1] * np.diff(integrator.values), axis=-1,
               out=values[..., 1:])
     if isinstance(integrator, Ensemble):
-        return Ensemble(integrator.grid, values, integrator.master_seed, "ito")
-    return Path(integrand.grid, values, label="ito")
+        return Ensemble(integrator.grid, values, integrator.master_seed)
+    return Path(integrand.grid, values)

@@ -123,7 +123,6 @@ class StickinessEstimate:
     n: int
     ci_low: float
     ci_high: float
-    confidence: float
     verdict: str  # POSITIVE | ZERO | INCONCLUSIVE
     zero_upper: float | None  # one-sided upper bound, reported when successes = 0
     query: StickinessQuery
@@ -143,7 +142,6 @@ class SISEstimate:
     log10_lower: float
     ess: float
     n: int
-    confidence: float
     query: StickinessQuery
 
 
@@ -295,7 +293,6 @@ def _estimate(query: StickinessQuery, successes: int, n: int) -> StickinessEstim
         n=n,
         ci_low=low,
         ci_high=high,
-        confidence=query.confidence,
         verdict=_verdict(successes, low),
         zero_upper=zero_success_upper_bound(n, query.confidence) if successes == 0 else None,
         query=query,
@@ -448,8 +445,9 @@ def estimate_stickiness_sis(
     if not isinstance(base, Deterministic):
         raise InvalidArgumentError("importance sampling supports det:t and hit:delta@det:t only")
     m = _count(n_samples, "n_samples")
-    if query.horizon > grid.horizon * (1.0 + 1e-12) or base.time > grid.horizon:
-        raise InvalidArgumentError("query times exceed the grid horizon")
+    _check_window_end(query.horizon, grid.horizon)
+    if base.time > grid.horizon:  # _stop_indices would refuse it only after sampling
+        raise InvalidArgumentError(f"tau's time {base.time} exceeds grid horizon {grid.horizon}")
     factor = _sis_factor(spec, grid)
     from scipy.special import logsumexp, ndtri
 
@@ -494,7 +492,7 @@ def estimate_stickiness_sis(
                                     "with the stopping rule or the tube check")
 
     if not weighted.any():
-        return SISEstimate(-np.inf, -np.inf, 0.0, m, query.confidence, query)
+        return SISEstimate(-np.inf, -np.inf, 0.0, m, query)
     log_sum = float(logsumexp(log_w))
     log10_p_hat = (log_sum - np.log(m)) / np.log(10.0)
     return SISEstimate(
@@ -502,6 +500,5 @@ def estimate_stickiness_sis(
         log10_lower=log10_p_hat + float(np.log10(1.0 - query.confidence)),
         ess=float(np.exp(2.0 * log_sum - logsumexp(2.0 * log_w))),
         n=m,
-        confidence=query.confidence,
         query=query,
     )

@@ -11,7 +11,7 @@ exact for the continuous processes in scope up to one grid modulus.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import ClassVar, Union
+from typing import Union
 
 import numpy as np
 
@@ -189,8 +189,7 @@ def time_change(path: Path | Ensemble, nu: TimeChange) -> Path | Ensemble | tupl
         if not kept[0]:
             level = nu.levels[int(np.argmax(missed[0]))]
             raise TimeChangeRangeError(f"level {level} not attained within the grid horizon")
-        label = f"{path.label}@passage" if path.label else "passage-ramp"
-        return Path(nu.grid, values[0], label=label)
+        return Path(nu.grid, values[0])
     if not isinstance(nu, IdentityCap):
         raise InvalidArgumentError(f"unknown time change: {nu!r}")
     # min(t, cap) stays within [0, horizon], so no range check is needed
@@ -202,7 +201,7 @@ def time_change(path: Path | Ensemble, nu: TimeChange) -> Path | Ensemble | tupl
     x[:, j + 1 :] = x[:, j : j + 1]
     if isinstance(path, Ensemble):
         return replace(path, values=x)
-    return Path(path.grid, x[0], label=path.label)
+    return Path(path.grid, x[0])
 
 
 # ------------------------------ Brownianization ------------------------------ #
@@ -238,7 +237,7 @@ def dds_brownianize(path: Path, qv_grid_steps: int) -> Path:
         raise DegenerateInputError("terminal quadratic variation is zero")
     u = np.linspace(0.0, total, qv_grid_steps + 1)[:-1]
     idx = np.searchsorted(qv, u, side="right")  # first index with qv > u
-    return Path(TimeGrid(u), path.values[idx], label="dds")
+    return Path(TimeGrid(u), path.values[idx])
 
 
 def drift_by_qv(path: Path, f: ScalarMap) -> Path:
@@ -247,7 +246,7 @@ def drift_by_qv(path: Path, f: ScalarMap) -> Path:
     if f0 != 0.0:
         raise ContractViolationError(f"drift map must vanish at 0, got f(0) = {f0}")
     values = path.values - np.asarray(f(quadratic_variation(path)))
-    return Path(path.grid, values, label=f"{path.label}-qvdrift" if path.label else "qvdrift")
+    return Path(path.grid, values)
 
 
 # ------------------------------ example processes ------------------------------ #
@@ -258,7 +257,6 @@ class NonStickyMartingale:
     """Martingale driven by the exploding integrand 1/(1-s) until its running
     absolute value first exceeds ``barrier``, then by a unit integrand."""
 
-    label: ClassVar[str] = "nonsticky-martingale"
     barrier: float = 2.0
 
     def __post_init__(self):
@@ -269,7 +267,6 @@ class NonStickyMartingale:
 class AbsCubeRootOfMartingale:
     """Cube root of the absolute value of a base local-martingale path."""
 
-    label: ClassVar[str] = "abs-cuberoot"
     base: ProcessSpec = BrownianMotion(1.0)
 
 
@@ -278,7 +275,6 @@ class CosDriftExample:
     """Stopped-integrand stochastic integral minus ``x*cos(pi/x)`` of its
     pathwise variance clock."""
 
-    label: ClassVar[str] = "cos-drift"
     hit_level: float = 1.0
 
     def __post_init__(self):
@@ -351,4 +347,4 @@ def build_example(spec: ExampleSpec, grid: TimeGrid, seed: SeedSpec, *,
             else:
                 base = Ensemble(grid, block, seed.master_seed)
                 block[:] = apply_map(apply_map(base, Abs()), SignedPower(1.0 / 3.0)).values
-    return _result(grid, seed, values, n_paths, spec.label, spec.label)
+    return _result(grid, seed, values, n_paths)

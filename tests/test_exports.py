@@ -107,3 +107,27 @@ def test_stickiness_query_holds_one_tube():
 
     assert tuple(f.name for f in dataclasses.fields(StickinessQuery)) == (
         "tau", "horizon", "epsilon", "event", "characterization", "confidence")
+
+
+def test_paths_and_results_hold_no_label_or_copied_input():
+    # a path is its grid and values; an estimate's confidence is its query's, and
+    # terminal_stats' tolerance is its tol argument; Ensemble.process_label is a
+    # caller's tag that the library neither sets nor reads
+    import dataclasses
+
+    from stickylab.market import ArbitrageStats
+    from stickylab.pathgen import Path
+    from stickylab.stickiness import SISEstimate, StickinessEstimate
+    from stickylab.transforms import AbsCubeRootOfMartingale, CosDriftExample, NonStickyMartingale
+
+    def names(cls):
+        return tuple(f.name for f in dataclasses.fields(cls))
+
+    assert names(Path) == ("grid", "values")
+    assert names(StickinessEstimate) == (
+        "p_hat", "successes", "n", "ci_low", "ci_high", "verdict", "zero_upper", "query")
+    assert names(SISEstimate) == ("log10_p_hat", "log10_lower", "ess", "n", "query")
+    assert names(ArbitrageStats) == ("n", "frac_nonnegative", "frac_strictly_positive",
+                                     "mean_terminal", "std_terminal", "min_terminal", "flag")
+    for spec in (NonStickyMartingale, AbsCubeRootOfMartingale, CosDriftExample):
+        assert not hasattr(spec, "label") and not hasattr(spec(), "label"), spec

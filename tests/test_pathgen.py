@@ -1,6 +1,7 @@
 import itertools
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -163,6 +164,9 @@ NOT_REAL_ARRAYS = {
         pytest.param(lambda: BrownianMotion(10**5000),
                      r"volatility must be a real number in \(0, inf\), got an integer of 16610",
                      id="bm-volatility-too-long-to-print"),
+        pytest.param(lambda: BrownianMotion(Fraction(10**5000, 3)),
+                     r"volatility must be a real number in \(0, inf\), got a Fraction too long",
+                     id="bm-volatility-fraction-too-long-to-print"),
         pytest.param(lambda: SeedSpec(10**5000),
                      r"master_seed must be an integer in \[0, 2\*\*64\), got an integer of 16610",
                      id="seed-too-long-to-print"),
@@ -590,10 +594,10 @@ def test_example_spec_dispatch():
 
     grid = make_uniform_grid(1.0, 4)
     ens = sample_ensemble(CosDriftExample(), grid, 0, 3, first=5)
-    assert ens.process_label == "cos-drift"
+    assert isinstance(ens, Ensemble) and ens.n_paths == 3
     for r in range(3):
         path = build_example(CosDriftExample(), grid, SeedSpec(0, 5 + r))
-        assert path.label == "cos-drift" and np.array_equal(ens.values[r], path.values)
+        assert isinstance(path, Path) and np.array_equal(ens.values[r], path.values)
     with pytest.raises(InvalidArgumentError, match="unknown process spec"):
         sample_ensemble("bm", grid, 0, 3)
 
@@ -884,12 +888,12 @@ def test_n_paths_keyword_returns_the_rows_of_the_one_path_calls():
     grid = make_uniform_grid(1.0, 16)
     seed = SeedSpec(21, 40)
     cases = [
-        (sample_fbm, (0.6,), "fbm", lambda s: sample_fbm(grid, s, 0.6)),
-        (sample_brownian, (1.4,), "bm", lambda s: sample_brownian(grid, s, 1.4)),
+        (sample_fbm, (0.6,), lambda s: sample_fbm(grid, s, 0.6)),
+        (sample_brownian, (1.4,), lambda s: sample_brownian(grid, s, 1.4)),
     ]
-    for generate, args, label, one in cases:
+    for generate, args, one in cases:
         ens = generate(grid, seed, *args, n_paths=5)
-        assert isinstance(ens, Ensemble) and ens.process_label == label
+        assert isinstance(ens, Ensemble)
         assert ens.master_seed == 21 and ens.n_paths == 5
         for r in range(5):
             assert np.array_equal(ens.values[r], one(SeedSpec(21, 40 + r)).values)
@@ -898,10 +902,10 @@ def test_n_paths_keyword_returns_the_rows_of_the_one_path_calls():
     from stickylab.transforms import NonStickyMartingale
 
     ens = build_path(NonStickyMartingale(), grid, seed, n_paths=3)
-    assert ens.process_label == "nonsticky-martingale"
+    assert isinstance(ens, Ensemble) and (ens.master_seed, ens.n_paths) == (21, 3)
     for r in range(3):
         one = build_path(NonStickyMartingale(), grid, SeedSpec(21, 40 + r))
-        assert one.label == "nonsticky-martingale" and np.array_equal(ens.values[r], one.values)
+        assert isinstance(one, Path) and np.array_equal(ens.values[r], one.values)
 
 
 def test_fractional_path_counts_are_refused():
@@ -1013,7 +1017,7 @@ def test_ito_of_a_row_block_integrates_each_row():
     integrand = sample_fbm(grid, SeedSpec(3, 10), 0.7, n_paths=5)
     integrator = sample_brownian(grid, SeedSpec(4, 10), n_paths=5)
     out = integrate_ito(integrand, integrator)
-    assert isinstance(out, Ensemble) and out.master_seed == 4 and out.process_label == "ito"
+    assert isinstance(out, Ensemble) and out.master_seed == 4
     for r in range(5):
         one = integrate_ito(Path(grid, integrand.values[r]), Path(grid, integrator.values[r]))
         assert np.array_equal(out.values[r], one.values)

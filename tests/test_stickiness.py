@@ -543,6 +543,20 @@ def test_sis_rejects_unsupported_queries(kwargs):
         sis(0.5, **kwargs)
 
 
+@pytest.mark.parametrize(
+    "kwargs, match",
+    [
+        ({"horizon": 1.5}, "query horizon 1.5 exceeds grid horizon 1.0"),
+        ({"tau": "hit:0.1@det:1.5"}, "tau's time 1.5 exceeds grid horizon 1.0"),
+    ],
+    ids=["horizon-past-grid", "tau-past-grid"],
+)
+def test_sis_refuses_query_times_past_the_grid(kwargs, match):
+    # refused before any sampling, by the rule estimate_stickiness uses for T
+    with pytest.raises(InvalidArgumentError, match=match):
+        sis(0.5, **kwargs)
+
+
 @pytest.mark.parametrize("n_samples", [2.5, "3", 0])
 def test_sis_refuses_sample_counts_that_are_not_positive_integers(n_samples):
     # int() would draw 2 samples for 2.5 and 3 for "3"

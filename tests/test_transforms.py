@@ -61,8 +61,11 @@ def test_abs_map():
 
 def test_map_of_a_row_block_maps_each_row():
     block = sample_ensemble(BrownianMotion(1.0), make_uniform_grid(1.0, 32), 8, 4)
+    assert block.process_label == ""  # the library sets no tag; a caller's tag is kept
+    tagged = apply_map(Ensemble(block.grid, block.values, 8, "caller"), SignedPower(0.5))
+    assert (tagged.master_seed, tagged.process_label) == (8, "caller")
     image = apply_map(block, SignedPower(0.5))
-    assert isinstance(image, Ensemble) and image.master_seed == 8 and image.process_label == "bm"
+    assert isinstance(image, Ensemble) and np.array_equal(image.values, tagged.values)
     for r in range(4):
         assert np.array_equal(image.values[r], apply_map(block.path(r), SignedPower(0.5)).values)
 
@@ -222,7 +225,7 @@ def test_block_passage_time_change_matches_each_row(rows, levels):
 def _frozen_capped_path(path, nu):
     # the capped time change as it was: one path through np.interp
     t = path.grid.times
-    return Path(path.grid, np.interp(np.minimum(t, nu.cap), t, path.values), label=path.label)
+    return Path(path.grid, np.interp(np.minimum(t, nu.cap), t, path.values))
 
 
 _UNEVEN = TimeGrid(np.array([0.0, 0.05, 0.2, 0.21, 0.4, 0.55, 0.9, 1.3, 1.31, 2.0]))
@@ -242,15 +245,16 @@ def test_capped_time_change_of_a_block_matches_np_interp(grid, cap, rows):
     rng = np.random.default_rng(rows * grid.n_points)
     x = np.cumsum(rng.standard_normal((rows, grid.n_points)), axis=1)
     x[:, 1::5] = -0.0  # so that sign bits are compared
-    block = Ensemble(grid, x.copy(), 7, "bm")
+    block = Ensemble(grid, x.copy(), 7, "caller")
     nu = IdentityCap(cap)
-    capped = time_change(block, nu)
-    assert isinstance(capped, Ensemble) and (capped.master_seed, capped.process_label) == (7, "bm")
+    capped = time_change(block, nu)  # keeps the seed and the caller's tag
+    assert isinstance(capped, Ensemble)
+    assert (capped.master_seed, capped.process_label) == (7, "caller")
     assert np.array_equal(block.values.view(np.uint64), x.view(np.uint64))  # left as it was
     for r in range(rows):
         expected = _frozen_capped_path(block.path(r), nu).values.view(np.uint64)
         one = time_change(block.path(r), nu)
-        assert isinstance(one, Path) and one.label == "bm"
+        assert isinstance(one, Path)
         assert np.array_equal(capped.values[r].view(np.uint64), expected)
         assert np.array_equal(one.values.view(np.uint64), expected)
 
@@ -506,7 +510,7 @@ _EXAMPLE_IDS = ["nonsticky", "nonsticky-clamped", "cos-drift", "cos-drift-low", 
 
 def _assert_rows_match_reference(spec, reference, grid, n_paths, first):
     ens = sample_ensemble(spec, grid, 17, n_paths, first=first)
-    assert ens.process_label == spec.label and ens.n_paths == n_paths
+    assert isinstance(ens, Ensemble) and ens.n_paths == n_paths
     for r in range(n_paths):
         want = reference(spec, grid, SeedSpec(17, first + r))
         assert np.array_equal(ens.values[r], want)
@@ -587,7 +591,7 @@ def test_example_rows_equal_each_path_built_on_its_own():
         ens = build_example(spec, grid, SeedSpec(2, 7), n_paths=5)
         for r in range(5):
             one = build_example(spec, grid, SeedSpec(2, 7 + r))
-            assert isinstance(one, Path) and one.label == spec.label
+            assert isinstance(one, Path)
             assert np.array_equal(ens.values[r], one.values)
     with pytest.raises(InvalidArgumentError, match="unknown process spec"):
         build_example(Identity(), grid, SeedSpec(2))
